@@ -52,33 +52,38 @@ def untranslate(f: Formula) -> Formula:
     negation node.  Raises NotClassicalImage otherwise.
     """
     cache: dict[Formula, Formula] = {}
-
-    def walk(g: Formula) -> Formula:
-        out = cache.get(g)
-        if out is not None:
-            return out
-        if isinstance(g, Atom):
-            out = g
-        elif isinstance(g, Imp):
-            out = Imp(walk(g.ant), walk(g.cons))
-        else:
-            body = g.body
-            # strong negation of x is !(((x -> x) -> x))
-            if (
-                isinstance(body, Imp)
-                and isinstance(body.ant, Imp)
-                and body.ant.ant is body.ant.cons
-                and body.ant.ant is body.cons
-            ):
-                out = Neg(walk(body.cons))
+    # (node, children done); a node's subterms are checked left first and
+    # completed before the node itself is rebuilt
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, done = stack.pop()
+        if done:
+            if isinstance(g, Imp):
+                cache[g] = Imp(cache[g.ant], cache[g.cons])
             else:
-                raise NotClassicalImage(
-                    f"negation at {g!r} is not a strong negation"
-                )
-        cache[g] = out
-        return out
-
-    return walk(f)
+                cache[g] = Neg(cache[g.body.cons])
+            continue
+        if g in cache:
+            continue
+        if isinstance(g, Atom):
+            cache[g] = g
+            continue
+        stack.append((g, True))
+        if isinstance(g, Imp):
+            stack.append((g.cons, False))
+            stack.append((g.ant, False))
+            continue
+        body = g.body
+        # strong negation of x is !(((x -> x) -> x))
+        if not (
+            isinstance(body, Imp)
+            and isinstance(body.ant, Imp)
+            and body.ant.ant is body.ant.cons
+            and body.ant.ant is body.cons
+        ):
+            raise NotClassicalImage(f"negation at {g!r} is not a strong negation")
+        stack.append((body.cons, False))
+    return cache[f]
 
 
 def _translate(g: Formula, units: Mapping[str, Formula]) -> Formula:

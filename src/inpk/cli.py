@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Any
 
-from .formula import CONNECTIVES, Formula, FormulaSyntaxError, parse, render
+from .formula import CONNECTIVES, Formula, FormulaSyntaxError, atoms, parse, render
 from .kalmar import NotATautology, complete_prove
 from .proofs import (
     Axiom,
@@ -42,6 +42,9 @@ from .semantics import (
 )
 
 MAX_PARAM = 16
+# taut and entails enumerate every valuation; at about 7 million a second
+# this budget is some 15 s
+MAX_VALUATIONS = 10**8
 
 
 class _CliError(Exception):
@@ -57,6 +60,16 @@ def _params(n: int, k: int) -> LogicParams:
         return LogicParams(n, k)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
+
+
+def _within_budget(params: LogicParams, formulas: list[Formula]) -> None:
+    names = {name for f in formulas for name in atoms(f)}
+    count = params.size ** len(names)
+    if count > MAX_VALUATIONS:
+        raise _CliError(
+            f"{len(names)} atoms at (n,k) = ({params.n},{params.k}) make "
+            f"{count} valuations, over the budget of {MAX_VALUATIONS}"
+        )
 
 
 def _formula(text: str) -> Formula:
@@ -199,13 +212,17 @@ def _verdict_exit(args: argparse.Namespace, verdict) -> int:
 
 def _cmd_taut(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
-    return _verdict_exit(args, is_tautology(params, _formula(args.expr)))
+    f = _formula(args.expr)
+    _within_budget(params, [f])
+    return _verdict_exit(args, is_tautology(params, f))
 
 
 def _cmd_entails(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
     hyps = [_formula(h) for h in args.hyp]
-    return _verdict_exit(args, entails(params, hyps, _formula(args.expr)))
+    goal = _formula(args.expr)
+    _within_budget(params, hyps + [goal])
+    return _verdict_exit(args, entails(params, hyps, goal))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ the proof checker and the evaluators lean on heavily.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 __all__ = [
     "Formula", "Atom", "Neg", "Imp", "FormulaSyntaxError",
@@ -220,115 +221,100 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"{message} (byte {offset})")
 
 
-_TOKEN = re.compile(r"[ \t\r\n]+|(->|\|\||&&|\^\*|\^o|[!~@|&()])|([a-z][a-z0-9_]*)")
+# Blanks before a token are skipped; the last alternative takes any other
+# single character, so every other character lands in some token and a
+# lexical error is a one-character token outside _VALID.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(->|\|\||&&|\^\*|\^o|[!~@|&()]|[a-z][a-z0-9_]*|[^ \t\r\n])")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
+_VALID = _LETTERS | set("!~@|&()")
 
-_PREFIX = {"!": Neg, "~": strong_neg, "@": classicalize}
-_AND_OPS = {"&": and_, "&&": and_cl}
-_OR_OPS = {"|": or_, "||": or_cl}
+# Pending operators are (binding power, builder) pairs: prefix operators
+# bind tightest, "(" is a floor that only its ")" removes.
+_OPEN = (0, None)
+_PREFIX = {"!": (4, Neg), "~": (4, strong_neg), "@": (4, classicalize), "(": _OPEN}
+_POSTFIX = {"^*": star, "^o": circ}
+# Token after an operand -> (reduce pending operators of at least this
+# power, entry to push).  "->" groups to the right, "|" and "&" and their
+# classical forms to the left; ")" and the end of input push nothing.
+_AFTER = {
+    "->": (2, (1, Imp)),
+    "|": (2, (2, or_)), "||": (2, (2, or_cl)),
+    "&": (3, (3, and_)), "&&": (3, (3, and_cl)),
+    ")": (1, None), "": (1, None),
+}
+
+_OPERAND = ("atom", "'('", "'!'", "'~'", "'@'")
+_CLOSE = ("')'",)
+_CONTINUE = ("'->'", "'|'", "'&'", "end of input")
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
-def _scan(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", _byte_offset(text, pos))
-        if m.group(1):
-            tokens.append(("op", m.group(1), _byte_offset(text, pos)))
-        elif m.group(2):
-            tokens.append(("atom", m.group(2), _byte_offset(text, pos)))
-        pos = m.end()
-    tokens.append(("end", "", _byte_offset(text, len(text))))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _scan(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: tuple[str, ...]):
-        kind, text, offset = self.peek()
-        what = "end of input" if kind == "end" else repr(text)
-        raise FormulaSyntaxError(f"unexpected {what}", offset, expected)
-
-    def at_op(self, *ops: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text in ops
-
-    def implication(self) -> Formula:
-        operands = [self.join()]
-        while self.at_op("->"):
-            self.take()
-            operands.append(self.join())
-        f = operands[-1]
-        for g in reversed(operands[:-1]):
-            f = Imp(g, f)
-        return f
-
-    def join(self) -> Formula:
-        f = self.meet()
-        while self.at_op("|", "||"):
-            op = self.take()[1]
-            f = _OR_OPS[op](f, self.meet())
-        return f
-
-    def meet(self) -> Formula:
-        f = self.prefixed()
-        while self.at_op("&", "&&"):
-            op = self.take()[1]
-            f = _AND_OPS[op](f, self.prefixed())
-        return f
-
-    def prefixed(self) -> Formula:
-        ops = []
-        while self.at_op("!", "~", "@"):
-            ops.append(self.take()[1])
-        f = self.postfixed()
-        for op in reversed(ops):
-            f = _PREFIX[op](f)
-        return f
-
-    def postfixed(self) -> Formula:
-        f = self.primary()
-        while self.at_op("^*", "^o"):
-            op = self.take()[1]
-            f = star(f) if op == "^*" else circ(f)
-        return f
-
-    def primary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "atom":
-            self.take()
-            return Atom(text)
-        if kind == "op" and text == "(":
-            self.take()
-            f = self.implication()
-            if not self.at_op(")"):
-                self.fail(("')'",))
-            self.take()
-            return f
-        self.fail(("atom", "'('", "'!'", "'~'", "'@'"))
+def _fail(text: str, tokens: list[str], i: int, expected: tuple[str, ...]):
+    """Raise for tokens[i]; a lexical error anywhere from there on wins."""
+    for j in range(i, len(tokens) - 1):
+        if len(tokens[j]) == 1 and tokens[j] not in _VALID:
+            i, expected = j, ()
+            break
+    tok = tokens[i]
+    if tok:
+        start = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+        offset = len(text[:start].encode("utf-8"))
+    else:
+        offset = len(text.encode("utf-8"))
+    if not expected:
+        raise FormulaSyntaxError(f"unexpected character {tok!r}", offset)
+    what = repr(tok) if tok else "end of input"
+    raise FormulaSyntaxError(f"unexpected {what}", offset, expected)
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a fully expanded primitive AST."""
-    parser = _Parser(text)
-    f = parser.implication()
-    if parser.peek()[0] != "end":
-        parser.fail(("'->'", "'|'", "'&'", "end of input"))
-    return f
+    """Parse concrete syntax into a fully expanded primitive AST.
+
+    Loosest first: ``->`` (grouping to the right), ``|`` and ``||``,
+    ``&`` and ``&&`` (grouping to the left), prefix ``! ~ @``, postfix
+    ``^* ^o``.  Operands and pending operators live on explicit stacks,
+    so nesting depth is bounded by memory, not by the call stack.
+    """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    operands: list[Formula] = []
+    pending: list[tuple[int, object]] = [(-1, None)]
+    i = 0
+    while True:
+        tok = tokens[i]
+        while tok in _PREFIX:
+            pending.append(_PREFIX[tok])
+            i += 1
+            tok = tokens[i]
+        if tok[:1] not in _LETTERS:
+            _fail(text, tokens, i, _OPERAND)
+        operands.append(Atom(tok))
+        i += 1
+        tok = tokens[i]
+        while True:
+            while tok in _POSTFIX:
+                operands[-1] = _POSTFIX[tok](operands[-1])
+                i += 1
+                tok = tokens[i]
+            if tok not in _AFTER:
+                _fail(text, tokens, i, _CLOSE if _OPEN in pending else _CONTINUE)
+            power, entry = _AFTER[tok]
+            while pending[-1][0] >= power:
+                bound, build = pending.pop()
+                if bound == 4:
+                    operands[-1] = build(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = build(operands[-1], right)
+            if entry is not None:
+                pending.append(entry)
+                i += 1
+                break
+            if not tok:
+                if len(pending) > 1:
+                    _fail(text, tokens, i, _CLOSE)
+                return operands[0]
+            if pending.pop() is not _OPEN:
+                _fail(text, tokens, i, _CONTINUE)
+            i += 1
+            tok = tokens[i]

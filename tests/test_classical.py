@@ -41,6 +41,25 @@ def test_untranslate_rejects_plain_negation():
         untranslate(Imp(strong_neg(p), Neg(Imp(p, p))))
 
 
+@pytest.mark.parametrize("depth", [2000, 10**4])
+def test_untranslate_deep_strong_negations(depth):
+    p = Atom("p")
+    image, source = p, p
+    for _ in range(depth):
+        image, source = strong_neg(image), Neg(source)
+    assert untranslate(image) is source
+
+
+def test_untranslate_reports_leftmost_plain_negation():
+    p, q = Atom("p"), Atom("q")
+    # two offending negations: the one in the antecedent is met first
+    f = Imp(strong_neg(Imp(q, Neg(q))), Neg(p))
+    with pytest.raises(NotClassicalImage, match=r"at <formula !q>"):
+        untranslate(f)
+    with pytest.raises(NotClassicalImage, match=r"at <formula !p>"):
+        untranslate(Imp(Neg(p), Neg(q)))
+
+
 def test_prove_fragment_examples():
     params = LogicParams(1, 1)
     targets = [

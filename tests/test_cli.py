@@ -5,11 +5,12 @@ ints and output is captured with capsys.
 """
 
 import json
+import time
 
 import pytest
 
 from inpk.cli import main
-from inpk.formula import parse, render
+from inpk.formula import Atom, Imp, parse, render
 from inpk.proofs import check, proof_from_json
 from inpk.semantics import LogicParams, is_tautology
 
@@ -153,6 +154,33 @@ def test_negative_param_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_taut_over_valuation_budget_is_capacity_error(capsys):
+    start = time.perf_counter()
+    rc, _, err = run(
+        capsys, "taut", "--n", "16", "--k", "16",
+        "a -> b -> c -> d -> e -> f -> g -> h -> a",
+    )
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert "valuations" in err
+
+
+def test_entails_budget_counts_atoms_of_hypotheses_and_goal(capsys):
+    rc, _, err = run(
+        capsys, "entails", "--n", "16", "--k", "16",
+        "--hyp", "a -> b -> c", "--hyp", "d -> e", "f -> g -> a",
+    )
+    assert rc == 2
+    assert "7 atoms" in err
+
+    # shared atoms count once: 34^2 valuations
+    rc, out, _ = run(
+        capsys, "entails", "--n", "16", "--k", "16", "--hyp", "a -> b", "b -> a"
+    )
+    assert rc == 1
+    assert out.startswith("counterexample: ")
+
+
 # -- compare -----------------------------------------------------------
 
 
@@ -252,6 +280,30 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "check", str(path))
     assert rc == 2
     assert "bad proof file" in err
+
+
+def test_deeply_nested_formula_through_the_cli(tmp_path, capsys):
+    f = Atom("p")
+    for _ in range(3000):
+        f = Imp(f, Atom("q"))
+    text = render(f)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "logic": {"n": 1, "k": 1},
+        "hypotheses": [text],
+        "lines": [{"formula": text, "just": {"kind": "hyp", "index": 0}}],
+    }))
+
+    rc, out, err = run(capsys, "parse", text)
+    assert (rc, out.strip(), err) == (0, text, "")
+
+    rc, out, err = run(capsys, "--json", "check", str(path))
+    assert (rc, json.loads(out), err) == (0, {"accepted": True}, "")
+
+    rc, out, err = run(capsys, "--json", "taut", "--n", "1", "--k", "1", text)
+    assert rc == 1
+    assert json.loads(out)["valid"] is False
+    assert err == ""
 
 
 def test_check_missing_file_is_usage_error(capsys):

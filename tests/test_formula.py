@@ -143,6 +143,81 @@ def test_syntax_error_offsets():
         parse("")
 
 
+_OPERAND = ("atom", "'('", "'!'", "'~'", "'@'")
+_CONTINUE = ("'->'", "'|'", "'&'", "end of input")
+
+# (input, message, byte offset, expected), pinned from the recursive-descent
+# parser this one replaced
+SYNTAX_ERRORS = [
+    ("é -> ", "unexpected character 'é' (byte 0)", 0, ()),
+    ("p -> é", "unexpected character 'é' (byte 5)", 5, ()),
+    ("p q P", "unexpected character 'P' (byte 4)", 4, ()),
+    ("p -> ->", "unexpected '->': expected atom, '(', '!', '~', '@' (byte 5)",
+     5, _OPERAND),
+    ("p^", "unexpected character '^' (byte 1)", 1, ()),
+    ("p - q", "unexpected character '-' (byte 2)", 2, ()),
+    ("p\fq", "unexpected character '\\x0c' (byte 1)", 1, ()),
+    ("(p", "unexpected end of input: expected ')' (byte 2)", 2, ("')'",)),
+    ("((p)", "unexpected end of input: expected ')' (byte 4)", 4, ("')'",)),
+    ("(p q", "unexpected 'q': expected ')' (byte 3)", 3, ("')'",)),
+    ("p)", "unexpected ')': expected '->', '|', '&', end of input (byte 1)",
+     1, _CONTINUE),
+    ("p ^* q", "unexpected 'q': expected '->', '|', '&', end of input (byte 5)",
+     5, _CONTINUE),
+    ("()", "unexpected ')': expected atom, '(', '!', '~', '@' (byte 1)",
+     1, _OPERAND),
+    ("", "unexpected end of input: expected atom, '(', '!', '~', '@' (byte 0)",
+     0, _OPERAND),
+    ("   \t\n",
+     "unexpected end of input: expected atom, '(', '!', '~', '@' (byte 5)",
+     5, _OPERAND),
+    ("!", "unexpected end of input: expected atom, '(', '!', '~', '@' (byte 1)",
+     1, _OPERAND),
+] + [
+    (f"p {op}",
+     f"unexpected end of input: expected atom, '(', '!', '~', '@' "
+     f"(byte {len(op) + 2})",
+     len(op) + 2, _OPERAND)
+    for op in ("->", "|", "||", "&", "&&")
+]
+
+
+@pytest.mark.parametrize("text, message, offset, expected", SYNTAX_ERRORS)
+def test_syntax_error_table(text, message, offset, expected):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    assert exc.value.offset == offset
+    assert exc.value.expected == expected
+
+
+DEPTH = 10**4
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "neg"])
+def test_deep_round_trip(shape):
+    f = p
+    for _ in range(DEPTH):
+        if shape == "left":
+            f = Imp(f, q)
+        elif shape == "right":
+            f = Imp(q, f)
+        else:
+            f = Neg(f)
+    assert parse(render(f)) is f
+
+
+def test_deep_parenthesised_sugar():
+    f = p
+    for _ in range(DEPTH):
+        f = or_(f, q)
+    assert parse("(" * DEPTH + "p" + " | q)" * DEPTH) is f
+    g = p
+    for _ in range(DEPTH):
+        g = star(g)
+    assert parse("(" * DEPTH + "p" + ")^*" * DEPTH) is g
+
+
 formulas = st.recursive(
     st.sampled_from(["p", "q", "r"]).map(Atom),
     lambda sub: st.one_of(
@@ -189,3 +264,30 @@ def test_complexity_counts_connectives(f):
             count += 1
             stack.extend((g.ant, g.cons))
     assert complexity(f) == count
+
+
+# (concrete syntax, formula) pairs over the derived connectives, every
+# compound wrapped in parentheses
+_UNARY = [("!", Neg), ("~", strong_neg), ("@", classicalize)]
+_POSTFIX = [("^*", star), ("^o", circ)]
+_BINARY = [("->", Imp), ("|", or_), ("||", or_cl), ("&", and_), ("&&", and_cl)]
+
+sugared = st.recursive(
+    st.sampled_from(["p", "q", "r"]).map(lambda name: (name, Atom(name))),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(_UNARY), sub).map(
+            lambda t: (f"({t[0][0]}{t[1][0]})", t[0][1](t[1][1]))),
+        st.tuples(st.sampled_from(_POSTFIX), sub).map(
+            lambda t: (f"(({t[1][0]}){t[0][0]})", t[0][1](t[1][1]))),
+        st.tuples(st.sampled_from(_BINARY), sub, sub).map(
+            lambda t: (f"({t[1][0]} {t[0][0]} {t[2][0]})",
+                       t[0][1](t[1][1], t[2][1]))),
+    ),
+    max_leaves=12,
+)
+
+
+@given(sugared)
+def test_parenthesised_sugar_parses_to_builders(pair):
+    text, f = pair
+    assert parse(text) is f
