@@ -6,15 +6,24 @@ walks each grade one step toward its classical shadow (F0 <-> T0 at the
 bottom), and implication only ever yields T0 or F0: it is T0 unless the
 antecedent is designated and the consequent is not.
 
-Decision procedures enumerate valuations in a fixed lexicographic order
-(F0 < ... < Fn < T0 < ... < Tk, first atom most significant), so the
-first counterexample reported is deterministic.  Internally values are
-encoded as integers 0..n for the F's and n+1..n+k+1 for the T's and
-whole blocks of valuations are evaluated at once with numpy.
+Decision procedures report the first counterexample in a fixed
+lexicographic order (F0 < ... < Fn < T0 < ... < Tk, first atom most
+significant), so it is deterministic.  They need not visit every
+valuation.  Since implication yields only F0 or T0 and negation moves a
+grade one step, only a chain !^j p over an atom sees p's grade: if d is
+p's deepest chain, every grade above d on one side is designated alike by
+all of p's chains, so p ranges over F0..F_min(n,d), T0..T_min(k,d) only.
+Clipping grades there keeps every designation and never moves a
+valuation later in the order, so the first counterexample lies in that
+collapsed space.  A chain node is a lookup in its atom's grades; every
+other node is a designation bit (implication ~a | b, negation ~a),
+evaluated for whole blocks of valuations at once, 8 to a byte, with
+numpy.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -203,9 +212,11 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized decision core.
+# Bit-parallel decision core.
 
 _CHUNK = 1 << 18
+_ALL_CLEAR = np.uint8(0)
+_ALL_SET = np.uint8(0xFF)
 
 
 def _postorder(f: Formula) -> list[Formula]:
@@ -230,28 +241,76 @@ def _postorder(f: Formula) -> list[Formula]:
     return order
 
 
-def _eval_block(params: LogicParams, roots: list[Formula],
-                atom_codes: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Evaluate all roots over a block of valuations given as code arrays."""
-    n = params.n
-    t0 = n + 1
-    neg_table = np.empty(params.size, dtype=np.int16)
-    neg_table[0] = t0
-    for r in range(1, n + 1):
-        neg_table[r] = r - 1
-    neg_table[t0] = 0
-    for i in range(1, params.k + 1):
-        neg_table[t0 + i] = t0 + i - 1
+def _designation(grades: list[TruthValue], j: int) -> np.ndarray:
+    """Designation of !^j p at each of p's grades.
 
+    Negation walks F(r) down to F0 and T(i) down to T0, then alternates
+    F0, T0, F0, ...  So a grade at or above j keeps its side, and below
+    it the parity of the remaining steps decides.
+    """
+    return np.array([
+        g.kind == "T" if g.index >= j else (j - g.index) % 2 == (g.kind == "F")
+        for g in grades
+    ])
+
+
+def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
+            names: list[str]) -> Verdict:
+    """First valuation (canonical order) designating hyps but not goal."""
+    roots = list(dict.fromkeys(hyps + [goal]))
+    position = {name: i for i, name in enumerate(names)}
+    # chains[!^j p] = (position of p, j); every other node is a bit.
+    chains: dict[Formula, tuple[int, int]] = {}
     order: list[Formula] = []
     seen: set[Formula] = set()
     for root in roots:
         for g in _postorder(root):
-            if g not in seen:
-                seen.add(g)
-                order.append(g)
+            if g in seen:
+                continue
+            seen.add(g)
+            order.append(g)
+            if type(g) is Atom:
+                chains[g] = (position[g.name], 0)
+            elif type(g) is Neg and g.body in chains:
+                i, j = chains[g.body]
+                chains[g] = (i, j + 1)
 
-    # Free each intermediate array after its last use.
+    # Collapse each atom's grades to those its deepest chain can tell apart.
+    depth = [0] * len(names)
+    for i, j in chains.values():
+        depth[i] = max(depth[i], j)
+    grades = [
+        [F(r) for r in range(min(params.n, d) + 1)]
+        + [T(r) for r in range(min(params.k, d) + 1)]
+        for d in depth
+    ]
+    radix = [len(g) for g in grades]
+
+    # The trailing atoms names[split:] vary inside a block of `size`
+    # valuations; the leading ones are fixed for the block.  inner[i] is
+    # the stride of atom i within its group.
+    split, size = len(names), 1
+    while split and size * radix[split - 1] <= _CHUNK:
+        split -= 1
+        size *= radix[split]
+    inner = [1] * len(names)
+    for i in range(len(names) - 2, -1, -1):
+        if i + 1 != split:
+            inner[i] = inner[i + 1] * radix[i + 1]
+
+    # Designation bits, 8 valuations a byte: built once for the trailing
+    # chains, a byte scalar per block for the leading ones.
+    patterns: dict[Formula, np.ndarray] = {}
+    leading: dict[Formula, tuple[int, np.ndarray]] = {}
+    for g, (i, j) in chains.items():
+        bits = _designation(grades[i], j)
+        if i < split:
+            leading[g] = (i, bits)
+        else:
+            reps = size // (radix[i] * inner[i])
+            patterns[g] = np.packbits(np.tile(np.repeat(bits, inner[i]), reps))
+
+    # Free each intermediate after its last use.
     last_use: dict[Formula, int] = {}
     for pos, g in enumerate(order):
         last_use[g] = pos
@@ -266,50 +325,36 @@ def _eval_block(params: LogicParams, roots: list[Formula],
         if g not in keep:
             expiry.setdefault(pos, []).append(g)
 
-    cache: dict[Formula, np.ndarray] = {}
-    for pos, g in enumerate(order):
-        if type(g) is Atom:
-            cache[g] = atom_codes[g.name]
-        elif type(g) is Neg:
-            cache[g] = neg_table[cache[g.body]]
-        else:
-            a = cache[g.ant]
-            b = cache[g.cons]
-            cache[g] = np.where((a < t0) | (b >= t0), np.int16(t0), np.int16(0))
-        for dead in expiry.get(pos, ()):
-            if dead not in keep:
-                del cache[dead]
-    return [cache[root] for root in roots]
-
-
-def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
-            names: list[str]) -> Verdict:
-    """First valuation (canonical order) designating hyps but not goal."""
-    size = params.size
-    m = len(names)
-    total = size ** m
-    t0 = params.n + 1
-    roots = list(dict.fromkeys(hyps + [goal]))
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        atom_codes = {
-            name: ((idx // size ** (m - 1 - j)) % size).astype(np.int16)
-            for j, name in enumerate(names)
-        }
-        results = dict(zip(roots, _eval_block(params, roots, atom_codes)))
-        bad = results[goal] < t0
+    for block in range(math.prod(radix[:split])):
+        value: dict[Formula, np.ndarray] = {}
+        for pos, g in enumerate(order):
+            if g in patterns:
+                value[g] = patterns[g]
+            elif g in leading:
+                i, bits = leading[g]
+                on = bits[block // inner[i] % radix[i]]
+                value[g] = _ALL_SET if on else _ALL_CLEAR
+            elif type(g) is Neg:
+                value[g] = ~value[g.body]
+            else:
+                value[g] = ~value[g.ant] | value[g.cons]
+            for dead in expiry.get(pos, ()):
+                del value[dead]
+        bad = ~value[goal]
         for h in hyps:
-            if not bad.any():
-                break
-            bad &= results[h] >= t0
-        hits = np.nonzero(bad)[0]
+            bad = bad & value[h]
+        bad = np.ravel(bad)
+        hits = np.flatnonzero(bad)
         if hits.size:
-            at = int(idx[hits[0]])
-            witness = {
-                name: params.value_of_code((at // size ** (m - 1 - j)) % size)
-                for j, name in enumerate(names)
-            }
-            return Verdict(False, witness)
+            # the first set bit, unless it is padding past the block's end
+            at = int(hits[0])
+            at = 8 * at + 8 - int(bad[at]).bit_length()
+            if at < size:
+                witness = {}
+                for i, name in enumerate(names):
+                    index = block if i < split else at
+                    witness[name] = grades[i][index // inner[i] % radix[i]]
+                return Verdict(False, witness)
     return Verdict(True)
 
 

@@ -252,6 +252,17 @@ def test_prove_non_tautology_counterexample(capsys):
     assert out.strip() == "counterexample: p=F1"
 
 
+def test_prove_over_valuation_budget_is_capacity_error(capsys):
+    start = time.perf_counter()
+    rc, _, err = run(
+        capsys, "prove", "--n", "16", "--k", "16",
+        "a -> b -> c -> d -> e -> f -> g -> h -> a",
+    )
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert "valuations" in err
+
+
 def test_prove_text_listing_without_output_file(capsys):
     rc, out, _ = run(capsys, "prove", "--n", "0", "--k", "0", "p -> p")
     assert rc == 0

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,3 +327,132 @@ def test_homomorphism_property():
         g = or_(q, p)
         assert eval_formula(lp, Imp(f, g), v) == imp_value(
             lp, eval_formula(lp, f, v), eval_formula(lp, g, v))
+
+
+# -- the depth-collapsed decision procedure ------------------------------
+
+
+def _chained_formula(rng, names, comp, depth):
+    """A random formula whose atoms sit under negation chains of up to
+    depth negations."""
+    if comp <= 0:
+        return iter_neg(rng.randint(0, depth), Atom(rng.choice(names)))
+    if rng.random() < 0.3:
+        return Neg(_chained_formula(rng, names, comp - 1, depth))
+    split = rng.randint(0, comp - 1)
+    return Imp(_chained_formula(rng, names, split, depth),
+               _chained_formula(rng, names, comp - 1 - split, depth))
+
+
+def _first_counterexample(lp, hyps, goal):
+    """Brute force over every valuation with the scalar evaluator."""
+    names = list(dict.fromkeys(a for g in hyps + [goal] for a in atoms(g)))
+    for v in enumerate_valuations(lp, names):
+        if (all(eval_formula(lp, h, v).designated for h in hyps)
+                and not eval_formula(lp, goal, v).designated):
+            return v
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_decide_agrees_with_brute_force_on_grid(chunk, monkeypatch):
+    # a 5-valuation block splits most queries into several blocks and
+    # leaves padding bits in the last byte of each
+    if chunk is not None:
+        monkeypatch.setattr("inpk.semantics._CHUNK", chunk)
+    rng = random.Random(4)
+    for n, k in itertools.product(range(4), repeat=2):
+        lp = LogicParams(n, k)
+        for m in (1, 2, 3):
+            names = ["p", "q", "r"][:m]
+            for _ in range(10):
+                depth = max(n, k) + 2
+                hyps = [_chained_formula(rng, names, rng.randint(0, 3), depth)
+                        for _ in range(rng.randint(0, 2))]
+                goal = _chained_formula(rng, names, rng.randint(1, 5), depth)
+                want = _first_counterexample(lp, hyps, goal)
+                got = entails(lp, hyps, goal)
+                assert got.valid == (want is None)
+                if want is not None:
+                    assert list(got.counterexample.items()) == list(want.items())
+                if not hyps:
+                    assert is_tautology(lp, goal) == got
+
+
+def _chain_depths(f):
+    """Deepest !^j p per atom p of f."""
+    depth: dict[str, int] = {}
+    stack, seen = [f], set()
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        j, h = 0, g
+        while type(h) is Neg:
+            j, h = j + 1, h.body
+        if type(h) is Atom:
+            depth[h.name] = max(depth.get(h.name, 0), j)
+        if type(g) is Neg:
+            stack.append(g.body)
+        elif type(g) is Imp:
+            stack += [g.ant, g.cons]
+    return depth
+
+
+chained_formulas = st.recursive(
+    st.tuples(st.sampled_from(["p", "q", "r"]), st.integers(0, 5)).map(
+        lambda t: iter_neg(t[1], Atom(t[0]))),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(sub, sub).map(lambda t: Imp(*t)),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_formulas, st.integers(0, 4), st.integers(0, 4), st.data())
+def test_grades_above_chain_depth_are_indistinguishable(f, n, k, data):
+    lp = LogicParams(n, k)
+    v = {name: data.draw(st.sampled_from(lp.values())) for name in atoms(f)}
+    want = eval_formula(lp, f, v).designated
+    for name, d in _chain_depths(f).items():
+        a = v[name]
+        if a.index < d:
+            continue
+        side, limit = (F, lp.n) if a.kind == "F" else (T, lp.k)
+        for r in range(d, limit + 1):
+            assert eval_formula(lp, f, {**v, name: side(r)}).designated == want
+
+
+def test_high_logic_tautology_is_fast():
+    start = time.perf_counter()
+    got = is_tautology(LogicParams(16, 16), parse("a -> b -> c -> d -> e -> f -> a"))
+    assert got.valid
+    assert time.perf_counter() - start < 1
+
+
+# The counterexamples below were recorded from full enumeration of all
+# (n+k+2)^m valuations.
+
+
+def test_high_logic_shallow_first_counterexample():
+    got = is_tautology(LogicParams(16, 16),
+                       parse("!a -> b -> !!c -> d -> (e -> f) -> !!!e"))
+    assert list(got.counterexample.items()) == [
+        ("a", F(0)), ("b", T(0)), ("c", F(1)),
+        ("d", T(0)), ("e", F(1)), ("f", F(0)),
+    ]
+
+
+def test_mixed_entailment_first_counterexample():
+    # p needs all 34 grades; r and q collapse to 4 and 2
+    lp = LogicParams(16, 16)
+    hyps = [parse("!r -> q"), parse("q")]
+    got = entails(lp, hyps, or_(iter_neg(16, p), iter_neg(15, p)))
+    assert list(got.counterexample.items()) == [
+        ("r", F(0)), ("q", T(0)), ("p", F(16))]
+    got = entails(lp, hyps, Neg(and_(iter_neg(16, p), iter_neg(15, p))))
+    assert list(got.counterexample.items()) == [
+        ("r", F(0)), ("q", T(0)), ("p", T(16))]
