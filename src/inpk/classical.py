@@ -19,19 +19,25 @@ from typing import Mapping
 
 from .formula import Atom, Formula, Imp, Neg, atoms, strong_neg
 from .proofs import (
+    Node,
     Proof,
-    ProofBuilder,
-    _chain,
-    _emit_refl,
-    _perm,
-    deduction_transform,
-    substitute_proof,
+    axiom_node,
+    chain_node,
+    discharge,
+    hyp_node,
+    instantiate,
+    linearize,
+    mp_node,
+    perm_node,
+    refl_node,
 )
 from .semantics import LogicParams
+from .templates import template_node
 
 __all__ = [
     "NotClassicalImage",
     "untranslate",
+    "classical_node",
     "classical_core",
     "classical_prove",
 ]
@@ -86,22 +92,58 @@ def untranslate(f: Formula) -> Formula:
     return cache[f]
 
 
-def _translate(g: Formula, units: Mapping[str, Formula]) -> Formula:
+def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formula]:
     """Map a classical formula into the fragment: Neg becomes strong
-    negation, atoms become their unit formulas."""
-    if isinstance(g, Atom):
-        return units[g.name]
-    if isinstance(g, Imp):
-        return Imp(_translate(g.ant, units), _translate(g.cons, units))
-    return strong_neg(_translate(g.body, units))
+    negation, atoms become their unit formulas.  Returns the image of
+    every subformula."""
+    image: dict[Formula, Formula] = {}
+    stack = [g]
+    while stack:
+        h = stack[-1]
+        if h in image:
+            stack.pop()
+        elif isinstance(h, Atom):
+            image[h] = units[h.name]
+            stack.pop()
+        elif isinstance(h, Imp):
+            missing = [c for c in (h.cons, h.ant) if c not in image]
+            if missing:
+                stack.extend(missing)
+            else:
+                image[h] = Imp(image[h.ant], image[h.cons])
+                stack.pop()
+        elif h.body in image:
+            image[h] = strong_neg(image[h.body])
+            stack.pop()
+        else:
+            stack.append(h.body)
+    return image
 
 
-def _eval2(g: Formula, assign: Mapping[str, bool]) -> bool:
-    if isinstance(g, Atom):
-        return assign[g.name]
-    if isinstance(g, Imp):
-        return (not _eval2(g.ant, assign)) or _eval2(g.cons, assign)
-    return not _eval2(g.body, assign)
+def _eval2(g: Formula, assign: Mapping[str, bool]) -> dict[Formula, bool]:
+    """Two-valued truth of every subformula of g under assign."""
+    value: dict[Formula, bool] = {}
+    stack = [g]
+    while stack:
+        h = stack[-1]
+        if h in value:
+            stack.pop()
+        elif isinstance(h, Atom):
+            value[h] = assign[h.name]
+            stack.pop()
+        elif isinstance(h, Imp):
+            missing = [c for c in (h.cons, h.ant) if c not in value]
+            if missing:
+                stack.extend(missing)
+            else:
+                value[h] = not value[h.ant] or value[h.cons]
+                stack.pop()
+        elif h.body in value:
+            value[h] = not value[h.body]
+            stack.pop()
+        else:
+            stack.append(h.body)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -110,97 +152,86 @@ def _eval2(g: Formula, assign: Mapping[str, bool]) -> bool:
 # instantiated by substitution.
 # ---------------------------------------------------------------------------
 
-_CT_CACHE: dict[tuple[str, LogicParams], Proof] = {}
+_CT_CACHE: dict[tuple[str, LogicParams], Node] = {}
 
 
-def _cases(params: LogicParams, a: Formula, b: Formula) -> Proof:
+def _cases(params: LogicParams, a: Formula, b: Formula) -> Node:
     """(~a -> ~b) -> ((~a -> b) -> a), with ~ the strong negation."""
-    from .templates import derive_template
-
-    return derive_template("strong_neg_cases", {"phi": a, "psi": b}, params)
+    return template_node("strong_neg_cases", {"phi": a, "psi": b}, params)
 
 
-def _close(b: ProofBuilder, last: int, n_hyps: int) -> Proof:
-    proof = b.build(last)
-    for _ in range(n_hyps):
-        proof = deduction_transform(proof, len(proof.hypotheses) - 1)
-    return proof
+def _ax1(params: LogicParams, a: Formula, b: Formula) -> Node:
+    return axiom_node(params, "Ax1", {"phi": a, "psi": b})
 
 
-def _build_nn_elim(params: LogicParams) -> Proof:
+def _close(params: LogicParams, node: Node, hyps: tuple[Formula, ...]) -> Node:
+    """Discharge the hypotheses, the last one first."""
+    for h in reversed(hyps):
+        node = discharge(node, h, params)
+    return node
+
+
+def _build_nn_elim(params: LogicParams) -> Node:
     # ~~a -> a
     sa = strong_neg(_A)
     ssa = strong_neg(sa)
-    b = ProofBuilder(params, (ssa,))
-    bx = b.splice(_cases(params, _A, sa))
-    lift = b.axiom("Ax1", {"phi": ssa, "psi": sa})
-    s1 = b.mp(lift, b.hyp(0))  # ~a -> ~~a
-    s2 = b.mp(bx, s1)  # (~a -> ~a) -> a
-    return _close(b, b.mp(s2, _emit_refl(b, sa)), 1)
+    bx = _cases(params, _A, sa)
+    s1 = mp_node(_ax1(params, ssa, sa), hyp_node(ssa))  # ~a -> ~~a
+    s2 = mp_node(bx, s1)  # (~a -> ~a) -> a
+    return _close(params, mp_node(s2, refl_node(params, sa)), (ssa,))
 
 
-def _build_nn_intro(params: LogicParams) -> Proof:
+def _build_nn_intro(params: LogicParams) -> Node:
     # a -> ~~a
     sa = strong_neg(_A)
     ssa = strong_neg(sa)
     sssa = strong_neg(ssa)
-    b = ProofBuilder(params, (_A,))
-    bx = b.splice(_cases(params, ssa, _A))  # (~~~a -> ~a) -> ((~~~a -> a) -> ~~a)
-    nne = b.splice(substitute_proof(_ct("nn_elim", params), {"phi": sa}))
-    s1 = b.mp(bx, nne)
-    lift = b.axiom("Ax1", {"phi": _A, "psi": sssa})
-    s2 = b.mp(lift, b.hyp(0))  # ~~~a -> a
-    return _close(b, b.mp(s1, s2), 1)
+    bx = _cases(params, ssa, _A)  # (~~~a -> ~a) -> ((~~~a -> a) -> ~~a)
+    s1 = mp_node(bx, _ct_inst("nn_elim", params, phi=sa))
+    s2 = mp_node(_ax1(params, _A, sssa), hyp_node(_A))  # ~~~a -> a
+    return _close(params, mp_node(s1, s2), (_A,))
 
 
-def _build_exfalso(params: LogicParams) -> Proof:
+def _build_exfalso(params: LogicParams) -> Node:
     # ~a -> (a -> b)
     sa = strong_neg(_A)
     sb = strong_neg(_B)
-    b = ProofBuilder(params, (sa, _A))
-    bx = b.splice(_cases(params, _B, _A))  # (~b -> ~a) -> ((~b -> a) -> b)
-    s1 = b.mp(b.axiom("Ax1", {"phi": sa, "psi": sb}), b.hyp(0))
-    s2 = b.mp(b.axiom("Ax1", {"phi": _A, "psi": sb}), b.hyp(1))
-    return _close(b, b.mp(b.mp(bx, s1), s2), 2)
+    bx = _cases(params, _B, _A)  # (~b -> ~a) -> ((~b -> a) -> b)
+    s1 = mp_node(_ax1(params, sa, sb), hyp_node(sa))
+    s2 = mp_node(_ax1(params, _A, sb), hyp_node(_A))
+    return _close(params, mp_node(mp_node(bx, s1), s2), (sa, _A))
 
 
-def _build_contrap(params: LogicParams) -> Proof:
+def _build_contrap(params: LogicParams) -> Node:
     # (a -> b) -> (~b -> ~a)
     sa = strong_neg(_A)
     sb = strong_neg(_B)
     ssa = strong_neg(sa)
-    b = ProofBuilder(params, (Imp(_A, _B), sb))
-    bx = b.splice(_cases(params, sa, _B))  # (~~a -> ~b) -> ((~~a -> b) -> ~a)
-    s1 = b.mp(b.axiom("Ax1", {"phi": sb, "psi": ssa}), b.hyp(1))
-    nne = b.splice(_ct("nn_elim", params))  # ~~a -> a
-    s2 = _chain(b, nne, b.hyp(0))  # ~~a -> b
-    return _close(b, b.mp(b.mp(bx, s1), s2), 2)
+    hyps = (Imp(_A, _B), sb)
+    bx = _cases(params, sa, _B)  # (~~a -> ~b) -> ((~~a -> b) -> ~a)
+    s1 = mp_node(_ax1(params, sb, ssa), hyp_node(sb))
+    s2 = chain_node(params, _ct("nn_elim", params), hyp_node(hyps[0]))  # ~~a -> b
+    return _close(params, mp_node(mp_node(bx, s1), s2), hyps)
 
 
-def _build_negimp(params: LogicParams) -> Proof:
+def _build_negimp(params: LogicParams) -> Node:
     # a -> (~b -> ~(a -> b))
     ab = Imp(_A, _B)
-    b = ProofBuilder(params, (_A,))
-    pm = _perm(b, _emit_refl(b, ab))  # a -> ((a->b) -> b)
-    s1 = b.mp(pm, b.hyp(0))  # (a->b) -> b
-    ct = b.splice(
-        substitute_proof(_ct("contrap", params), {"phi": ab, "psi": _B})
-    )
-    return _close(b, b.mp(ct, s1), 1)
+    pm = perm_node(params, refl_node(params, ab))  # a -> ((a->b) -> b)
+    s1 = mp_node(pm, hyp_node(_A))  # (a->b) -> b
+    ct = _ct_inst("contrap", params, phi=ab, psi=_B)
+    return _close(params, mp_node(ct, s1), (_A,))
 
 
-def _build_merge(params: LogicParams) -> Proof:
+def _build_merge(params: LogicParams) -> Node:
     # (a -> b) -> ((~a -> b) -> b): case analysis on a
     sa = strong_neg(_A)
-    b = ProofBuilder(params, (Imp(_A, _B), Imp(sa, _B)))
-    c1 = b.splice(_ct("contrap", params))
-    s1 = b.mp(c1, b.hyp(0))  # ~b -> ~a
-    c2 = b.splice(
-        substitute_proof(_ct("contrap", params), {"phi": sa, "psi": _B})
-    )
-    s2 = b.mp(c2, b.hyp(1))  # ~b -> ~~a
-    bx = b.splice(_cases(params, _B, sa))  # (~b -> ~~a) -> ((~b -> ~a) -> b)
-    return _close(b, b.mp(b.mp(bx, s2), s1), 2)
+    hyps = (Imp(_A, _B), Imp(sa, _B))
+    s1 = mp_node(_ct("contrap", params), hyp_node(hyps[0]))  # ~b -> ~a
+    c2 = _ct_inst("contrap", params, phi=sa, psi=_B)
+    s2 = mp_node(c2, hyp_node(hyps[1]))  # ~b -> ~~a
+    bx = _cases(params, _B, sa)  # (~b -> ~~a) -> ((~b -> ~a) -> b)
+    return _close(params, mp_node(mp_node(bx, s2), s1), hyps)
 
 
 _CT_BUILDERS = {
@@ -213,17 +244,16 @@ _CT_BUILDERS = {
 }
 
 
-def _ct(name: str, params: LogicParams) -> Proof:
+def _ct(name: str, params: LogicParams) -> Node:
     key = (name, params)
-    proof = _CT_CACHE.get(key)
-    if proof is None:
-        proof = _CT_BUILDERS[name](params)
-        _CT_CACHE[key] = proof
-    return proof
+    node = _CT_CACHE.get(key)
+    if node is None:
+        node = _CT_CACHE[key] = _CT_BUILDERS[name](params)
+    return node
 
 
-def _ct_inst(name: str, params: LogicParams, **bind: Formula) -> Proof:
-    return substitute_proof(_ct(name, params), bind)
+def _ct_inst(name: str, params: LogicParams, **bind: Formula) -> Node:
+    return instantiate(_ct(name, params), bind, params)
 
 
 # ---------------------------------------------------------------------------
@@ -232,52 +262,109 @@ def _ct_inst(name: str, params: LogicParams, **bind: Formula) -> Proof:
 
 
 def _derive_case(
-    b: ProofBuilder,
-    g: Formula,
-    assign: Mapping[str, bool],
-    units: Mapping[str, Formula],
-    hyp_of: Mapping[str, int],
     params: LogicParams,
-    memo: dict[Formula, int],
-) -> int:
-    """Emit the witness line for ``g`` under ``assign``.
+    skeleton: Formula,
+    value: Mapping[Formula, bool],
+    image: Mapping[Formula, Formula],
+    literal: Mapping[str, Formula],
+) -> Node:
+    """The witness node for ``skeleton`` under one assignment.
 
-    The line proves tr(g) when g evaluates true and ~tr(g) otherwise,
-    from the literal hypotheses already present in the builder.
+    The witness of a subformula g proves image[g] when g is true and
+    ~image[g] otherwise, from the literal hypotheses.  Subformulas are
+    visited from an explicit stack, each once.
     """
-    hit = memo.get(g)
-    if hit is not None:
-        return hit
-    if isinstance(g, Atom):
-        line = b.hyp(hyp_of[g.name])
-    elif isinstance(g, Neg):
-        inner = _derive_case(b, g.body, assign, units, hyp_of, params, memo)
-        if _eval2(g.body, assign):
-            # g is false: need ~~tr(body) from tr(body)
-            intro = b.splice(
-                _ct_inst("nn_intro", params, phi=_translate(g.body, units))
-            )
-            line = b.mp(intro, inner)
+    nodes: dict[Formula, Node] = {}
+    stack = [skeleton]
+    while stack:
+        g = stack[-1]
+        if g in nodes:
+            stack.pop()
+            continue
+        if isinstance(g, Atom):
+            nodes[g] = hyp_node(literal[g.name])
+            stack.pop()
+            continue
+        if isinstance(g, Neg):
+            needs: tuple[Formula, ...] = (g.body,)
+        elif not value[g.ant]:
+            needs = (g.ant,)
+        elif value[g.cons]:
+            needs = (g.cons,)
         else:
-            line = inner  # ~tr(body) is already the witness for g
+            needs = (g.cons, g.ant)
+        missing = [c for c in needs if c not in nodes]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if isinstance(g, Neg):
+            node = nodes[g.body]  # ~image(body) is already the witness for g
+            if value[g.body]:
+                # g is false: need ~~image(body) from image(body)
+                intro = _ct_inst("nn_intro", params, phi=image[g.body])
+                node = mp_node(intro, node)
+        else:
+            ant_t, cons_t = image[g.ant], image[g.cons]
+            if not value[g.ant]:
+                ex = _ct_inst("exfalso", params, phi=ant_t, psi=cons_t)
+                node = mp_node(ex, nodes[g.ant])
+            elif value[g.cons]:
+                node = mp_node(_ax1(params, cons_t, ant_t), nodes[g.cons])
+            else:
+                ni = _ct_inst("negimp", params, phi=ant_t, psi=cons_t)
+                node = mp_node(mp_node(ni, nodes[g.ant]), nodes[g.cons])
+        nodes[g] = node
+    return nodes[skeleton]
+
+
+def classical_node(
+    params: LogicParams,
+    skeleton: Formula,
+    units: Mapping[str, Formula] | None = None,
+) -> Node:
+    """classical_core as a proof node."""
+    names = atoms(skeleton)
+    if units is None:
+        units = {nm: Atom(nm) for nm in names}
     else:
-        ant_t = _translate(g.ant, units)
-        cons_t = _translate(g.cons, units)
-        if not _eval2(g.ant, assign):
-            inner = _derive_case(b, g.ant, assign, units, hyp_of, params, memo)
-            ex = b.splice(_ct_inst("exfalso", params, phi=ant_t, psi=cons_t))
-            line = b.mp(ex, inner)
-        elif _eval2(g.cons, assign):
-            inner = _derive_case(b, g.cons, assign, units, hyp_of, params, memo)
-            lift = b.axiom("Ax1", {"phi": cons_t, "psi": ant_t})
-            line = b.mp(lift, inner)
-        else:
-            i_ant = _derive_case(b, g.ant, assign, units, hyp_of, params, memo)
-            i_cons = _derive_case(b, g.cons, assign, units, hyp_of, params, memo)
-            ni = b.splice(_ct_inst("negimp", params, phi=ant_t, psi=cons_t))
-            line = b.mp(b.mp(ni, i_ant), i_cons)
-    memo[g] = line
-    return line
+        missing = [nm for nm in names if nm not in units]
+        if missing:
+            raise ValueError(f"no unit formula for atom '{missing[0]}'")
+    image = _translate(skeleton, units)
+    target = image[skeleton]
+
+    m = len(names)
+    values = []
+    for mask in range(1 << m):
+        assign = {nm: bool(mask >> i & 1) for i, nm in enumerate(names)}
+        value = _eval2(skeleton, assign)
+        if not value[skeleton]:
+            raise ValueError(
+                "skeleton is not a classical tautology: fails under "
+                + ", ".join(f"{nm}={assign[nm]}" for nm in names)
+            )
+        values.append(value)
+
+    table: dict[tuple[bool, ...], Node] = {}
+    for mask, value in enumerate(values):
+        vals = tuple(bool(mask >> i & 1) for i in range(m))
+        literal = {
+            nm: units[nm] if vals[i] else strong_neg(units[nm])
+            for i, nm in enumerate(names)
+        }
+        table[vals] = _derive_case(params, skeleton, value, image, literal)
+
+    for nm in names:
+        unit = units[nm]
+        mg = _ct_inst("merge", params, phi=unit, psi=target)
+        merged: dict[tuple[bool, ...], Node] = {}
+        for tail in {vals[1:] for vals in table}:
+            pos = discharge(table[(True,) + tail], unit, params)
+            neg = discharge(table[(False,) + tail], strong_neg(unit), params)
+            merged[tail] = mp_node(mp_node(mg, pos), neg)
+        table = merged
+    return table[()]
 
 
 def classical_core(
@@ -292,48 +379,7 @@ def classical_core(
     itself by default) and each negation by a strong negation; the
     returned proof concludes that translation and has no hypotheses.
     """
-    names = atoms(skeleton)
-    if units is None:
-        units = {nm: Atom(nm) for nm in names}
-    else:
-        missing = [nm for nm in names if nm not in units]
-        if missing:
-            raise ValueError(f"no unit formula for atom '{missing[0]}'")
-    target = _translate(skeleton, units)
-
-    m = len(names)
-    for mask in range(1 << m):
-        assign = {nm: bool(mask >> i & 1) for i, nm in enumerate(names)}
-        if not _eval2(skeleton, assign):
-            raise ValueError(
-                "skeleton is not a classical tautology: fails under "
-                + ", ".join(f"{nm}={assign[nm]}" for nm in names)
-            )
-
-    table: dict[tuple[bool, ...], Proof] = {}
-    for mask in range(1 << m):
-        vals = tuple(bool(mask >> i & 1) for i in range(m))
-        assign = dict(zip(names, vals))
-        lits = tuple(
-            units[nm] if vals[i] else strong_neg(units[nm])
-            for i, nm in enumerate(names)
-        )
-        b = ProofBuilder(params, lits)
-        hyp_of = {nm: i for i, nm in enumerate(names)}
-        line = _derive_case(b, skeleton, assign, units, hyp_of, params, {})
-        table[vals] = b.build(line)
-
-    for i, nm in enumerate(names):
-        merged: dict[tuple[bool, ...], Proof] = {}
-        for tail in {vals[1:] for vals in table}:
-            pos = deduction_transform(table[(True,) + tail], 0)
-            neg = deduction_transform(table[(False,) + tail], 0)
-            b = ProofBuilder(params, pos.hypotheses)
-            mg = b.splice(_ct_inst("merge", params, phi=units[nm], psi=target))
-            last = b.mp(b.mp(mg, b.splice(pos)), b.splice(neg))
-            merged[tail] = b.build(last)
-        table = merged
-    return table[()]
+    return linearize(classical_node(params, skeleton, units), params)
 
 
 def classical_prove(params: LogicParams, f: Formula) -> Proof:

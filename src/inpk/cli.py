@@ -47,9 +47,13 @@ MAX_PARAM = 16
 # most that many.  With every chain as deep as n and k, a formula of 60
 # to 80 connectives goes through 3 to 10 * 10^8 valuations a second (one
 # core, Python 3.11, numpy 2.4), so a query at the budget takes well under
-# a second.  prove splits on every valuation, so for it the budget is
-# nominal: it only refuses the hopeless queries.
+# a second.
 MAX_VALUATIONS = 10**8
+# prove splits on every one of the (n+k+2)^m valuations and derives a
+# proof for each case before merging them, at about 3000 cases a second
+# for short formulas (the 34^3 = 39 304 cases of "a -> b -> c -> a" at
+# (16,16) take 13 s on one core), so synthesis has a budget of its own.
+MAX_PROVE_CASES = 5 * 10**4
 
 
 class _CliError(Exception):
@@ -67,13 +71,18 @@ def _params(n: int, k: int) -> LogicParams:
         raise _CliError(str(exc)) from None
 
 
-def _within_budget(params: LogicParams, formulas: list[Formula]) -> None:
+def _within_budget(
+    params: LogicParams,
+    formulas: list[Formula],
+    budget: int = MAX_VALUATIONS,
+    what: str = "valuations",
+) -> None:
     names = {name for f in formulas for name in atoms(f)}
     count = params.size ** len(names)
-    if count > MAX_VALUATIONS:
+    if count > budget:
         raise _CliError(
             f"{len(names)} atoms at (n,k) = ({params.n},{params.k}) make "
-            f"{count} valuations, over the budget of {MAX_VALUATIONS}"
+            f"{count} {what}, over the budget of {budget}"
         )
 
 
@@ -104,23 +113,24 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, Any]) -> None:
 
 
 def _format_proof(pf: Proof) -> str:
+    text: dict[Formula, str] = {}
     out = [f"logic: ({pf.params.n},{pf.params.k})"]
     if pf.hypotheses:
         out.append("hypotheses:")
         for i, h in enumerate(pf.hypotheses):
-            out.append(f"  [{i}] {render(h)}")
+            out.append(f"  [{i}] {render(h, text)}")
     for i, line in enumerate(pf.lines, start=1):
         j = line.just
         if isinstance(j, Axiom):
             binds = ", ".join(
-                f"{name} := {render(g)}" for name, g in sorted(j.subst.items())
+                f"{name} := {render(g, text)}" for name, g in sorted(j.subst.items())
             )
             label = f"{j.schema} {{{binds}}}"
         elif isinstance(j, Hyp):
             label = f"hyp {j.index}"
         else:
             label = f"mp {j.major + 1}, {j.minor + 1}"
-        out.append(f"{i}. {render(line.formula)}   [{label}]")
+        out.append(f"{i}. {render(line.formula, text)}   [{label}]")
     return "\n".join(out)
 
 
@@ -274,6 +284,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
     f = _formula(args.expr)
     _within_budget(params, [f])
+    _within_budget(params, [f], MAX_PROVE_CASES, "cases to synthesize")
     try:
         pf = complete_prove(params, f)
     except NotATautology as exc:

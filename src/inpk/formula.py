@@ -182,8 +182,15 @@ def complexity(f: Formula) -> int:
     return f.comp
 
 
-def render(f: Formula) -> str:
-    """Primitive-only concrete syntax; parse(render(f)) is f."""
+def render(f: Formula, cache: dict[Formula, str] | None = None) -> str:
+    """Primitive-only concrete syntax; parse(render(f)) is f.
+
+    A cache passed in keeps the text of every subformula rendered, so
+    that overlapping formulas (the lines of one proof) are spelled out
+    once each.  Without one nothing is kept.
+    """
+    if cache is not None:
+        return _render_cached(f, cache)
     parts: list[str] = []
     stack: list[object] = [f]
     while stack:
@@ -208,6 +215,38 @@ def render(f: Formula) -> str:
             else:
                 stack.append(item.ant)
     return "".join(parts)
+
+
+def _render_cached(f: Formula, cache: dict[Formula, str]) -> str:
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in cache:
+            stack.pop()
+        elif type(g) is Atom:
+            cache[g] = g.name
+            stack.pop()
+        elif type(g) is Neg:
+            body = cache.get(g.body)
+            if body is None:
+                stack.append(g.body)
+            else:
+                cache[g] = "!(" + body + ")" if type(g.body) is Imp else "!" + body
+                stack.pop()
+        else:
+            ant = cache.get(g.ant)
+            cons = cache.get(g.cons)
+            if ant is None or cons is None:
+                if cons is None:
+                    stack.append(g.cons)
+                if ant is None:
+                    stack.append(g.ant)
+            else:
+                if type(g.ant) is Imp:
+                    ant = "(" + ant + ")"
+                cache[g] = ant + " -> " + cons
+                stack.pop()
+    return cache[f]
 
 
 class FormulaSyntaxError(ValueError):

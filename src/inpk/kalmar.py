@@ -8,6 +8,11 @@ A case-elimination step (``lemma2_combine``) discharges all contexts of
 one atom at once, merging the proofs obtained for its different values.
 ``complete_prove`` runs the recursion over every valuation and folds the
 atoms away one by one, ending with a hypothesis-free proof.
+
+All three layers build proof nodes (see ``proofs``): the leaves and
+merges of one synthesis share every common step, and lines are
+numbered once, when the final proof is linearized.  The public
+``lemma1_derive`` and ``lemma2_combine`` linearize their own result.
 """
 
 from __future__ import annotations
@@ -29,15 +34,19 @@ from .formula import (
     strong_neg,
 )
 from .proofs import (
+    Node,
     Proof,
-    ProofBuilder,
-    _chain,
-    _emit_refl,
-    axiom_proof,
+    axiom_node,
+    chain_node,
     check,
-    deduction_transform,
-    replace_hyp_with_theorem,
-    weaken,
+    cut,
+    discharge,
+    hyp_node,
+    linearize,
+    mp_node,
+    node_of,
+    perm_node,
+    refl_node,
 )
 from .semantics import (
     F,
@@ -47,10 +56,11 @@ from .semantics import (
     Valuation,
     enumerate_valuations,
     eval_formula,
+    eval_subformulas,
     is_tautology,
     render_valuation,
 )
-from .templates import derive_template
+from .templates import template_node
 
 __all__ = [
     "AtomContext",
@@ -153,36 +163,33 @@ def _strip_negs(f: Formula) -> tuple[int, Formula]:
     return q, f
 
 
-def _star_theorem(params: LogicParams, f: Formula) -> Proof:
+def _star_theorem(params: LogicParams, f: Formula) -> Node:
     """Hypothesis-free proof of f^* for f a negation chain over an
     implication (the shape of every tautology)."""
     q, core = _strip_negs(f)
     if not isinstance(core, Imp):
         raise ValueError("star theorem needs an implication under the negations")
-    b = ProofBuilder(params)
-    line = b.axiom("Ax3", {"phi": core.ant, "psi": core.cons})
+    node = axiom_node(params, "Ax3", {"phi": core.ant, "psi": core.cons})
     for j in range(q):
-        line = b.mp(b.axiom("Ax11", {"phi": iter_neg(j, core)}), line)
-    return b.build(line)
+        node = mp_node(axiom_node(params, "Ax11", {"phi": iter_neg(j, core)}), node)
+    return node
 
 
-def _circ_theorem(params: LogicParams, f: Formula) -> Proof:
+def _circ_theorem(params: LogicParams, f: Formula) -> Node:
     """Hypothesis-free proof of f^o, same shape requirement."""
     q, core = _strip_negs(f)
     if not isinstance(core, Imp):
         raise ValueError("circle theorem needs an implication under the negations")
-    b = ProofBuilder(params)
-    line = b.axiom("Ax4", {"phi": core.ant, "psi": core.cons})
+    node = axiom_node(params, "Ax4", {"phi": core.ant, "psi": core.cons})
     for j in range(q):
-        line = b.mp(b.axiom("Ax12", {"phi": iter_neg(j, core)}), line)
-    return b.build(line)
+        node = mp_node(axiom_node(params, "Ax12", {"phi": iter_neg(j, core)}), node)
+    return node
 
 
-def _star_of_strongneg(params: LogicParams, u: Formula) -> Proof:
+def _star_of_strongneg(params: LogicParams, u: Formula) -> Node:
     """Hypothesis-free proof of (~u)^*."""
-    b = ProofBuilder(params)
-    ax3 = b.axiom("Ax3", {"phi": Imp(u, u), "psi": u})  # (@u)^*
-    return b.build(b.mp(b.axiom("Ax11", {"phi": classicalize(u)}), ax3))
+    ax3 = axiom_node(params, "Ax3", {"phi": Imp(u, u), "psi": u})  # (@u)^*
+    return mp_node(axiom_node(params, "Ax11", {"phi": classicalize(u)}), ax3)
 
 
 # ---------------------------------------------------------------------------
@@ -191,113 +198,124 @@ def _star_of_strongneg(params: LogicParams, u: Formula) -> Proof:
 
 
 class _Lemma1:
-    """Structural recursion proving the witness form of each subformula
-    from the full context set, inside one shared builder."""
+    """Proves the witness form of f and of the subformulas it needs
+    from the full context set of one valuation."""
 
-    def __init__(self, params: LogicParams, delta: DeltaContext):
+    def __init__(self, params: LogicParams, delta: DeltaContext, f: Formula):
         self.params = params
         self.v = delta.valuation
-        self.b = ProofBuilder(params, delta.formulas)
-        self.values: dict[Formula, TruthValue] = {}
-        self.lines: dict[Formula, int] = {}
-        self.circ_lines: dict[Formula, int] = {}
-        # atom name -> (context, hyp offset of its first formula)
-        self.ctx_of: dict[str, tuple[AtomContext, int]] = {}
-        offset = 0
-        for ctx in delta.contexts:
-            self.ctx_of[ctx.atom] = (ctx, offset)
-            offset += len(ctx.q_set)
+        self.values = eval_subformulas(params, f, self.v)
+        self.nodes: dict[Formula, Node] = {}
+        self.circ_nodes: dict[Formula, Node] = {}
+        self.q_set = {ctx.atom: ctx.q_set for ctx in delta.contexts}
 
-    def value(self, f: Formula) -> TruthValue:
-        w = self.values.get(f)
-        if w is None:
-            w = eval_formula(self.params, f, self.v)
-            self.values[f] = w
-        return w
+    def q_hyp(self, name: str, j: int) -> Node:
+        """The j-th context formula of an atom, as a hypothesis."""
+        return hyp_node(self.q_set[name][j])
 
-    def q_hyp(self, name: str, j: int) -> int:
-        """Builder line for the j-th context formula of an atom."""
-        ctx, offset = self.ctx_of[name]
-        return self.b.hyp(offset + j)
+    def use(self, tid: str, **subst: Formula) -> Node:
+        return template_node(tid, subst, self.params)
 
-    def use(self, tid: str, **subst: Formula) -> int:
-        return self.b.splice(derive_template(tid, subst, self.params))
+    def ax(self, schema: str, **subst: Formula) -> Node:
+        return axiom_node(self.params, schema, subst)
 
-    def circ_line(self, f: Formula) -> int:
-        """Line proving f^o, from the contexts when f is an atom chain
-        and from Ax4 plus the Ax12 ladder otherwise."""
-        hit = self.circ_lines.get(f)
+    def circ_node(self, f: Formula) -> Node:
+        """f^o, from the contexts when f is an atom chain and from Ax4
+        plus the Ax12 ladder otherwise."""
+        hit = self.circ_nodes.get(f)
         if hit is not None:
             return hit
-        b = self.b
         q, core = _strip_negs(f)
         if isinstance(core, Imp):
-            line = b.axiom("Ax4", {"phi": core.ant, "psi": core.cons})
+            node = self.ax("Ax4", phi=core.ant, psi=core.cons)
             base = 0
         else:
             name = core.name
             w = self.v[name]
             if w.kind == "F" and w.index == 0:
                 tpl = self.use("strongneg_to_circ", phi=core)
-                line = b.mp(tpl, self.q_hyp(name, 0))  # ~a gives a^o
+                node = mp_node(tpl, self.q_hyp(name, 0))  # ~a gives a^o
                 base = 0
             elif w.kind == "F":
                 tpl = self.use("negstar_to_circ", phi=core)
-                line = b.mp(tpl, self.q_hyp(name, 0))  # !(a^*) gives a^o
+                node = mp_node(tpl, self.q_hyp(name, 0))  # !(a^*) gives a^o
                 base = 0
             elif w.index == 0:
-                line = self.q_hyp(name, 1)  # a^o is in the context
+                node = self.q_hyp(name, 1)  # a^o is in the context
                 base = 0
             else:
-                line = self.q_hyp(name, w.index)  # (!^i a)^o closes the block
+                node = self.q_hyp(name, w.index)  # (!^i a)^o closes the block
                 base = w.index
         if q < base:
             raise AssertionError("negation chain shorter than its context ladder")
         for j in range(base, q):
-            line = b.mp(b.axiom("Ax12", {"phi": iter_neg(j, core)}), line)
-        self.circ_lines[f] = line
-        return line
+            node = mp_node(self.ax("Ax12", phi=iter_neg(j, core)), node)
+        self.circ_nodes[f] = node
+        return node
 
-    def derive(self, f: Formula) -> int:
-        hit = self.lines.get(f)
-        if hit is not None:
-            return hit
+    def needs(self, f: Formula) -> tuple[Formula, ...]:
+        """The subformulas whose witnesses the step for f uses."""
         if isinstance(f, Atom):
-            line = self._atom(f)
-        elif isinstance(f, Neg):
-            line = self._neg(f)
-        else:
-            line = self._imp(f)
-        self.lines[f] = line
-        return line
+            return ()
+        if isinstance(f, Neg):
+            w = self.values[f.body]
+            return () if w.kind == "T" and w.index > 0 else (f.body,)
+        wa, wc = self.values[f.ant], self.values[f.cons]
+        if wa.kind == "F":
+            return (f.ant,) if wa.index == 0 else ()
+        if wc.designated:
+            return (f.cons,)
+        return (f.ant,) if wc.index > 0 else (f.cons, f.ant)
 
-    def _atom(self, f: Atom) -> int:
-        b = self.b
+    def derive(self, f: Formula) -> Node:
+        """The witness of f; subformulas first, from an explicit stack."""
+        nodes = self.nodes
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in nodes:
+                stack.pop()
+                continue
+            missing = [c for c in self.needs(g) if c not in nodes]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if isinstance(g, Atom):
+                nodes[g] = self._atom(g)
+            elif isinstance(g, Neg):
+                nodes[g] = self._neg(g)
+            else:
+                nodes[g] = self._imp(g)
+        return nodes[f]
+
+    def _atom(self, f: Atom) -> Node:
         name = f.name
         w = self.v[name]
         if w.kind == "F" and w.index == 0:
             tpl = self.use("star_strong_to_weak_neg", phi=f)
-            return b.mp(b.mp(tpl, self.q_hyp(name, 1)), self.q_hyp(name, 0))
+            s = mp_node(tpl, self.q_hyp(name, 1))
+            return mp_node(s, self.q_hyp(name, 0))
         if w.kind == "F":
             r = w.index
             # !((!^{r-1} a)^*) is literally !(!^r a || !^{r-1} a)
             tpl = self.use(
                 "star_neg_or_left", phi=iter_neg(r, f), psi=iter_neg(r - 1, f)
             )
-            s = b.mp(tpl, self.q_hyp(name, r))
-            return b.mp(s, self.q_hyp(name, r - 1))
+            s = mp_node(tpl, self.q_hyp(name, r))
+            return mp_node(s, self.q_hyp(name, r - 1))
         if w.index == 0:
-            return b.mp(self.q_hyp(name, 0), _emit_refl(b, f))  # @a and a->a
+            # @a and a->a
+            return mp_node(self.q_hyp(name, 0), refl_node(self.params, f))
         tpl = self.use("and_elim_right", phi=Neg(f), psi=f)
-        return b.mp(tpl, self.q_hyp(name, 0))  # from !a && a
+        return mp_node(tpl, self.q_hyp(name, 0))  # from !a && a
 
-    def _neg(self, f: Neg) -> int:
-        b = self.b
+    def _neg(self, f: Neg) -> Node:
         body = f.body
-        w = self.value(body)
+        w = self.values[body]
         if w.kind == "F":
             # the witness of the body already carries the extra negation
-            return self.derive(body)
+            return self.nodes[body]
         if w.index > 0:
             q, core = _strip_negs(f)
             if not isinstance(core, Atom):
@@ -310,20 +328,19 @@ class _Lemma1:
             tpl = self.use(
                 "and_elim_left", phi=iter_neg(q, core), psi=iter_neg(q - 1, core)
             )
-            return b.mp(tpl, self.q_hyp(core.name, q - 1))
+            return mp_node(tpl, self.q_hyp(core.name, q - 1))
         # v(body) = T_0, so the value of f is F_0 and the goal is !!body
-        circ_b = self.circ_line(body)
-        ax10 = b.axiom("Ax10", {"phi": body})
-        return b.mp(b.mp(ax10, circ_b), self.derive(body))
+        ax10 = self.ax("Ax10", phi=body)
+        return mp_node(mp_node(ax10, self.circ_node(body)), self.nodes[body])
 
-    def _imp(self, f: Imp) -> int:
-        b = self.b
+    def _imp(self, f: Imp) -> Node:
+        params = self.params
         ant, cons = f.ant, f.cons
-        wa, wc = self.value(ant), self.value(cons)
+        wa, wc = self.values[ant], self.values[cons]
         if wa.kind == "F" and wa.index == 0:
             tpl = self.use("circ_explosion", phi=ant, psi=cons)
-            s = b.mp(tpl, self.circ_line(ant))
-            return b.mp(s, self.derive(ant))  # witness of ant is !ant
+            s = mp_node(tpl, self.circ_node(ant))
+            return mp_node(s, self.nodes[ant])  # witness of ant is !ant
         if wa.kind == "F":
             s_ant, core = _strip_negs(ant)
             if not isinstance(core, Atom):
@@ -333,10 +350,10 @@ class _Lemma1:
                 )
             # context holds !(ant^*) at position s_ant of the atom's block
             tpl = self.use("negstar_explosion", phi=ant, psi=cons)
-            return b.mp(tpl, self.q_hyp(core.name, s_ant))
+            return mp_node(tpl, self.q_hyp(core.name, s_ant))
         if wc.designated:
-            lift = b.axiom("Ax1", {"phi": cons, "psi": ant})
-            return b.mp(lift, self.derive(cons))
+            lift = self.ax("Ax1", phi=cons, psi=ant)
+            return mp_node(lift, self.nodes[cons])
         if wc.index > 0:
             s_cons, core = _strip_negs(cons)
             if not isinstance(core, Atom):
@@ -346,24 +363,24 @@ class _Lemma1:
                 )
             # from ant, f itself yields cons, hence cons^*; but !(cons^*)
             # is in the context, so refute f by contraposition
-            from .proofs import _perm
-
-            pm = _perm(b, _emit_refl(b, f))  # ant -> (f -> cons)
-            to_cons = b.mp(pm, self.derive(ant))  # f -> cons
+            pm = perm_node(params, refl_node(params, f))  # ant -> (f -> cons)
+            to_cons = mp_node(pm, self.nodes[ant])  # f -> cons
             si = self.use("star_intro", phi=cons)
-            to_star = _chain(b, to_cons, si)  # f -> cons^*
+            to_star = chain_node(params, to_cons, si)  # f -> cons^*
             cp = self.use("contraposition", phi=f, psi=star(cons))
-            s = b.mp(cp, b.axiom("Ax3", {"phi": ant, "psi": cons}))
-            s = b.mp(
-                s, b.axiom("Ax4", {"phi": strong_neg(Neg(cons)), "psi": cons})
-            )
-            s = b.mp(s, to_star)  # !(cons^*) -> !f
-            return b.mp(s, self.q_hyp(core.name, s_cons))
+            s = mp_node(cp, self.ax("Ax3", phi=ant, psi=cons))
+            s = mp_node(s, self.ax("Ax4", phi=strong_neg(Neg(cons)), psi=cons))
+            s = mp_node(s, to_star)  # !(cons^*) -> !f
+            return mp_node(s, self.q_hyp(core.name, s_cons))
         # v(cons) = F_0 with designated antecedent: refute the arrow
         tpl = self.use("circ_refute_imp", phi=ant, psi=cons)
-        s = b.mp(tpl, self.circ_line(cons))
-        s = b.mp(s, self.derive(ant))
-        return b.mp(s, self.derive(cons))  # witness of cons is !cons
+        s = mp_node(tpl, self.circ_node(cons))
+        s = mp_node(s, self.nodes[ant])
+        return mp_node(s, self.nodes[cons])  # witness of cons is !cons
+
+
+def _leaf(params: LogicParams, f: Formula, delta: DeltaContext) -> Node:
+    return _Lemma1(params, delta, f).derive(f)
 
 
 def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
@@ -373,8 +390,7 @@ def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
     atom order, and conclusion phi_v(params, f, v).
     """
     delta = build_delta(params, atoms(f), v)
-    engine = _Lemma1(params, delta)
-    return engine.b.build(engine.derive(f))
+    return linearize(_leaf(params, f, delta), params, delta.formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -385,30 +401,101 @@ def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
 def _merge_complement(
     params: LogicParams,
     x: Formula,
-    pf_neg: Proof,
-    pf_pos: Proof,
-    x_star: Proof,
+    neg: Node,
+    pos: Node,
+    x_star: Node,
     theta: Formula,
-    theta_star: Proof,
-    theta_circ: Proof,
-) -> Proof:
-    """From proofs of !x -> theta and x -> theta (same hypotheses),
-    conclude theta: contrapose the positive arm into !theta -> !x, chain
-    through the negative arm, and close with the case axiom at theta."""
-    b = ProofBuilder(params, pf_neg.hypotheses)
-    i_pos = b.splice(pf_pos)
-    i_neg = b.splice(pf_neg)
-    i_tstar = b.splice(theta_star)
-    i_tcirc = b.splice(theta_circ)
-    cp = b.splice(derive_template("contraposition", {"phi": x, "psi": theta}, params))
-    s = b.mp(cp, b.splice(x_star))
-    s = b.mp(s, i_tcirc)
-    s = b.mp(s, i_pos)  # !theta -> !x
-    loop = _chain(b, s, i_neg)  # !theta -> theta
-    ax7 = b.axiom("Ax7", {"phi": theta, "psi": theta})
-    s = b.mp(b.mp(ax7, i_tstar), i_tcirc)
-    s = b.mp(s, _emit_refl(b, Neg(theta)))
-    return b.build(b.mp(s, loop))
+    theta_star: Node,
+    theta_circ: Node,
+) -> Node:
+    """From proofs of !x -> theta and x -> theta conclude theta:
+    contrapose the positive arm into !theta -> !x, chain through the
+    negative arm, and close with the case axiom at theta."""
+    cp = template_node("contraposition", {"phi": x, "psi": theta}, params)
+    s = mp_node(mp_node(cp, x_star), theta_circ)
+    s = mp_node(s, pos)  # !theta -> !x
+    loop = chain_node(params, s, neg)  # !theta -> theta
+    ax7 = axiom_node(params, "Ax7", {"phi": theta, "psi": theta})
+    s = mp_node(mp_node(ax7, theta_star), theta_circ)
+    s = mp_node(s, refl_node(params, Neg(theta)))
+    return mp_node(s, loop)
+
+
+def _value_order(params: LogicParams) -> list[TruthValue]:
+    """F_1..F_n, T_1..T_k, F_0, T_0: the order of lemma2's branches."""
+    order = [F(r) for r in range(1, params.n + 1)]
+    order += [T(i) for i in range(1, params.k + 1)]
+    return order + [F(0), T(0)]
+
+
+def _combine(
+    params: LogicParams,
+    psi: Formula,
+    theta: Formula,
+    branches: Sequence[Node],
+    theta_star: Node,
+    theta_circ: Node,
+) -> Node:
+    """lemma2_combine on nodes: each branch rests on its block of psi
+    (and on any context shared by all), the result on the shared part."""
+    n, k = params.n, params.k
+
+    def merge(x: Formula, neg: Node, pos: Node, x_star: Node) -> Node:
+        return _merge_complement(
+            params, x, neg, pos, x_star, theta, theta_star, theta_circ
+        )
+
+    # F side: collapse the ladder down to the F_0 block
+    f0_branch = branches[n + k]  # rests on (~psi, psi^*)
+    ax5 = axiom_node(params, "Ax5", {"phi": psi})  # (!^n psi)^*
+    if n == 0:
+        half_f = cut(f0_branch, star(psi), ax5)
+    else:
+        a = cut(branches[n - 1], star(iter_neg(n, psi)), ax5)
+        for j in range(n - 1, 0, -1):
+            # a proves theta from the first j+1 negated stars
+            target = star(iter_neg(j, psi))
+            neg = discharge(a, Neg(target), params)
+            pos = discharge(branches[j - 1], target, params)
+            x_star = template_node("star_of_star", {"phi": iter_neg(j, psi)}, params)
+            a = merge(target, neg, pos, x_star)
+        # a now proves theta from !(psi^*)
+        neg = discharge(a, Neg(star(psi)), params)
+        pos = discharge(f0_branch, star(psi), params)
+        x_star = template_node("star_of_star", {"phi": psi}, params)
+        half_f = merge(star(psi), neg, pos, x_star)
+    # half_f: ~psi |- theta
+
+    # T side: collapse the conjunction ladder down to the T_0 block
+    t0_branch = branches[n + k + 1]  # rests on (@psi, psi^o)
+    ax6 = axiom_node(params, "Ax6", {"phi": psi})  # (!^k psi)^o
+    if k == 0:
+        half_t = cut(t0_branch, circ(psi), ax6)
+    else:
+        b = cut(branches[n + k - 1], circ(iter_neg(k, psi)), ax6)
+        for j in range(k - 1, 0, -1):
+            # b proves theta from conjunctions 1..j+1; the circle
+            # (!^j psi)^o is literally the negation of the (j+1)-th one
+            conj = and_(iter_neg(j + 1, psi), iter_neg(j, psi))
+            neg = discharge(branches[n + j - 1], Neg(conj), params)
+            pos = discharge(b, conj, params)
+            x_star = _star_of_strongneg(
+                params, Imp(iter_neg(j + 1, psi), strong_neg(iter_neg(j, psi)))
+            )
+            b = merge(conj, neg, pos, x_star)
+        # b now proves theta from !psi && psi
+        conj = and_(Neg(psi), psi)
+        neg = discharge(t0_branch, Neg(conj), params)  # psi^o = !(conj)
+        pos = discharge(b, conj, params)
+        x_star = _star_of_strongneg(params, Imp(Neg(psi), strong_neg(psi)))
+        half_t = merge(conj, neg, pos, x_star)
+    # half_t: @psi |- theta
+
+    # final join on @psi, whose negation is literally ~psi
+    neg = discharge(half_f, strong_neg(psi), params)
+    pos = discharge(half_t, classicalize(psi), params)
+    x_star = template_node("star_of_classicalize", {"phi": psi}, params)
+    return merge(classicalize(psi), neg, pos, x_star)
 
 
 def lemma2_combine(
@@ -419,118 +506,48 @@ def lemma2_combine(
     branch_proofs: Sequence[Proof],
     theta_star: Proof,
     theta_circ: Proof,
-    *,
-    verify: bool = True,
 ) -> Proof:
     """Merge the per-value branch proofs for psi into a proof from delta.
 
     branch_proofs[j] must prove theta from delta plus the block for
     psi = F_{j+1} (j < n), T_{j-n+1} (n <= j < n+k), F_0 (j = n+k) or
     T_0 (j = n+k+1).  theta_star and theta_circ are hypothesis-free
-    proofs of theta^* and theta^o.  When verify is set the inputs are
-    run through the checker first.
+    proofs of theta^* and theta^o.  Every input is run through the
+    checker as it enters the node kernel.
     """
-    n, k = params.n, params.k
     size = params.size
     if len(branch_proofs) != size:
         raise ValueError(f"expected {size} branch proofs, got {len(branch_proofs)}")
     delta = tuple(delta)
+    blocks = [_psi_block(params, psi, w) for w in _value_order(params)]
 
-    order = [F(r) for r in range(1, n + 1)] + [T(i) for i in range(1, k + 1)]
-    order += [F(0), T(0)]
-    blocks = [_psi_block(params, psi, w) for w in order]
+    def checked(name: str, pf: Proof) -> Node:
+        try:
+            return node_of(pf)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
+    sides = []
     for name, pf, goal in (
         ("theta_star", theta_star, star(theta)),
         ("theta_circ", theta_circ, circ(theta)),
     ):
         if pf.params != params or pf.hypotheses or pf.conclusion is not goal:
             raise ValueError(f"{name} must prove the bare goal with no hypotheses")
-        if verify and not check(pf):
-            raise ValueError(f"{name} does not check")
+        sides.append(checked(name, pf))
 
-    normalized: list[Proof] = []
+    branches: list[Node] = []
     for j, pf in enumerate(branch_proofs):
         if pf.params != params:
             raise ValueError(f"branch {j} built for a different logic")
         if pf.conclusion is not theta:
             raise ValueError(f"branch {j} does not conclude the goal")
-        want = delta + blocks[j]
-        if set(pf.hypotheses) - set(want):
+        if set(pf.hypotheses) - set(delta + blocks[j]):
             raise ValueError(f"branch {j} uses hypotheses outside its block")
-        if verify:
-            verdict = check(pf)
-            if not verdict:
-                raise ValueError(f"branch {j} does not check: {verdict}")
-        normalized.append(weaken(pf, want))
+        branches.append(checked(f"branch {j}", pf))
 
-    base = len(delta)
-
-    def merge(x: Formula, pf_neg: Proof, pf_pos: Proof, x_star: Proof) -> Proof:
-        return _merge_complement(
-            params, x, pf_neg, pf_pos, x_star, theta, theta_star, theta_circ
-        )
-
-    # F side: collapse the ladder down to the F_0 block
-    f0_branch = normalized[size - 2]  # hyps delta + (~psi, psi^*)
-    ax5 = axiom_proof(params, "Ax5", {"phi": psi})  # (!^n psi)^*
-    if n == 0:
-        half_f = replace_hyp_with_theorem(f0_branch, base + 1, ax5)
-    else:
-        a = replace_hyp_with_theorem(normalized[n - 1], base + n, ax5)
-        for j in range(n - 1, 0, -1):
-            # a proves theta from delta + the first j+1 negated stars
-            target = star(iter_neg(j, psi))
-            pf_neg = deduction_transform(a, base + j)
-            pf_pos = deduction_transform(normalized[j - 1], base + j)
-            x_star = derive_template(
-                "star_of_star", {"phi": iter_neg(j, psi)}, params
-            )
-            a = merge(target, pf_neg, pf_pos, x_star)
-        # a now proves theta from delta + (!(psi^*),)
-        pf_neg = weaken(
-            deduction_transform(a, base), delta + (strong_neg(psi),)
-        )
-        pf_pos = deduction_transform(f0_branch, base + 1)
-        x_star = derive_template("star_of_star", {"phi": psi}, params)
-        half_f = merge(star(psi), pf_neg, pf_pos, x_star)
-    # half_f: delta, ~psi |- theta
-
-    # T side: collapse the conjunction ladder down to the T_0 block
-    t0_branch = normalized[size - 1]  # hyps delta + (@psi, psi^o)
-    ax6 = axiom_proof(params, "Ax6", {"phi": psi})  # (!^k psi)^o
-    if k == 0:
-        half_t = replace_hyp_with_theorem(t0_branch, base + 1, ax6)
-    else:
-        bpf = replace_hyp_with_theorem(normalized[n + k - 1], base + k, ax6)
-        for j in range(k - 1, 0, -1):
-            # bpf proves theta from delta + conjunctions 1..j+1; the
-            # circle (!^j psi)^o is literally the negation of the
-            # (j+1)-th conjunction
-            conj = and_(iter_neg(j + 1, psi), iter_neg(j, psi))
-            pf_neg = deduction_transform(normalized[n + j - 1], base + j)
-            pf_pos = deduction_transform(bpf, base + j)
-            x_star = _star_of_strongneg(
-                params, Imp(iter_neg(j + 1, psi), strong_neg(iter_neg(j, psi)))
-            )
-            bpf = merge(conj, pf_neg, pf_pos, x_star)
-        # bpf now proves theta from delta + (!psi && psi,)
-        conj = and_(Neg(psi), psi)
-        pf_neg = deduction_transform(t0_branch, base + 1)  # psi^o = !(conj)
-        pf_pos = weaken(
-            deduction_transform(bpf, base), delta + (classicalize(psi),)
-        )
-        x_star = _star_of_strongneg(params, Imp(Neg(psi), strong_neg(psi)))
-        half_t = merge(conj, pf_neg, pf_pos, x_star)
-    # half_t: delta, @psi |- theta
-
-    # final join on @psi, whose negation is literally ~psi
-    pf_neg = deduction_transform(half_f, base)
-    pf_pos = deduction_transform(half_t, base)
-    x_star = derive_template("star_of_classicalize", {"phi": psi}, params)
-    result = merge(classicalize(psi), pf_neg, pf_pos, x_star)
-    assert result.hypotheses == delta and result.conclusion is theta
-    return result
+    merged = _combine(params, psi, theta, branches, *sides)
+    return linearize(merged, params, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -559,48 +576,34 @@ def complete_prove(
 
     theta_star = _star_theorem(params, f)
     theta_circ = _circ_theorem(params, f)
+    order = _value_order(params)
 
-    order = [F(r) for r in range(1, params.n + 1)]
-    order += [T(i) for i in range(1, params.k + 1)]
-    order += [F(0), T(0)]
-
-    table: dict[tuple[TruthValue, ...], Proof] = {}
+    table: dict[tuple[TruthValue, ...], Node] = {}
     for v in enumerate_valuations(params, names):
         key = tuple(v[nm] for nm in names)
-        table[key] = lemma1_derive(params, f, v)
+        table[key] = _leaf(params, f, build_delta(params, names, v))
     assert len(table) == size**m
 
     for round_idx, nm in enumerate(names):
         remaining = names[round_idx + 1 :]
-        classes: dict[tuple[TruthValue, ...], dict[TruthValue, Proof]] = {}
-        for key, pf in table.items():
-            classes.setdefault(key[1:], {})[key[0]] = pf
+        classes: dict[tuple[TruthValue, ...], dict[TruthValue, Node]] = {}
+        for key, node in table.items():
+            classes.setdefault(key[1:], {})[key[0]] = node
         assert len(classes) == size ** (m - 1 - round_idx)
         table = {}
         for class_idx, (tail, per_value) in enumerate(classes.items()):
-            v_tail = dict(zip(remaining, tail))
-            delta: tuple[Formula, ...] = ()
-            for other in remaining:
-                delta += build_q_set(params, other, v_tail[other])
             branches = [per_value[w] for w in order]
-            merged = lemma2_combine(
-                params,
-                delta,
-                Atom(nm),
-                f,
-                branches,
-                theta_star,
-                theta_circ,
-                verify=False,
-            )
+            merged = _combine(params, Atom(nm), f, branches, theta_star, theta_circ)
             table[tail] = merged
             if trace is not None:
+                delta = build_delta(params, remaining, dict(zip(remaining, tail)))
+                lines = len(linearize(merged, params, delta.formulas))
                 trace(
                     f"eliminated {nm}: class {class_idx + 1}/{len(classes)}, "
-                    f"{len(merged)} lines"
+                    f"{lines} lines"
                 )
 
-    final = table[()]
+    final = linearize(table[()], params)
     assert not final.hypotheses and final.conclusion is f
     outcome = check(final)
     if not outcome:

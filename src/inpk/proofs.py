@@ -1,10 +1,24 @@
 """Hilbert-style proof machinery.
 
-A proof is a finite sequence of lines over a fixed logic and a fixed
-hypothesis list. Every line carries its own justification: an axiom
-schema together with an explicit substitution, a hypothesis citation,
-or modus ponens on two earlier lines. Checking therefore never
-searches; it applies the declared substitution and compares.
+Proofs are built as one hash-consed DAG of proof nodes. A node is a
+formula, its justification over child nodes (an axiom schema with an
+explicit substitution, a hypothesis formula, or modus ponens over two
+nodes) and the set of hypothesis formulas it rests on. Building the
+same step twice returns the same node, so a subproof used in many
+places is stored once. The constructors ``axiom_node``, ``hyp_node``
+and ``mp_node`` are the only place a step is validated: every node is
+correct by construction. The transformers (the deduction theorem
+``discharge``, the cut and substitution) are rewrites that visit only
+the nodes resting on the hypothesis in question and reuse the rest.
+
+Numbered lines exist only at the boundary. ``linearize`` is the one
+place a node becomes a ``Proof``: a finite sequence of lines over a
+fixed logic and hypothesis list, in postorder from the conclusion,
+major premise first. ``check`` is the trusted kernel for proofs that
+come from outside: every line carries its own justification, so
+checking never searches; it applies the declared substitution and
+compares. ``ProofBuilder`` and the public transformers on ``Proof``
+objects are thin layers over the nodes.
 
 Line references are 0-based inside the library and 1-based in the JSON
 serialization. Hypothesis indices are 0-based in both.
@@ -39,6 +53,7 @@ __all__ = [
     "ProofLine",
     "Proof",
     "CheckVerdict",
+    "Node",
     "ProofBuilder",
     "ProofFormatError",
     "axiom_pattern",
@@ -47,6 +62,14 @@ __all__ = [
     "match_axiom",
     "substitute",
     "check",
+    "axiom_node",
+    "hyp_node",
+    "mp_node",
+    "linearize",
+    "node_of",
+    "discharge",
+    "cut",
+    "instantiate",
     "deduction_transform",
     "weaken",
     "replace_hyp_with_theorem",
@@ -138,31 +161,16 @@ def axiom_metavariables(schema: str) -> tuple[str, ...]:
         raise ValueError(f"unknown axiom schema {schema!r}") from None
 
 
-# Instantiating a schema is a pure function of (schema, params, binding),
-# and the same instances recur heavily inside spliced and transformed
-# proofs, so the results are memoized process-wide.
-_INSTANCE_MEMO: dict[tuple, Formula] = {}
-
-
-def _axiom_instance(
-    schema: str,
-    params: LogicParams,
-    subst: Mapping[str, Formula],
-    items: Optional[tuple] = None,
-) -> Formula:
-    if items is None:
-        items = tuple(sorted(subst.items()))
-    key = (schema, params, items)
-    f = _INSTANCE_MEMO.get(key)
-    if f is None:
-        f = substitute(axiom_pattern(schema, params), subst)
-        _INSTANCE_MEMO[key] = f
-    return f
-
-
 def substitute(f: Formula, subst: Mapping[str, Formula]) -> Formula:
     """Replace every atom whose name is bound in subst."""
-    cache: dict[Formula, Formula] = {}
+    return _substitute(f, subst, {})
+
+
+def _substitute(
+    f: Formula, subst: Mapping[str, Formula], cache: dict[Formula, Formula]
+) -> Formula:
+    """substitute with a caller-owned cache, shared by every formula
+    that the same substitution is applied to."""
     stack = [f]
     while stack:
         g = stack[-1]
@@ -336,7 +344,8 @@ def check(proof: Proof) -> CheckVerdict:
                     return _reject(
                         i, f"substitution binds {name!r}, unused by {just.schema}"
                     )
-            instance = _axiom_instance(just.schema, params, just.subst)
+            items = tuple(sorted(just.subst.items()))
+            instance = _axiom(params, just.schema, items).formula
             if instance is not line.formula:
                 return _reject(
                     i, f"formula is not the declared {just.schema} instance"
@@ -369,15 +378,326 @@ def check(proof: Proof) -> CheckVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Proof nodes
+
+
+class Node:
+    """One interned proof step; made only by axiom_node, hyp_node and
+    mp_node, which validate it.
+
+    An axiom node has ``schema`` and ``subst`` (its binding as sorted
+    (name, formula) pairs); a modus ponens node has ``major`` and
+    ``minor``; a hypothesis node has neither. ``hyps`` is the set of
+    hypothesis formulas the step rests on. ``proof`` keeps the
+    linearized Proof of a template instance once derive_template has
+    made it.
+    """
+
+    __slots__ = ("formula", "schema", "subst", "major", "minor", "hyps", "proof")
+
+    def __init__(self, formula, schema, subst, major, minor, hyps) -> None:
+        self.formula = formula
+        self.schema = schema
+        self.subst = subst
+        self.major = major
+        self.minor = minor
+        self.hyps = hyps
+        self.proof = None
+
+
+# The node table. Keys: (schema, sorted binding, n, k) for an axiom
+# node, the formula itself for a hypothesis node, (major, minor) for a
+# modus ponens node. An axiom node carries its instance formula, so the
+# table is also the memo of axiom instances.
+_NODES: dict[object, Node] = {}
+_NO_HYPS: frozenset = frozenset()
+_SORTED_METAVARS = {schema: tuple(sorted(names)) for schema, names in _METAVARS.items()}
+
+
+def _axiom(
+    params: LogicParams, schema: str, items: tuple, formula: Optional[Formula] = None
+) -> Node:
+    """The axiom node of a binding given as sorted (name, formula) pairs.
+
+    formula may pass the instance when it is already known: instantiate
+    passes s(f) for an instance f of the same schema under the binding
+    b, where items is s applied to b, and pattern[b][s] is pattern[s(b)]
+    because every atom of a pattern is one of its metavariables.
+    """
+    key = (schema, items, params.n, params.k)
+    node = _NODES.get(key)
+    if node is None:
+        if formula is None:
+            needed = _SORTED_METAVARS.get(schema)
+            if needed is None:
+                raise ValueError(f"unknown axiom schema {schema!r}")
+            if tuple(name for name, _ in items) != needed:
+                raise ValueError(
+                    f"{schema} binds exactly {', '.join(_METAVARS[schema])}"
+                )
+            formula = substitute(axiom_pattern(schema, params), dict(items))
+        node = _NODES[key] = Node(formula, schema, items, None, None, _NO_HYPS)
+    return node
+
+
+def axiom_node(
+    params: LogicParams, schema: str, subst: Mapping[str, Formula]
+) -> Node:
+    """The instance of an axiom schema under a binding of its metavariables."""
+    return _axiom(params, schema, tuple(sorted(subst.items())))
+
+
+def hyp_node(f: Formula) -> Node:
+    """The hypothesis f, resting on itself."""
+    node = _NODES.get(f)
+    if node is None:
+        if not isinstance(f, Formula):
+            raise TypeError(f"hypothesis must be a formula, not {type(f).__name__}")
+        node = _NODES[f] = Node(f, None, None, None, None, frozenset((f,)))
+    return node
+
+
+def mp_node(major: Node, minor: Node) -> Node:
+    """Modus ponens: major proves minor's formula -> this formula."""
+    key = (major, minor)
+    node = _NODES.get(key)
+    if node is None:
+        f = major.formula
+        if not isinstance(f, Imp) or f.ant is not minor.formula:
+            raise ValueError("modus ponens premises do not fit")
+        a, b = major.hyps, minor.hyps
+        if b is a or not b:
+            hyps = a
+        elif not a:
+            hyps = b
+        else:
+            hyps = a | b
+        node = _NODES[key] = Node(f.cons, None, None, major, minor, hyps)
+    return node
+
+
+def _ax1(params: LogicParams, a: Formula, b: Formula) -> Node:
+    return _axiom(params, "Ax1", (("phi", a), ("psi", b)))
+
+
+def _ax2(params: LogicParams, a: Formula, b: Formula, c: Formula) -> Node:
+    return _axiom(params, "Ax2", (("phi", a), ("psi", b), ("theta", c)))
+
+
+def linearize(
+    root: Node, params: LogicParams, hypotheses: Sequence[Formula] = ()
+) -> Proof:
+    """Number the lines of the proof of root: the one place lines are made.
+
+    Lines come in postorder from root, major premise first, each node
+    once. A Hyp line cites the first position of its formula in
+    hypotheses; root must rest on no formula outside that list.
+    """
+    hypotheses = tuple(hypotheses)
+    position: dict[Formula, int] = {}
+    for i, h in enumerate(hypotheses):
+        position.setdefault(h, i)
+    index: dict[Node, int] = {}
+    lines: list[ProofLine] = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in index:
+            stack.pop()
+            continue
+        major = node.major
+        if major is not None:
+            minor = node.minor
+            i = index.get(major)
+            j = index.get(minor)
+            if i is None or j is None:
+                if j is None:
+                    stack.append(minor)
+                if i is None:
+                    stack.append(major)
+                continue
+            line = ProofLine(node.formula, MP(i, j))
+        elif node.schema is not None:
+            line = ProofLine(node.formula, Axiom(node.schema, dict(node.subst)))
+        else:
+            at = position.get(node.formula)
+            if at is None:
+                raise ValueError("proof rests on a hypothesis outside the list")
+            line = ProofLine(node.formula, Hyp(at))
+        stack.pop()
+        index[node] = len(lines)
+        lines.append(line)
+    return Proof(params, hypotheses, tuple(lines))
+
+
+def _nodes_of(proof: Proof) -> list[Node]:
+    """The node of every line of a Proof; raises ValueError unless the
+    proof passes check."""
+    verdict = check(proof)
+    if not verdict:
+        raise ValueError(f"proof does not check ({verdict})")
+    hyps, params = proof.hypotheses, proof.params
+    nodes: list[Node] = []
+    for line in proof.lines:
+        just = line.just
+        if isinstance(just, Axiom):
+            node = axiom_node(params, just.schema, just.subst)
+        elif isinstance(just, Hyp):
+            node = hyp_node(hyps[just.index])
+        else:
+            node = mp_node(nodes[just.major], nodes[just.minor])
+        nodes.append(node)
+    return nodes
+
+
+def node_of(proof: Proof) -> Node:
+    """The node of a Proof's conclusion; raises ValueError unless the
+    proof passes check."""
+    return _nodes_of(proof)[-1]
+
+
+# ---------------------------------------------------------------------------
+# Rewrites
+
+
+def _rewrite(root: Node, h: Formula, at_hyp: Node, step) -> Node:
+    """Rebuild the nodes of root that rest on h, leaves first.
+
+    The hypothesis h becomes at_hyp; a modus ponens node becomes
+    step(node, new_major, new_minor), where a premise that does not rest
+    on h is passed as None. One memo per call; an explicit stack, since
+    proofs are thousands of steps deep.
+    """
+    done: dict[Node, Node] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        major = node.major
+        if major is None:
+            done[node] = at_hyp
+        else:
+            minor = node.minor
+            waiting = [c for c in (minor, major) if h in c.hyps and c not in done]
+            if waiting:
+                stack.extend(waiting)
+                continue
+            done[node] = step(node, done.get(major), done.get(minor))
+        stack.pop()
+    return done[root]
+
+
+def refl_node(params: LogicParams, f: Formula) -> Node:
+    """f -> f from Ax1/Ax2 alone."""
+    ff = Imp(f, f)
+    step = mp_node(_ax2(params, f, ff, f), _ax1(params, f, ff))
+    return mp_node(step, _ax1(params, f, f))
+
+
+def discharge(root: Node, phi: Formula, params: LogicParams) -> Node:
+    """The deduction theorem: from a node proving c, one proving phi -> c
+    that does not rest on phi.
+
+    A node that does not rest on phi is reused and lifted by Ax1 where a
+    rewritten step consumes it; phi itself becomes phi -> phi; a modus
+    ponens step resting on phi becomes Ax2 and two modus ponens.
+    """
+
+    def lift(node: Node) -> Node:
+        return mp_node(_ax1(params, node.formula, phi), node)
+
+    if phi not in root.hyps:
+        return lift(root)
+
+    def step(node: Node, major: Optional[Node], minor: Optional[Node]) -> Node:
+        a2 = _ax2(params, phi, node.minor.formula, node.formula)
+        lifted = mp_node(a2, major or lift(node.major))
+        return mp_node(lifted, minor or lift(node.minor))
+
+    return _rewrite(root, phi, refl_node(params, phi), step)
+
+
+def cut(root: Node, h: Formula, theorem: Node) -> Node:
+    """Put a proof of h in place of the hypothesis h."""
+    if theorem.formula is not h:
+        raise ValueError("theorem does not conclude the replaced hypothesis")
+    if h not in root.hyps:
+        return root
+
+    def step(node: Node, major: Optional[Node], minor: Optional[Node]) -> Node:
+        return mp_node(major or node.major, minor or node.minor)
+
+    return _rewrite(root, h, theorem, step)
+
+
+def instantiate(
+    root: Node, subst: Mapping[str, Formula], params: LogicParams
+) -> Node:
+    """Apply an atom substitution to every formula under root.
+
+    Axiom bindings are composed with it. One formula cache serves the
+    whole DAG.
+    """
+    cache: dict[Formula, Formula] = {}
+
+    def sub(g: Formula) -> Formula:
+        got = cache.get(g)
+        return _substitute(g, subst, cache) if got is None else got
+
+    done: dict[Node, Node] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        major = node.major
+        if major is not None:
+            minor = node.minor
+            if major not in done or minor not in done:
+                stack.append(minor)
+                stack.append(major)
+                continue
+            new = mp_node(done[major], done[minor])
+        elif node.schema is not None:
+            items = tuple((name, sub(g)) for name, g in node.subst)
+            new = _NODES.get((node.schema, items, params.n, params.k))
+            if new is None:
+                new = _axiom(params, node.schema, items, sub(node.formula))
+        else:
+            new = hyp_node(sub(node.formula))
+        done[node] = new
+        stack.pop()
+    return done[root]
+
+
+def chain_node(params: LogicParams, ab: Node, bc: Node) -> Node:
+    """From a->b and b->c, a->c."""
+    a, mid, c = ab.formula.ant, ab.formula.cons, bc.formula.cons
+    lift = mp_node(_ax1(params, bc.formula, a), bc)  # a -> (b -> c)
+    return mp_node(mp_node(_ax2(params, a, mid, c), lift), ab)
+
+
+def perm_node(params: LogicParams, node: Node) -> Node:
+    """From a->(b->c), b->(a->c)."""
+    f = node.formula
+    a, mid, c = f.ant, f.cons.ant, f.cons.cons
+    dist = mp_node(_ax2(params, a, mid, c), node)  # (a->b) -> (a->c)
+    return chain_node(params, _ax1(params, mid, a), dist)  # via b -> (a->b)
+
+
+# ---------------------------------------------------------------------------
 # Builder
 
 
 class ProofBuilder:
-    """Accumulates proof lines, deduplicating structurally identical ones.
+    """Integer handles over proof nodes, for building a proof by hand.
 
-    Deduplication means a spliced subproof that repeats material already
-    emitted (the same axiom instance, the same hypothesis citation, the
-    same modus ponens over the same lines) contributes no new lines.
+    A handle numbers a distinct node in the order it first reached the
+    builder, so a spliced subproof that repeats material already present
+    (the same axiom instance, hypothesis or modus ponens) adds nothing.
     """
 
     def __init__(
@@ -385,206 +705,96 @@ class ProofBuilder:
     ) -> None:
         self.params = params
         self.hypotheses = tuple(hypotheses)
-        self._lines: list[ProofLine] = []
-        self._memo: dict[tuple, int] = {}
+        self._nodes: list[Node] = []
+        self._handle: dict[Node, int] = {}
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._nodes)
+
+    def _add(self, node: Node) -> int:
+        h = self._handle.get(node)
+        if h is None:
+            h = self._handle[node] = len(self._nodes)
+            self._nodes.append(node)
+        return h
 
     def formula_at(self, i: int) -> Formula:
-        return self._lines[i].formula
+        return self._nodes[i].formula
 
     def axiom(self, schema: str, subst: Mapping[str, Formula]) -> int:
-        items = tuple(sorted(subst.items()))
-        key = ("ax", schema, items)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        f = _axiom_instance(schema, self.params, subst, items)
-        self._lines.append(ProofLine(f, Axiom(schema, dict(subst))))
-        i = len(self._lines) - 1
-        self._memo[key] = i
-        return i
+        return self._add(axiom_node(self.params, schema, subst))
 
     def hyp(self, index: int) -> int:
         if not 0 <= index < len(self.hypotheses):
             raise IndexError(f"hypothesis index {index} out of range")
-        key = ("hyp", index)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._lines.append(ProofLine(self.hypotheses[index], Hyp(index)))
-        i = len(self._lines) - 1
-        self._memo[key] = i
-        return i
+        return self._add(hyp_node(self.hypotheses[index]))
 
     def mp(self, major: int, minor: int) -> int:
-        key = ("mp", major, minor)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        maj = self._lines[major].formula
-        if not isinstance(maj, Imp) or maj.ant is not self._lines[minor].formula:
-            raise ValueError("modus ponens premises do not fit")
-        self._lines.append(ProofLine(maj.cons, MP(major, minor)))
-        i = len(self._lines) - 1
-        self._memo[key] = i
-        return i
+        return self._add(mp_node(self._nodes[major], self._nodes[minor]))
 
     def splice(self, proof: Proof) -> int:
-        """Inline another proof's lines; returns its conclusion's index.
+        """Add another proof's lines; returns its conclusion's handle.
 
         The spliced proof's hypotheses must all occur in this builder's
         hypothesis list (matched by formula).
         """
         if proof.params != self.params:
             raise ValueError("cannot splice a proof for different logic params")
-        hyp_map = []
-        for h in proof.hypotheses:
-            try:
-                hyp_map.append(self.hypotheses.index(h))
-            except ValueError:
-                raise ValueError(
-                    "spliced proof uses a hypothesis absent from the target"
-                ) from None
-        index_map: list[int] = []
-        for line in proof.lines:
-            just = line.just
-            if isinstance(just, Axiom):
-                new = self.axiom(just.schema, just.subst)
-            elif isinstance(just, Hyp):
-                new = self.hyp(hyp_map[just.index])
-            else:
-                assert isinstance(just, MP)
-                new = self.mp(index_map[just.major], index_map[just.minor])
-            index_map.append(new)
-        return index_map[-1]
+        if not set(proof.hypotheses) <= set(self.hypotheses):
+            raise ValueError("spliced proof uses a hypothesis absent from the target")
+        handles = [self._add(node) for node in _nodes_of(proof)]
+        return handles[-1]
 
     def build(self, conclusion: Optional[int] = None) -> Proof:
-        """Freeze into a Proof ending at the given line (default: last).
-
-        Lines the conclusion does not reach are dropped and references
-        are renumbered.
-        """
-        if not self._lines:
+        """The Proof of the given handle (default: the last one added),
+        holding only the lines it reaches."""
+        if not self._nodes:
             raise ValueError("a proof needs at least one line")
-        root = len(self._lines) - 1 if conclusion is None else conclusion
-        keep: set[int] = set()
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            if i in keep:
-                continue
-            keep.add(i)
-            just = self._lines[i].just
-            if isinstance(just, MP):
-                stack.append(just.major)
-                stack.append(just.minor)
-        order = sorted(keep)
-        remap = {old: new for new, old in enumerate(order)}
-        out: list[ProofLine] = []
-        for old in order:
-            line = self._lines[old]
-            just = line.just
-            if isinstance(just, MP):
-                just = MP(remap[just.major], remap[just.minor])
-            out.append(ProofLine(line.formula, just))
-        return Proof(self.params, self.hypotheses, tuple(out))
+        root = self._nodes[-1 if conclusion is None else conclusion]
+        return linearize(root, self.params, self.hypotheses)
 
 
 def axiom_proof(
     params: LogicParams, schema: str, subst: Mapping[str, Formula]
 ) -> Proof:
     """One-line hypothesis-free proof of an axiom instance."""
-    b = ProofBuilder(params)
-    return b.build(b.axiom(schema, subst))
+    return linearize(axiom_node(params, schema, subst), params)
 
 
 def prune(proof: Proof) -> Proof:
     """Drop lines the conclusion does not reach; hypotheses unchanged."""
-    b = ProofBuilder(proof.params, proof.hypotheses)
-    return b.build(b.splice(proof))
+    return linearize(node_of(proof), proof.params, proof.hypotheses)
 
 
 # ---------------------------------------------------------------------------
-# Transformers
+# Transformers on Proofs
 
 
-def _emit_refl(b: ProofBuilder, f: Formula) -> int:
-    """Emit f -> f from Ax1/Ax2 alone; returns its line index."""
-    ff = Imp(f, f)
-    a2 = b.axiom("Ax2", {"phi": f, "psi": ff, "theta": f})
-    a1 = b.axiom("Ax1", {"phi": f, "psi": ff})
-    step = b.mp(a2, a1)
-    a1b = b.axiom("Ax1", {"phi": f, "psi": f})
-    return b.mp(step, a1b)
+def _without(hyps: tuple[Formula, ...], index: int) -> tuple[Formula, ...]:
+    if not 0 <= index < len(hyps):
+        raise IndexError(f"hypothesis index {index} out of range")
+    return hyps[:index] + hyps[index + 1 :]
 
 
-def deduction_transform(proof: Proof, discharge: int) -> Proof:
+def deduction_transform(proof: Proof, discharge_index: int) -> Proof:
     """Discharge one hypothesis: from G,f |- c build G |- f -> c.
 
-    The transformation is the standard Ax1/Ax2 rewrite, applied lazily:
-    lines that never feed a use of the discharged hypothesis are copied
-    untouched and lifted only at the point of consumption.
+    The standard Ax1/Ax2 rewrite (see discharge), applied to the lines
+    that rest on f; the others are kept and lifted only where a
+    rewritten line consumes them.
     """
-    if not 0 <= discharge < len(proof.hypotheses):
-        raise IndexError(f"hypothesis index {discharge} out of range")
-    verdict = check(proof)
-    if not verdict:
-        raise ValueError(f"input proof does not check ({verdict})")
-    phi = proof.hypotheses[discharge]
-    new_hyps = (
-        proof.hypotheses[:discharge] + proof.hypotheses[discharge + 1 :]
-    )
-    hyp_remap = {
-        old: (old if old < discharge else old - 1)
-        for old in range(len(proof.hypotheses))
-        if old != discharge
-    }
-    b = ProofBuilder(proof.params, new_hyps)
-    plain: dict[int, int] = {}
-    dep: dict[int, int] = {}
-
-    def lifted(i: int) -> int:
-        # line index in b proving phi -> (old line i's formula)
-        got = dep.get(i)
-        if got is not None:
-            return got
-        f = proof.lines[i].formula
-        a1 = b.axiom("Ax1", {"phi": f, "psi": phi})
-        got = b.mp(a1, plain[i])
-        dep[i] = got
-        return got
-
-    for i, line in enumerate(proof.lines):
-        just = line.just
-        if isinstance(just, Hyp):
-            if just.index == discharge:
-                dep[i] = _emit_refl(b, phi)
-            else:
-                plain[i] = b.hyp(hyp_remap[just.index])
-        elif isinstance(just, Axiom):
-            plain[i] = b.axiom(just.schema, just.subst)
-        else:
-            assert isinstance(just, MP)
-            if just.major in plain and just.minor in plain:
-                plain[i] = b.mp(plain[just.major], plain[just.minor])
-            else:
-                minor_f = proof.lines[just.minor].formula
-                a2 = b.axiom(
-                    "Ax2",
-                    {"phi": phi, "psi": minor_f, "theta": line.formula},
-                )
-                dep[i] = b.mp(b.mp(a2, lifted(just.major)), lifted(just.minor))
-
-    last = len(proof.lines) - 1
-    return b.build(lifted(last))
+    rest = _without(proof.hypotheses, discharge_index)
+    phi = proof.hypotheses[discharge_index]
+    root = discharge(node_of(proof), phi, proof.params)
+    return linearize(root, proof.params, rest)
 
 
 def weaken(proof: Proof, hypotheses: Sequence[Formula]) -> Proof:
     """Re-host a proof on a wider or reordered hypothesis list."""
-    b = ProofBuilder(proof.params, hypotheses)
-    return b.build(b.splice(proof))
+    hypotheses = tuple(hypotheses)
+    if not set(proof.hypotheses) <= set(hypotheses):
+        raise ValueError("the new list lacks a hypothesis of the proof")
+    return linearize(node_of(proof), proof.params, hypotheses)
 
 
 def replace_hyp_with_theorem(proof: Proof, index: int, theorem: Proof) -> Proof:
@@ -593,35 +803,15 @@ def replace_hyp_with_theorem(proof: Proof, index: int, theorem: Proof) -> Proof:
     theorem must conclude exactly hypotheses[index]; the result proves
     the same conclusion from the remaining hypotheses.
     """
-    if not 0 <= index < len(proof.hypotheses):
-        raise IndexError(f"hypothesis index {index} out of range")
+    rest = _without(proof.hypotheses, index)
     if theorem.params != proof.params:
         raise ValueError("theorem proved under different logic params")
     if theorem.hypotheses:
         raise ValueError("replacement theorem must be hypothesis-free")
     if theorem.conclusion is not proof.hypotheses[index]:
         raise ValueError("theorem does not conclude the replaced hypothesis")
-    new_hyps = proof.hypotheses[:index] + proof.hypotheses[index + 1 :]
-    hyp_remap = {
-        old: (old if old < index else old - 1)
-        for old in range(len(proof.hypotheses))
-        if old != index
-    }
-    b = ProofBuilder(proof.params, new_hyps)
-    index_map: list[int] = []
-    for line in proof.lines:
-        just = line.just
-        if isinstance(just, Hyp):
-            if just.index == index:
-                index_map.append(b.splice(theorem))
-            else:
-                index_map.append(b.hyp(hyp_remap[just.index]))
-        elif isinstance(just, Axiom):
-            index_map.append(b.axiom(just.schema, just.subst))
-        else:
-            assert isinstance(just, MP)
-            index_map.append(b.mp(index_map[just.major], index_map[just.minor]))
-    return b.build(index_map[-1])
+    root = cut(node_of(proof), proof.hypotheses[index], node_of(theorem))
+    return linearize(root, proof.params, rest)
 
 
 def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
@@ -630,16 +820,17 @@ def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
     Justification structure is preserved line for line; axiom
     substitutions are composed with the new one.
     """
-    hyps = tuple(substitute(h, subst) for h in proof.hypotheses)
+    cache: dict[Formula, Formula] = {}
+    hyps = tuple(_substitute(h, subst, cache) for h in proof.hypotheses)
     out: list[ProofLine] = []
     for line in proof.lines:
         just = line.just
         if isinstance(just, Axiom):
             just = Axiom(
                 just.schema,
-                {v: substitute(f, subst) for v, f in just.subst.items()},
+                {v: _substitute(f, subst, cache) for v, f in just.subst.items()},
             )
-        out.append(ProofLine(substitute(line.formula, subst), just))
+        out.append(ProofLine(_substitute(line.formula, subst, cache), just))
     return Proof(proof.params, hyps, tuple(out))
 
 
@@ -656,27 +847,6 @@ def _merge_hypotheses(*proofs: Proof) -> tuple[Formula, ...]:
     return tuple(seen)
 
 
-def _chain(b: ProofBuilder, i_ab: int, i_bc: int) -> int:
-    """From lines a->b and b->c emit a->c."""
-    ab = b.formula_at(i_ab)
-    bc = b.formula_at(i_bc)
-    a, mid, c = ab.ant, ab.cons, bc.cons
-    a1 = b.axiom("Ax1", {"phi": bc, "psi": a})
-    lift = b.mp(a1, i_bc)  # a -> (b -> c)
-    a2 = b.axiom("Ax2", {"phi": a, "psi": mid, "theta": c})
-    return b.mp(b.mp(a2, lift), i_ab)
-
-
-def _perm(b: ProofBuilder, i: int) -> int:
-    """From line a->(b->c) emit b->(a->c)."""
-    f = b.formula_at(i)
-    a, mid, c = f.ant, f.cons.ant, f.cons.cons
-    a2 = b.axiom("Ax2", {"phi": a, "psi": mid, "theta": c})
-    dist = b.mp(a2, i)  # (a->b) -> (a->c)
-    a1 = b.axiom("Ax1", {"phi": mid, "psi": a})  # b -> (a->b)
-    return _chain(b, a1, dist)
-
-
 def rule_trans(p1: Proof, p2: Proof) -> Proof:
     """From a->b and b->c conclude a->c."""
     c1, c2 = p1.conclusion, p2.conclusion
@@ -688,10 +858,8 @@ def rule_trans(p1: Proof, p2: Proof) -> Proof:
         raise ValueError("rule_trans expects proofs of a->b and b->c")
     if p1.params != p2.params:
         raise ValueError("mismatched logic params")
-    b = ProofBuilder(p1.params, _merge_hypotheses(p1, p2))
-    i1 = b.splice(p1)
-    i2 = b.splice(p2)
-    return b.build(_chain(b, i1, i2))
+    root = chain_node(p1.params, node_of(p1), node_of(p2))
+    return linearize(root, p1.params, _merge_hypotheses(p1, p2))
 
 
 def rule_perm(p: Proof) -> Proof:
@@ -699,8 +867,7 @@ def rule_perm(p: Proof) -> Proof:
     f = p.conclusion
     if not isinstance(f, Imp) or not isinstance(f.cons, Imp):
         raise ValueError("rule_perm expects a proof of a->(b->c)")
-    b = ProofBuilder(p.params, p.hypotheses)
-    return b.build(_perm(b, b.splice(p)))
+    return linearize(perm_node(p.params, node_of(p)), p.params, p.hypotheses)
 
 
 def rule_red(p: Proof) -> Proof:
@@ -709,10 +876,8 @@ def rule_red(p: Proof) -> Proof:
     if not isinstance(f, Imp) or not isinstance(f.ant, Imp):
         raise ValueError("rule_red expects a proof of (a->b)->c")
     a, mid = f.ant.ant, f.ant.cons
-    b = ProofBuilder(p.params, p.hypotheses)
-    i = b.splice(p)
-    a1 = b.axiom("Ax1", {"phi": mid, "psi": a})  # b -> (a->b)
-    return b.build(_chain(b, a1, i))
+    root = chain_node(p.params, _ax1(p.params, mid, a), node_of(p))  # b -> (a->b)
+    return linearize(root, p.params, p.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +894,7 @@ class ProofFormatError(ValueError):
 
 def proof_to_json(proof: Proof) -> dict:
     """Plain-dict form of a proof; line references become 1-based."""
+    text: dict[Formula, str] = {}
     lines = []
     for line in proof.lines:
         just = line.just
@@ -737,7 +903,7 @@ def proof_to_json(proof: Proof) -> dict:
                 "kind": "axiom",
                 "schema": just.schema,
                 "subst": {
-                    v: render(f) for v, f in sorted(just.subst.items())
+                    v: render(f, text) for v, f in sorted(just.subst.items())
                 },
             }
         elif isinstance(just, Hyp):
@@ -745,10 +911,10 @@ def proof_to_json(proof: Proof) -> dict:
         else:
             assert isinstance(just, MP)
             j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
-        lines.append({"formula": render(line.formula), "just": j})
+        lines.append({"formula": render(line.formula, text), "just": j})
     return {
         "logic": {"n": proof.params.n, "k": proof.params.k},
-        "hypotheses": [render(h) for h in proof.hypotheses],
+        "hypotheses": [render(h, text) for h in proof.hypotheses],
         "lines": lines,
     }
 

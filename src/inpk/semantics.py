@@ -39,7 +39,8 @@ __all__ = [
     "TruthValue", "F", "T", "parse_value",
     "LogicParams", "Valuation", "parse_valuation", "render_valuation",
     "Verdict", "OrderVerdict", "TruthTable",
-    "neg_value", "imp_value", "eval_formula", "is_designated",
+    "neg_value", "imp_value", "eval_formula", "eval_subformulas",
+    "is_designated",
     "enumerate_valuations", "is_tautology", "entails",
     "compare_logics", "separating_witness", "truth_table",
 ]
@@ -154,6 +155,13 @@ def is_designated(params: LogicParams, a: TruthValue) -> bool:
 
 def eval_formula(params: LogicParams, f: Formula, v: Valuation) -> TruthValue:
     """Homomorphic extension of v to f (single valuation, scalar path)."""
+    return eval_subformulas(params, f, v)[f]
+
+
+def eval_subformulas(
+    params: LogicParams, f: Formula, v: Valuation
+) -> dict[Formula, TruthValue]:
+    """The value under v of every subformula of f, f included."""
     cache: dict[Formula, TruthValue] = {}
     stack = [f]
     while stack:
@@ -184,7 +192,7 @@ def eval_formula(params: LogicParams, f: Formula, v: Valuation) -> TruthValue:
             else:
                 cache[g] = imp_value(params, a, b)
                 stack.pop()
-    return cache[f]
+    return cache
 
 
 def enumerate_valuations(params: LogicParams, names: list[str]) -> Iterator[Valuation]:

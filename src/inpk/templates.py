@@ -5,8 +5,8 @@ properties of the star and circle modalities, contraposition in both
 directions, case analysis through strong negation, and the lattice
 rules for the defined conjunction and disjunction.  Every entry pairs a
 statement over placeholder atoms with a derivation script; the generic
-proof is built once per logic and instantiated by substitution, so a
-caller pays for each script at most once.
+proof node is built once per logic and instantiated by one substitution
+rewrite of its DAG, so a caller pays for each script at most once.
 """
 
 from __future__ import annotations
@@ -27,14 +27,17 @@ from .formula import (
     strong_neg,
 )
 from .proofs import (
+    Node,
     Proof,
-    ProofBuilder,
-    _chain,
-    _emit_refl,
-    _perm,
-    axiom_proof,
-    deduction_transform,
-    substitute_proof,
+    axiom_node,
+    chain_node,
+    discharge,
+    hyp_node,
+    instantiate,
+    linearize,
+    mp_node,
+    perm_node,
+    refl_node,
 )
 from .semantics import LogicParams
 
@@ -54,33 +57,21 @@ class TemplateInfo:
     statement: Formula
 
 
-def _derived(
-    params: LogicParams,
-    hyps: tuple[Formula, ...],
-    script: Callable[[ProofBuilder], int],
-) -> Proof:
-    """Run a script under hypotheses, then discharge them all."""
-    b = ProofBuilder(params, hyps)
-    proof = b.build(script(b))
-    for _ in range(len(hyps)):
-        proof = deduction_transform(proof, len(proof.hypotheses) - 1)
-    return proof
+def _ax(params: LogicParams, schema: str, **subst: Formula) -> Node:
+    return axiom_node(params, schema, subst)
 
 
-def _use(
-    b: ProofBuilder,
-    tid: str,
-    subst: Mapping[str, Formula],
-    params: LogicParams,
-) -> int:
-    """Splice an instance of another template; returns its line."""
-    return b.splice(derive_template(tid, subst, params))
+def _derived(params: LogicParams, hyps: tuple[Formula, ...], node: Node) -> Node:
+    """Discharge a script's hypotheses, the last one first."""
+    for h in reversed(hyps):
+        node = discharge(node, h, params)
+    return node
 
 
-def _classical(params: LogicParams, skeleton: Formula) -> Proof:
-    from .classical import classical_core
+def _classical(params: LogicParams, skeleton: Formula) -> Node:
+    from .classical import classical_node
 
-    return classical_core(params, skeleton)
+    return classical_node(params, skeleton)
 
 
 # ---------------------------------------------------------------------------
@@ -88,255 +79,210 @@ def _classical(params: LogicParams, skeleton: Formula) -> Proof:
 # ---------------------------------------------------------------------------
 
 
-def _g_refl(params: LogicParams) -> Proof:
-    b = ProofBuilder(params)
-    return b.build(_emit_refl(b, _A))
+def _g_refl(params: LogicParams) -> Node:
+    return refl_node(params, _A)
 
 
-def _g_elim_classicalize(params: LogicParams) -> Proof:
-    def script(b: ProofBuilder) -> int:
-        return b.mp(b.hyp(0), _emit_refl(b, _A))
-
-    return _derived(params, (classicalize(_A),), script)
+def _g_elim_classicalize(params: LogicParams) -> Node:
+    h = classicalize(_A)
+    return _derived(params, (h,), mp_node(hyp_node(h), refl_node(params, _A)))
 
 
-def _g_intro_classicalize(params: LogicParams) -> Proof:
-    return axiom_proof(params, "Ax1", {"phi": _A, "psi": Imp(_A, _A)})
+def _g_intro_classicalize(params: LogicParams) -> Node:
+    return _ax(params, "Ax1", phi=_A, psi=Imp(_A, _A))
 
 
-def _g_star_of_star(params: LogicParams) -> Proof:
-    return axiom_proof(params, "Ax3", {"phi": strong_neg(Neg(_A)), "psi": _A})
+def _g_star_of_star(params: LogicParams) -> Node:
+    return _ax(params, "Ax3", phi=strong_neg(Neg(_A)), psi=_A)
 
 
-def _g_circ_of_star(params: LogicParams) -> Proof:
-    return axiom_proof(params, "Ax4", {"phi": strong_neg(Neg(_A)), "psi": _A})
+def _g_circ_of_star(params: LogicParams) -> Node:
+    return _ax(params, "Ax4", phi=strong_neg(Neg(_A)), psi=_A)
 
 
-def _g_star_of_classicalize(params: LogicParams) -> Proof:
-    return axiom_proof(params, "Ax3", {"phi": Imp(_A, _A), "psi": _A})
+def _g_star_of_classicalize(params: LogicParams) -> Node:
+    return _ax(params, "Ax3", phi=Imp(_A, _A), psi=_A)
 
 
-def _g_circ_of_classicalize(params: LogicParams) -> Proof:
-    return axiom_proof(params, "Ax4", {"phi": Imp(_A, _A), "psi": _A})
+def _g_circ_of_classicalize(params: LogicParams) -> Node:
+    return _ax(params, "Ax4", phi=Imp(_A, _A), psi=_A)
 
 
-def _g_star_intro(params: LogicParams) -> Proof:
+def _g_star_intro(params: LogicParams) -> Node:
     # phi* is ~!phi -> phi, so this is a one-line Ax1 instance
-    return axiom_proof(params, "Ax1", {"phi": _A, "psi": strong_neg(Neg(_A))})
+    return _ax(params, "Ax1", phi=_A, psi=strong_neg(Neg(_A)))
 
 
-def _g_or_intro_right(params: LogicParams) -> Proof:
-    return axiom_proof(params, "Ax1", {"phi": _B, "psi": strong_neg(_A)})
+def _g_or_intro_right(params: LogicParams) -> Node:
+    return _ax(params, "Ax1", phi=_B, psi=strong_neg(_A))
 
 
-def _g_star_strong_to_weak_neg(params: LogicParams) -> Proof:
-    def script(b: ProofBuilder) -> int:
-        cc = b.axiom("Ax4", {"phi": Imp(_A, _A), "psi": _A})  # (@phi)^o
-        ax8 = b.axiom("Ax8", {"phi": _A, "psi": classicalize(_A)})
-        s = b.mp(b.mp(ax8, b.hyp(0)), cc)  # (phi->~phi)->((phi->@phi)->!phi)
-        s = _perm(b, s)
-        intro = b.axiom("Ax1", {"phi": _A, "psi": Imp(_A, _A)})  # phi->@phi
-        s = b.mp(s, intro)  # (phi->~phi)->!phi
-        lift = b.axiom("Ax1", {"phi": strong_neg(_A), "psi": _A})
-        return _chain(b, lift, s)
-
-    return _derived(params, (star(_A),), script)
+def _g_star_strong_to_weak_neg(params: LogicParams) -> Node:
+    h = star(_A)
+    cc = _ax(params, "Ax4", phi=Imp(_A, _A), psi=_A)  # (@phi)^o
+    ax8 = _ax(params, "Ax8", phi=_A, psi=classicalize(_A))
+    s = mp_node(mp_node(ax8, hyp_node(h)), cc)  # (phi->~phi)->((phi->@phi)->!phi)
+    s = perm_node(params, s)
+    intro = _ax(params, "Ax1", phi=_A, psi=Imp(_A, _A))  # phi->@phi
+    s = mp_node(s, intro)  # (phi->~phi)->!phi
+    lift = _ax(params, "Ax1", phi=strong_neg(_A), psi=_A)
+    return _derived(params, (h,), chain_node(params, lift, s))
 
 
-def _g_converse_contraposition(params: LogicParams) -> Proof:
+def _g_converse_contraposition(params: LogicParams) -> Node:
     hyps = (star(_A), circ(_B), Imp(Neg(_A), Neg(_B)), _B)
-
-    def script(b: ProofBuilder) -> int:
-        lift = b.axiom("Ax1", {"phi": _B, "psi": Neg(_A)})
-        minor = b.mp(lift, b.hyp(3))  # !phi -> psi
-        s = b.mp(b.axiom("Ax7", {"phi": _A, "psi": _B}), b.hyp(0))
-        s = b.mp(s, b.hyp(1))
-        s = b.mp(s, b.hyp(2))
-        return b.mp(s, minor)
-
-    return _derived(params, hyps, script)
+    h = [hyp_node(f) for f in hyps]
+    lift = _ax(params, "Ax1", phi=_B, psi=Neg(_A))
+    minor = mp_node(lift, h[3])  # !phi -> psi
+    s = mp_node(_ax(params, "Ax7", phi=_A, psi=_B), h[0])
+    s = mp_node(mp_node(s, h[1]), h[2])
+    return _derived(params, hyps, mp_node(s, minor))
 
 
-def _g_contraposition(params: LogicParams) -> Proof:
+def _g_contraposition(params: LogicParams) -> Node:
     hyps = (star(_A), circ(_B), Imp(_A, _B), Neg(_B))
-
-    def script(b: ProofBuilder) -> int:
-        lift = b.axiom("Ax1", {"phi": Neg(_B), "psi": _A})
-        to_nb = b.mp(lift, b.hyp(3))  # phi -> !psi
-        s = b.mp(b.axiom("Ax8", {"phi": _A, "psi": _B}), b.hyp(0))
-        s = b.mp(s, b.hyp(1))
-        s = b.mp(s, to_nb)
-        return b.mp(s, b.hyp(2))
-
-    return _derived(params, hyps, script)
+    h = [hyp_node(f) for f in hyps]
+    lift = _ax(params, "Ax1", phi=Neg(_B), psi=_A)
+    to_nb = mp_node(lift, h[3])  # phi -> !psi
+    s = mp_node(_ax(params, "Ax8", phi=_A, psi=_B), h[0])
+    s = mp_node(mp_node(s, h[1]), to_nb)
+    return _derived(params, hyps, mp_node(s, h[2]))
 
 
-def _emit_cases_classicalize(b: ProofBuilder) -> int:
-    """Emit (~phi->~psi)->((~phi->@psi)->@phi); hypothesis-free."""
-    s_star = b.axiom("Ax3", {"phi": Imp(_A, _A), "psi": _A})  # (@phi)^*
-    c_circ = b.axiom("Ax4", {"phi": Imp(_B, _B), "psi": _B})  # (@psi)^o
-    ax7 = b.axiom("Ax7", {"phi": classicalize(_A), "psi": classicalize(_B)})
-    return b.mp(b.mp(ax7, s_star), c_circ)
+def _g_strong_neg_cases_classicalize(params: LogicParams) -> Node:
+    """(~phi->~psi)->((~phi->@psi)->@phi); hypothesis-free."""
+    s_star = _ax(params, "Ax3", phi=Imp(_A, _A), psi=_A)  # (@phi)^*
+    c_circ = _ax(params, "Ax4", phi=Imp(_B, _B), psi=_B)  # (@psi)^o
+    ax7 = _ax(params, "Ax7", phi=classicalize(_A), psi=classicalize(_B))
+    return mp_node(mp_node(ax7, s_star), c_circ)
 
 
-def _g_strong_neg_cases_classicalize(params: LogicParams) -> Proof:
-    b = ProofBuilder(params)
-    return b.build(_emit_cases_classicalize(b))
-
-
-def _g_strong_neg_cases(params: LogicParams) -> Proof:
+def _g_strong_neg_cases(params: LogicParams) -> Node:
     hyps = (Imp(strong_neg(_A), strong_neg(_B)), Imp(strong_neg(_A), _B))
-
-    def script(b: ProofBuilder) -> int:
-        intro = b.axiom("Ax1", {"phi": _B, "psi": Imp(_B, _B)})  # psi->@psi
-        to_c = _chain(b, b.hyp(1), intro)  # ~phi -> @psi
-        s = b.mp(_emit_cases_classicalize(b), b.hyp(0))
-        s = b.mp(s, to_c)  # @phi
-        return b.mp(s, _emit_refl(b, _A))
-
-    return _derived(params, hyps, script)
+    intro = _ax(params, "Ax1", phi=_B, psi=Imp(_B, _B))  # psi->@psi
+    to_c = chain_node(params, hyp_node(hyps[1]), intro)  # ~phi -> @psi
+    s = mp_node(_g_strong_neg_cases_classicalize(params), hyp_node(hyps[0]))
+    s = mp_node(s, to_c)  # @phi
+    return _derived(params, hyps, mp_node(s, refl_node(params, _A)))
 
 
-def _g_or_intro_left(params: LogicParams) -> Proof:
+def _g_or_intro_left(params: LogicParams) -> Node:
     return _classical(params, Imp(_A, Imp(Neg(_A), _B)))
 
 
-def _g_and_elim_left(params: LogicParams) -> Proof:
+def _g_and_elim_left(params: LogicParams) -> Node:
     return _classical(params, Imp(Neg(Imp(_A, Neg(_B))), _A))
 
 
-def _g_and_elim_right(params: LogicParams) -> Proof:
+def _g_and_elim_right(params: LogicParams) -> Node:
     return _classical(params, Imp(Neg(Imp(_A, Neg(_B))), _B))
 
 
-def _g_or_elim(params: LogicParams) -> Proof:
+def _g_or_elim(params: LogicParams) -> Node:
     skeleton = Imp(
         Imp(_A, _C), Imp(Imp(_B, _C), Imp(Imp(Neg(_A), _B), _C))
     )
     return _classical(params, skeleton)
 
 
-def _g_and_intro(params: LogicParams) -> Proof:
+def _g_and_intro(params: LogicParams) -> Node:
     return _classical(params, Imp(_A, Imp(_B, Neg(Imp(_A, Neg(_B))))))
 
 
-def _g_and_to_or(params: LogicParams) -> Proof:
+def _g_and_to_or(params: LogicParams) -> Node:
     return _classical(params, Imp(Neg(Imp(_A, Neg(_B))), Imp(Neg(_A), _B)))
 
 
-def _g_circ_explosion(params: LogicParams) -> Proof:
+def _g_circ_explosion(params: LogicParams) -> Node:
     nb = Imp(Neg(_A), _B)
     hyps = (circ(_A), Neg(_A))
-
-    def script(b: ProofBuilder) -> int:
-        ax3 = b.axiom("Ax3", {"phi": Neg(_A), "psi": _B})  # (!phi->psi)^*
-        cc = _use(b, "converse_contraposition", {"phi": nb, "psi": _A}, params)
-        s = b.mp(b.mp(cc, ax3), b.hyp(0))
-        lift = b.axiom("Ax1", {"phi": Neg(_A), "psi": Neg(nb)})
-        s = b.mp(s, b.mp(lift, b.hyp(1)))  # phi -> (!phi -> psi)
-        return b.mp(_perm(b, s), b.hyp(1))
-
-    return _derived(params, hyps, script)
+    ax3 = _ax(params, "Ax3", phi=Neg(_A), psi=_B)  # (!phi->psi)^*
+    cc = template_node("converse_contraposition", {"phi": nb, "psi": _A}, params)
+    s = mp_node(mp_node(cc, ax3), hyp_node(hyps[0]))
+    lift = _ax(params, "Ax1", phi=Neg(_A), psi=Neg(nb))
+    s = mp_node(s, mp_node(lift, hyp_node(hyps[1])))  # phi -> (!phi -> psi)
+    return _derived(params, hyps, mp_node(perm_node(params, s), hyp_node(hyps[1])))
 
 
-def _g_circ_of_circ(params: LogicParams) -> Proof:
+def _g_circ_of_circ(params: LogicParams) -> Node:
     # phi^o is !(!phi && phi) and !phi && phi is ~((!phi)->(~phi)),
     # so two Ax12 steps climb from (@u)^o to (phi^o)^o.
     u = Imp(Neg(_A), strong_neg(_A))
-    b = ProofBuilder(params)
-    s = b.axiom("Ax4", {"phi": Imp(u, u), "psi": u})
-    s = b.mp(b.axiom("Ax12", {"phi": classicalize(u)}), s)
-    s = b.mp(b.axiom("Ax12", {"phi": strong_neg(u)}), s)
-    return b.build(s)
+    s = _ax(params, "Ax4", phi=Imp(u, u), psi=u)
+    s = mp_node(_ax(params, "Ax12", phi=classicalize(u)), s)
+    return mp_node(_ax(params, "Ax12", phi=strong_neg(u)), s)
 
 
-def _emit_star_negconj(b: ProofBuilder) -> int:
-    """Emit (!phi && phi)^*; hypothesis-free."""
+def _star_negconj(params: LogicParams) -> Node:
+    """(!phi && phi)^*; hypothesis-free."""
     u = Imp(Neg(_A), strong_neg(_A))
-    ax3 = b.axiom("Ax3", {"phi": Imp(u, u), "psi": u})  # (@u)^*
-    return b.mp(b.axiom("Ax11", {"phi": classicalize(u)}), ax3)
+    ax3 = _ax(params, "Ax3", phi=Imp(u, u), psi=u)  # (@u)^*
+    return mp_node(_ax(params, "Ax11", phi=classicalize(u)), ax3)
 
 
-def _g_negstar_to_circ(params: LogicParams) -> Proof:
+def _g_negstar_to_circ(params: LogicParams) -> Node:
     conj = and_(Neg(_A), _A)
-    b = ProofBuilder(params)
-    star_conj = _emit_star_negconj(b)
-    cp = _use(b, "contraposition", {"phi": conj, "psi": star(_A)}, params)
-    s = b.mp(cp, star_conj)
-    s = b.mp(s, b.axiom("Ax4", {"phi": strong_neg(Neg(_A)), "psi": _A}))
-    ao = _use(b, "and_to_or", {"phi": Neg(_A), "psi": _A}, params)
-    return b.build(b.mp(s, ao))
+    cp = template_node("contraposition", {"phi": conj, "psi": star(_A)}, params)
+    s = mp_node(cp, _star_negconj(params))
+    s = mp_node(s, _ax(params, "Ax4", phi=strong_neg(Neg(_A)), psi=_A))
+    ao = template_node("and_to_or", {"phi": Neg(_A), "psi": _A}, params)
+    return mp_node(s, ao)
 
 
-def _g_strongneg_to_circ(params: LogicParams) -> Proof:
+def _g_strongneg_to_circ(params: LogicParams) -> Node:
     conj = and_(Neg(_A), _A)
-    b = ProofBuilder(params)
-    star_conj = _emit_star_negconj(b)
-    cp = _use(b, "contraposition", {"phi": conj, "psi": classicalize(_A)}, params)
-    s = b.mp(cp, star_conj)
-    s = b.mp(s, b.axiom("Ax4", {"phi": Imp(_A, _A), "psi": _A}))
-    ae = _use(b, "and_elim_right", {"phi": Neg(_A), "psi": _A}, params)
-    intro = b.axiom("Ax1", {"phi": _A, "psi": Imp(_A, _A)})
-    to_c = _chain(b, ae, intro)  # (!phi && phi) -> @phi
-    return b.build(b.mp(s, to_c))
+    cp = template_node("contraposition", {"phi": conj, "psi": classicalize(_A)}, params)
+    s = mp_node(cp, _star_negconj(params))
+    s = mp_node(s, _ax(params, "Ax4", phi=Imp(_A, _A), psi=_A))
+    ae = template_node("and_elim_right", {"phi": Neg(_A), "psi": _A}, params)
+    intro = _ax(params, "Ax1", phi=_A, psi=Imp(_A, _A))
+    return mp_node(s, chain_node(params, ae, intro))  # (!phi && phi) -> @phi
 
 
-def _g_star_neg_or_left(params: LogicParams) -> Proof:
+def _g_star_neg_or_left(params: LogicParams) -> Node:
     disj = or_(_A, _B)
-
-    def script(b: ProofBuilder) -> int:
-        cdisj = b.axiom("Ax4", {"phi": strong_neg(_A), "psi": _B})  # (phi||psi)^o
-        cp = _use(b, "contraposition", {"phi": _A, "psi": disj}, params)
-        s = b.mp(b.mp(cp, b.hyp(0)), cdisj)
-        oi = _use(b, "or_intro_left", {"phi": _A, "psi": _B}, params)
-        return b.mp(s, oi)
-
-    return _derived(params, (star(_A),), script)
+    h = star(_A)
+    cdisj = _ax(params, "Ax4", phi=strong_neg(_A), psi=_B)  # (phi||psi)^o
+    cp = template_node("contraposition", {"phi": _A, "psi": disj}, params)
+    s = mp_node(mp_node(cp, hyp_node(h)), cdisj)
+    oi = template_node("or_intro_left", {"phi": _A, "psi": _B}, params)
+    return _derived(params, (h,), mp_node(s, oi))
 
 
-def _g_circ_refute_imp(params: LogicParams) -> Proof:
+def _g_circ_refute_imp(params: LogicParams) -> Node:
     ab = Imp(_A, _B)
-
-    def script(b: ProofBuilder) -> int:
-        ax3 = b.axiom("Ax3", {"phi": _A, "psi": _B})
-        cp = _use(b, "contraposition", {"phi": ab, "psi": _B}, params)
-        s = b.mp(b.mp(cp, ax3), b.hyp(0))  # ((phi->psi)->psi)->(!psi->!(phi->psi))
-        pm = _perm(b, _emit_refl(b, ab))  # phi -> ((phi->psi)->psi)
-        return _chain(b, pm, s)
-
-    return _derived(params, (circ(_B),), script)
+    h = circ(_B)
+    ax3 = _ax(params, "Ax3", phi=_A, psi=_B)
+    cp = template_node("contraposition", {"phi": ab, "psi": _B}, params)
+    s = mp_node(mp_node(cp, ax3), hyp_node(h))  # ((phi->psi)->psi)->(!psi->!(phi->psi))
+    pm = perm_node(params, refl_node(params, ab))  # phi -> ((phi->psi)->psi)
+    return _derived(params, (h,), chain_node(params, pm, s))
 
 
-def _g_star_of_neg_imp(params: LogicParams) -> Proof:
-    b = ProofBuilder(params)
-    ax3 = b.axiom("Ax3", {"phi": _A, "psi": _B})
-    return b.build(b.mp(b.axiom("Ax11", {"phi": Imp(_A, _B)}), ax3))
+def _g_star_of_neg_imp(params: LogicParams) -> Node:
+    ax3 = _ax(params, "Ax3", phi=_A, psi=_B)
+    return mp_node(_ax(params, "Ax11", phi=Imp(_A, _B)), ax3)
 
 
-def _g_circ_of_neg_imp(params: LogicParams) -> Proof:
-    b = ProofBuilder(params)
-    ax4 = b.axiom("Ax4", {"phi": _A, "psi": _B})
-    return b.build(b.mp(b.axiom("Ax12", {"phi": Imp(_A, _B)}), ax4))
+def _g_circ_of_neg_imp(params: LogicParams) -> Node:
+    ax4 = _ax(params, "Ax4", phi=_A, psi=_B)
+    return mp_node(_ax(params, "Ax12", phi=Imp(_A, _B)), ax4)
 
 
-def _g_circ_of_negstar(params: LogicParams) -> Proof:
-    return derive_template(
+def _g_circ_of_negstar(params: LogicParams) -> Node:
+    return template_node(
         "circ_of_neg_imp", {"phi": strong_neg(Neg(_A)), "psi": _A}, params
     )
 
 
-def _g_negstar_explosion(params: LogicParams) -> Proof:
+def _g_negstar_explosion(params: LogicParams) -> Node:
     hyps = (Neg(star(_A)), _A)
-
-    def script(b: ProofBuilder) -> int:
-        si = b.axiom("Ax1", {"phi": _A, "psi": strong_neg(Neg(_A))})
-        st = b.mp(si, b.hyp(1))  # phi^*
-        cs = b.axiom("Ax4", {"phi": strong_neg(Neg(_A)), "psi": _A})
-        ce = _use(b, "circ_explosion", {"phi": star(_A), "psi": _B}, params)
-        s = b.mp(b.mp(ce, cs), b.hyp(0))  # phi^* -> psi
-        return b.mp(s, st)
-
-    return _derived(params, hyps, script)
+    si = _ax(params, "Ax1", phi=_A, psi=strong_neg(Neg(_A)))
+    st = mp_node(si, hyp_node(hyps[1]))  # phi^*
+    cs = _ax(params, "Ax4", phi=strong_neg(Neg(_A)), psi=_A)
+    ce = template_node("circ_explosion", {"phi": star(_A), "psi": _B}, params)
+    s = mp_node(mp_node(ce, cs), hyp_node(hyps[0]))  # phi^* -> psi
+    return _derived(params, hyps, mp_node(s, st))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +294,7 @@ _PQ = ("phi", "psi")
 _PQR = ("phi", "psi", "theta")
 
 _REGISTRY: tuple[
-    tuple[str, tuple[str, ...], Formula, Callable[[LogicParams], Proof]], ...
+    tuple[str, tuple[str, ...], Formula, Callable[[LogicParams], Node]], ...
 ] = (
     ("refl", _P, Imp(_A, _A), _g_refl),
     ("elim_classicalize", _P, Imp(classicalize(_A), _A), _g_elim_classicalize),
@@ -449,24 +395,24 @@ TEMPLATES: dict[str, TemplateInfo] = {
     for tid, metavars, statement, _ in _REGISTRY
 }
 
-_BUILDERS: dict[str, Callable[[LogicParams], Proof]] = {
+_BUILDERS: dict[str, Callable[[LogicParams], Node]] = {
     tid: builder for tid, _, _, builder in _REGISTRY
 }
 
-_GENERIC: dict[tuple[str, LogicParams], Proof] = {}
-_INSTANCES: dict[tuple, Proof] = {}
+_GENERIC: dict[tuple[str, LogicParams], Node] = {}
+_INSTANCES: dict[tuple, Node] = {}
 
 
 def template_ids() -> tuple[str, ...]:
     return tuple(TEMPLATES)
 
 
-def derive_template(
+def template_node(
     template_id: str,
     subst: Mapping[str, Formula],
     params: LogicParams,
-) -> Proof:
-    """Instantiate a registered template as a hypothesis-free proof."""
+) -> Node:
+    """The proof node of a registered template's instance."""
     info = TEMPLATES.get(template_id)
     if info is None:
         raise ValueError(f"unknown template id '{template_id}'")
@@ -481,8 +427,8 @@ def derive_template(
     generic = _GENERIC.get(key)
     if generic is None:
         generic = _BUILDERS[template_id](params)
-        assert not generic.hypotheses
-        assert generic.conclusion is info.statement
+        assert not generic.hyps
+        assert generic.formula is info.statement
         _GENERIC[key] = generic
 
     if all(bind[v] is Atom(v) for v in info.metavariables):
@@ -490,6 +436,17 @@ def derive_template(
     ikey = (template_id, params, tuple(bind[v] for v in info.metavariables))
     inst = _INSTANCES.get(ikey)
     if inst is None:
-        inst = substitute_proof(generic, bind)
-        _INSTANCES[ikey] = inst
+        inst = _INSTANCES[ikey] = instantiate(generic, bind, params)
     return inst
+
+
+def derive_template(
+    template_id: str,
+    subst: Mapping[str, Formula],
+    params: LogicParams,
+) -> Proof:
+    """Instantiate a registered template as a hypothesis-free proof."""
+    node = template_node(template_id, subst, params)
+    if node.proof is None:
+        node.proof = linearize(node, params)
+    return node.proof

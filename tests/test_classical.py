@@ -127,3 +127,21 @@ def test_core_default_units_are_identity():
     pf = classical_core(params, skeleton)
     assert pf.conclusion is tr(skeleton)
     assert check(pf)
+
+
+def test_core_on_a_deep_non_tautology_raises_value_error():
+    f = Atom("p")
+    for _ in range(3000):
+        f = Imp(f, Atom("q"))
+    with pytest.raises(ValueError, match="not a classical tautology"):
+        classical_core(LogicParams(1, 1), f)
+
+
+def test_core_proves_a_deep_tautology():
+    p = Atom("p")
+    f = p
+    for _ in range(3000):
+        f = Imp(p, f)
+    pf = classical_core(LogicParams(1, 1), f)
+    assert pf.conclusion is f and not pf.hypotheses
+    assert check(pf)

@@ -11,7 +11,8 @@ import pytest
 
 from inpk.cli import main
 from inpk.formula import Atom, Imp, parse, render
-from inpk.proofs import check, proof_from_json
+from inpk.kalmar import complete_prove
+from inpk.proofs import check, proof_from_json, proof_to_json
 from inpk.semantics import LogicParams, is_tautology
 
 
@@ -361,3 +362,47 @@ def test_dt_rejects_broken_input_proof(tmp_path, capsys):
     rc, out, _ = run(capsys, "dt", str(src), "--discharge", "0")
     assert rc == 1
     assert "does not check" in out
+
+
+def test_prove_two_atoms_at_the_top_of_the_hierarchy(tmp_path, capsys):
+    path = tmp_path / "proof.json"
+    start = time.perf_counter()
+    rc, out, _ = run(
+        capsys, "prove", "--n", "16", "--k", "16", "a -> b -> a", "-o", str(path)
+    )
+    assert time.perf_counter() - start < 5
+    assert rc == 0
+    # the file is the library's proof, which checks (reading the 29 MB
+    # file back would take longer than proving)
+    pf = complete_prove(LogicParams(16, 16), parse("a -> b -> a"))
+    assert json.loads(path.read_text()) == proof_to_json(pf)
+    assert out.strip() == f"{len(pf)} lines -> {path}"
+    assert check(pf)
+
+
+def test_prove_over_synthesis_budget_is_capacity_error(capsys):
+    # 34^4 cases to synthesize, though far under the valuation budget
+    start = time.perf_counter()
+    rc, out, err = run(
+        capsys, "prove", "--n", "16", "--k", "16", "a -> b -> c -> d -> a"
+    )
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert out == ""
+    assert "1336336 cases" in err
+
+
+def test_prove_deeply_nested_formula(tmp_path, capsys):
+    # deeper than the recursion limit allowed before; every line spells out
+    # its formula, so the file grows with the square of the depth
+    f = Atom("p")
+    for _ in range(600):
+        f = Imp(Atom("p"), f)
+    path = tmp_path / "proof.json"
+    rc, out, err = run(
+        capsys, "prove", "--n", "0", "--k", "0", render(f), "-o", str(path)
+    )
+    assert rc == 0 and err == ""
+    doc = json.loads(path.read_text())
+    assert out.strip() == f"{len(doc['lines'])} lines -> {path}"
+    assert doc["lines"][-1]["formula"] == render(f)

@@ -331,3 +331,63 @@ def test_complete_prove_output_is_semantically_entailed():
     pf = complete_prove(lp, f)
     assert check(pf)
     assert entails(lp, [], pf.conclusion)
+
+
+# -- pinned outputs ----------------------------------------------------------
+# Line counts recorded from the line-list builder that the node kernel
+# replaced; the synthesized lines are the same, in another order.
+
+
+@pytest.mark.parametrize(
+    "nk, text, lines",
+    [
+        ((1, 0), "!!p || !p", 3170),
+        ((1, 1), "p -> (q -> (r -> p))", 7951),
+        ((16, 16), "p -> p", 7278),
+    ],
+)
+def test_complete_prove_line_counts_are_pinned(nk, text, lines):
+    lp = LogicParams(*nk)
+    f = parse(text)
+    pf = complete_prove(lp, f)
+    assert len(pf) == lines
+    assert pf.conclusion is f and not pf.hypotheses
+    assert check(pf)
+
+
+def test_lemma1_and_its_transforms_are_pinned():
+    from inpk.proofs import deduction_transform
+
+    lp = LogicParams(1, 1)
+    cases = [
+        ("p -> (q -> p)", {"p": F(1), "q": T(1)}, [261, 264, 263, 263, 263, 261]),
+        ("!!p || !p", {"p": T(1)}, [1349, 1356, 1351, 1349]),
+        ("(p -> q) -> (p -> q)", {"p": T(0), "q": F(1)},
+         [388, 416, 390, 395, 390, 388]),
+    ]
+    for text, v, want in cases:
+        pf = lemma1_derive(lp, parse(text), v)
+        got = [len(pf)]
+        got += [len(deduction_transform(pf, i)) for i in range(len(pf.hypotheses))]
+        got.append(len(weaken(pf, tuple(reversed(pf.hypotheses)))))
+        assert got == want, text
+
+
+def test_trace_ends_with_the_length_of_the_proof():
+    lp = LogicParams(1, 0)
+    lines = []
+    pf = complete_prove(lp, parse("p -> (q -> p)"), trace=lines.append)
+    last = lines[-1]
+    assert last.startswith("eliminated q: class 1/1, ")
+    assert last.endswith(f", {len(pf)} lines")
+
+
+def test_complete_prove_on_a_deep_formula():
+    # one derivation step per nesting level, walked from an explicit stack
+    f = p
+    for _ in range(1500):
+        f = Imp(p, f)
+    pf = complete_prove(LogicParams(0, 0), f)
+    assert pf.conclusion is f and not pf.hypotheses
+    assert len(pf) == 10947
+    assert check(pf)

@@ -18,10 +18,18 @@ from inpk.proofs import (
     ProofLine,
     axiom_metavariables,
     axiom_pattern,
+    axiom_node,
     axiom_proof,
     check,
+    cut,
     deduction_transform,
+    discharge,
+    hyp_node,
+    instantiate,
+    linearize,
     match_axiom,
+    mp_node,
+    node_of,
     proof_from_json,
     proof_to_json,
     prune,
@@ -490,3 +498,158 @@ def test_produced_proofs_are_sound():
         pf = random_proof(rng, P10, hyps, 8)
         assert check(pf)
         assert entails(P10, list(pf.hypotheses), pf.conclusion)
+
+
+# --- proof-node kernel ---
+
+
+def test_nodes_are_hash_consed():
+    a1 = axiom_node(P00, "Ax1", {"phi": p, "psi": q})
+    assert axiom_node(P00, "Ax1", {"psi": q, "phi": p}) is a1
+    assert hyp_node(p) is hyp_node(p)
+    step = mp_node(a1, hyp_node(p))
+    assert mp_node(a1, hyp_node(p)) is step
+    assert step.formula is Imp(q, p)
+    assert step.hyps == frozenset({p})
+    assert not a1.hyps
+    # the same instance in another logic is another node
+    assert axiom_node(P11, "Ax1", {"phi": p, "psi": q}) is not a1
+
+
+def test_node_constructors_validate():
+    with pytest.raises(ValueError, match="premises"):
+        mp_node(hyp_node(p), hyp_node(q))
+    with pytest.raises(ValueError, match="binds exactly"):
+        axiom_node(P00, "Ax1", {"phi": p})
+    with pytest.raises(ValueError, match="binds exactly"):
+        axiom_node(P00, "Ax1", {"phi": p, "psi": q, "theta": r})
+    with pytest.raises(ValueError, match="unknown axiom schema"):
+        axiom_node(P00, "Ax99", {"phi": p})
+
+
+def test_linearize_is_postorder_major_first():
+    a1 = axiom_node(P11, "Ax1", {"phi": p, "psi": q})
+    root = mp_node(a1, hyp_node(p))
+    pf = linearize(root, P11, (r, p, p))
+    assert [type(line.just) for line in pf.lines] == [Axiom, Hyp, MP]
+    assert pf.lines[1].just == Hyp(1)  # first position of p
+    assert pf.lines[2].just == MP(0, 1)
+    assert check(pf)
+    with pytest.raises(ValueError, match="outside the list"):
+        linearize(root, P11, (q,))
+
+
+def test_node_of_validates_every_line():
+    good = refl_proof(P00, p)
+    assert node_of(good).formula is Imp(p, p)
+    assert node_of(prune(good)) is node_of(good)
+    bad = Proof(P00, (p,), (ProofLine(q, Hyp(0)),))
+    with pytest.raises(ValueError, match="line 1"):
+        node_of(bad)
+    forward = Proof(P00, (p,), (ProofLine(p, Hyp(0)), ProofLine(p, MP(1, 0))))
+    with pytest.raises(ValueError, match="line 2"):
+        node_of(forward)
+    with pytest.raises(ValueError):
+        node_of(Proof(P00, (), ()))
+
+
+def test_discharge_reuses_independent_nodes():
+    theorem = node_of(refl_proof(P00, q))
+    root = mp_node(mp_node(axiom_node(P00, "Ax1", {"phi": theorem.formula, "psi": p}), theorem), hyp_node(p))
+    out = discharge(root, p, P00)
+    assert out.formula is Imp(p, root.formula)
+    assert not out.hyps
+    assert check(linearize(out, P00))
+    # the theorem's own steps are reached unchanged
+    nodes = set()
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(c for c in (node.major, node.minor) if c is not None)
+    assert theorem in nodes
+    assert discharge(theorem, p, P00).formula is Imp(p, theorem.formula)
+
+
+def test_cut_and_instantiate_on_nodes():
+    ff = Imp(p, p)
+    root = mp_node(axiom_node(P00, "Ax1", {"phi": ff, "psi": q}), hyp_node(ff))
+    theorem = node_of(refl_proof(P00, p))
+    out = cut(root, ff, theorem)
+    assert not out.hyps and out.formula is Imp(q, ff)
+    assert cut(theorem, q, hyp_node(q)) is theorem
+    with pytest.raises(ValueError):
+        cut(root, ff, hyp_node(q))
+    inst = instantiate(out, {"p": Imp(q, r)}, P00)
+    pf = linearize(inst, P00)
+    assert check(pf)
+    assert pf.conclusion is Imp(q, Imp(Imp(q, r), Imp(q, r)))
+    # the same lines as substituting line for line, then pruning
+    assert sorted(map(repr, pf.lines)) == sorted(
+        map(repr, prune(substitute_proof(linearize(out, P00), {"p": Imp(q, r)})).lines)
+    )
+
+
+def test_deduction_transform_with_a_repeated_hypothesis():
+    b = ProofBuilder(P00, (p, Imp(p, q), p))
+    pf = b.build(b.mp(b.hyp(1), b.hyp(2)))
+    assert pf.lines[0].just == Hyp(1) and pf.lines[1].just == Hyp(0)
+    out = deduction_transform(pf, 2)
+    assert check(out)
+    assert out.conclusion is Imp(p, q)
+    assert out.hypotheses == (p, Imp(p, q))
+
+
+# Line counts recorded from the line-list builder that the node kernel
+# replaced, on the same seeded inputs.
+_THEOREMS = {
+    Imp(p, Imp(q, p)): ("Ax1", {"phi": p, "psi": q}),
+    star(Imp(p, q)): ("Ax3", {"phi": p, "psi": q}),
+}
+
+
+def _pinned_inputs():
+    rng = random.Random(2024)
+    pool = [p, q, Imp(p, q), Imp(q, r), Neg(p)] + list(_THEOREMS)
+    out = []
+    while len(out) < 12:
+        hyps = rng.sample(pool, rng.randint(2, 4))
+        pf = random_proof(rng, P11, hyps, rng.randint(10, 40))
+        junk = random_proof(rng, P11, hyps, rng.randint(5, 15))
+        if len(pf) >= 3:
+            out.append((pf, junk))
+    return out
+
+
+def test_transformer_line_counts_are_pinned():
+    counts = {"dt": [], "weaken": [], "cut": [], "prune": []}
+    for pf, junk in _pinned_inputs():
+        hyps = pf.hypotheses
+        counts["dt"].append(
+            [len(deduction_transform(pf, i)) for i in range(len(hyps))]
+        )
+        counts["weaken"].append(len(weaken(pf, tuple(reversed(hyps)) + (r,))))
+        counts["cut"].append(
+            [
+                len(replace_hyp_with_theorem(pf, i, axiom_proof(P11, *_THEOREMS[h])))
+                for i, h in enumerate(hyps)
+                if h in _THEOREMS
+            ]
+        )
+        shift = len(junk)
+        lines = list(junk.lines) + [
+            ProofLine(line.formula, MP(line.just.major + shift, line.just.minor + shift))
+            if isinstance(line.just, MP)
+            else line
+            for line in pf.lines
+        ]
+        counts["prune"].append(len(prune(Proof(P11, hyps, lines))))
+    assert counts == {
+        "dt": [[11, 5], [8, 18, 20, 18], [5, 11, 11], [5, 5, 5, 11], [11, 5, 11],
+               [5, 5, 5], [5, 11, 11, 5], [5, 11, 5], [7, 17, 7, 17],
+               [17, 17, 13, 7], [5, 5, 5], [11, 5, 5, 5]],
+        "weaken": [3, 6, 3, 3, 3, 3, 3, 3, 5, 5, 3, 3],
+        "cut": [[], [6], [3], [3], [3], [3, 3], [3], [3], [5], [5], [3], [3, 3]],
+        "prune": [3, 6, 3, 3, 3, 3, 3, 3, 5, 5, 3, 3],
+    }
