@@ -100,9 +100,11 @@ def _load_proof(path: str) -> Proof:
     except OSError as exc:
         raise _CliError(str(exc)) from None
     try:
-        return proof_from_json(data)
+        proof = proof_from_json(data)
     except ProofFormatError as exc:
         raise _CliError(f"bad proof file: {exc}") from None
+    _params(proof.params.n, proof.params.k)
+    return proof
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict[str, Any]) -> None:

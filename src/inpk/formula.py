@@ -217,22 +217,34 @@ def render(f: Formula, cache: dict[Formula, str] | None = None) -> str:
     return "".join(parts)
 
 
-def _render_cached(f: Formula, cache: dict[Formula, str]) -> str:
+def _render_cached(
+    f: Formula, cache: dict[Formula, str], room: int | None = None
+) -> str | None:
+    """render(f) through a cache of every subformula's text.
+
+    With room, returns None rather than add more than room characters
+    to the cache: the texts of a formula's subformulas can total the
+    square of its own length (a deep chain) or far more (a tree of
+    shared subformulas).
+    """
     stack = [f]
     while stack:
         g = stack[-1]
         if g in cache:
             stack.pop()
-        elif type(g) is Atom:
-            cache[g] = g.name
-            stack.pop()
+            continue
+        if type(g) is Atom:
+            text = g.name
         elif type(g) is Neg:
             body = cache.get(g.body)
             if body is None:
                 stack.append(g.body)
-            else:
-                cache[g] = "!(" + body + ")" if type(g.body) is Imp else "!" + body
-                stack.pop()
+                continue
+            if room is not None:
+                room -= len(body) + 3
+                if room < 0:
+                    return None
+            text = "!(" + body + ")" if type(g.body) is Imp else "!" + body
         else:
             ant = cache.get(g.ant)
             cons = cache.get(g.cons)
@@ -241,11 +253,16 @@ def _render_cached(f: Formula, cache: dict[Formula, str]) -> str:
                     stack.append(g.cons)
                 if ant is None:
                     stack.append(g.ant)
-            else:
-                if type(g.ant) is Imp:
-                    ant = "(" + ant + ")"
-                cache[g] = ant + " -> " + cons
-                stack.pop()
+                continue
+            if room is not None:
+                room -= len(ant) + len(cons) + 6
+                if room < 0:
+                    return None
+            if type(g.ant) is Imp:
+                ant = "(" + ant + ")"
+            text = ant + " -> " + cons
+        cache[g] = text
+        stack.pop()
     return cache[f]
 
 
