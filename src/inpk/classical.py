@@ -355,14 +355,25 @@ def classical_node(
         }
         table[vals] = _derive_case(params, skeleton, value, image, literal)
 
+    # eliminate the atoms in order; a case that does not rest on its
+    # literal is the merge's result, as it proves the target from the
+    # other literals alone
     for nm in names:
-        unit = units[nm]
-        mg = _ct_inst("merge", params, phi=unit, psi=target)
+        unit, neg_unit = units[nm], strong_neg(units[nm])
+        mg = None
         merged: dict[tuple[bool, ...], Node] = {}
         for tail in {vals[1:] for vals in table}:
-            pos = discharge(table[(True,) + tail], unit, params)
-            neg = discharge(table[(False,) + tail], strong_neg(unit), params)
-            merged[tail] = mp_node(mp_node(mg, pos), neg)
+            pos, neg = table[(True,) + tail], table[(False,) + tail]
+            if unit not in pos.hyps:
+                merged[tail] = pos
+            elif neg_unit not in neg.hyps:
+                merged[tail] = neg
+            else:
+                if mg is None:
+                    mg = _ct_inst("merge", params, phi=unit, psi=target)
+                pos = discharge(pos, unit, params)
+                neg = discharge(neg, neg_unit, params)
+                merged[tail] = mp_node(mp_node(mg, pos), neg)
         table = merged
     return table[()]
 

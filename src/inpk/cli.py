@@ -16,7 +16,15 @@ import json
 import sys
 from typing import Any
 
-from .formula import CONNECTIVES, Formula, FormulaSyntaxError, atoms, parse, render
+from .formula import (
+    CONNECTIVES,
+    Formula,
+    FormulaSyntaxError,
+    _TextCache,
+    atoms,
+    parse,
+    render,
+)
 from .kalmar import NotATautology, complete_prove
 from .proofs import (
     Axiom,
@@ -115,24 +123,24 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, Any]) -> None:
 
 
 def _format_proof(pf: Proof) -> str:
-    text: dict[Formula, str] = {}
+    text = _TextCache().render
     out = [f"logic: ({pf.params.n},{pf.params.k})"]
     if pf.hypotheses:
         out.append("hypotheses:")
         for i, h in enumerate(pf.hypotheses):
-            out.append(f"  [{i}] {render(h, text)}")
+            out.append(f"  [{i}] {text(h)}")
     for i, line in enumerate(pf.lines, start=1):
         j = line.just
         if isinstance(j, Axiom):
             binds = ", ".join(
-                f"{name} := {render(g, text)}" for name, g in sorted(j.subst.items())
+                f"{name} := {text(g)}" for name, g in sorted(j.subst.items())
             )
             label = f"{j.schema} {{{binds}}}"
         elif isinstance(j, Hyp):
             label = f"hyp {j.index}"
         else:
             label = f"mp {j.major + 1}, {j.minor + 1}"
-        out.append(f"{i}. {render(line.formula, text)}   [{label}]")
+        out.append(f"{i}. {text(line.formula)}   [{label}]")
     return "\n".join(out)
 
 

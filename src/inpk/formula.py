@@ -191,12 +191,21 @@ def render(f: Formula, cache: dict[Formula, str] | None = None) -> str:
     """
     if cache is not None:
         return _render_cached(f, cache)
+    return _render_plain(f)
+
+
+def _render_plain(f: Formula, known: dict[Formula, str] | None = None) -> str:
+    """render(f), taking the text of a subformula found in known."""
+    if known is None:
+        known = {}
     parts: list[str] = []
     stack: list[object] = [f]
     while stack:
         item = stack.pop()
         if type(item) is str:
             parts.append(item)
+        elif item in known:
+            parts.append(known[item])
         elif type(item) is Atom:
             parts.append(item.name)
         elif type(item) is Neg:
@@ -264,6 +273,40 @@ def _render_cached(
         cache[g] = text
         stack.pop()
     return cache[f]
+
+
+# Characters of subformula text a document may keep per character of
+# the formulas it spells; past that it renders (or parses) uncached.
+_ROOM_PER_CHAR = 8
+
+
+class _TextCache:
+    """render for the fields of one document, through a cache of
+    subformula texts kept within _ROOM_PER_CHAR characters per character
+    of the fields it adds texts for. A field is counted as comp + 1
+    characters, which no text of it undercuts; one whose new subformula
+    texts would not fit is rendered from the texts already kept, to the
+    same text."""
+
+    __slots__ = ("texts", "room")
+
+    def __init__(self) -> None:
+        self.texts: dict[Formula, str] = {}
+        self.room = 0
+
+    def render(self, f: Formula) -> str:
+        texts = self.texts
+        text = texts.get(f)
+        if text is None:
+            room = self.room + _ROOM_PER_CHAR * (f.comp + 1)
+            before = len(texts)
+            text = _render_cached(f, texts, room)
+            for t in islice(reversed(texts.values()), len(texts) - before):
+                room -= len(t)
+            self.room = room
+            if text is None:
+                text = _render_plain(f, texts)
+        return text
 
 
 class FormulaSyntaxError(ValueError):

@@ -5,9 +5,11 @@ a small set of designated "context" formulas that pin down its value
 axiomatically; a structural recursion then proves, from those contexts,
 either the formula itself or a negated form of it (``lemma1_derive``).
 A case-elimination step (``lemma2_combine``) discharges all contexts of
-one atom at once, merging the proofs obtained for its different values.
-``complete_prove`` runs the recursion over every valuation and folds the
-atoms away one by one, ending with a hypothesis-free proof.
+one atom at once, merging the proofs obtained for its different values;
+a merge where one arm does not rest on its case hypothesis is elided, and
+that arm is the result. ``complete_prove`` folds the atoms away one by
+one, ending with a hypothesis-free proof, and runs the recursion only
+for the valuations whose proofs a merge needs.
 
 All three layers build proof nodes (see ``proofs``): the leaves and
 merges of one synthesis share every common step, and lines are
@@ -432,70 +434,114 @@ def _combine(
     params: LogicParams,
     psi: Formula,
     theta: Formula,
-    branches: Sequence[Node],
+    branch: Callable[[int], Node],
     theta_star: Node,
     theta_circ: Node,
 ) -> Node:
-    """lemma2_combine on nodes: each branch rests on its block of psi
-    (and on any context shared by all), the result on the shared part."""
+    """lemma2_combine on nodes: branch(j) rests on its block of psi (and
+    on any context shared by all), the result on the shared part.
+
+    The blocks are eliminated one case split at a time, each split
+    resting on one branch and on the arm built from the splits above it.
+    The branch is built first; when it does not rest on its case
+    hypothesis it is the split's result and the arm above is never
+    built. Otherwise, when the arm does not rest on its hypothesis, the
+    arm is the result. Only when both do are they merged. Either arm
+    proves theta from a subset of the hypotheses the merge may rest on,
+    so every elision is sound. branch is called only for the branches a
+    split needs, at most once each if the caller memoizes it.
+    """
     n, k = params.n, params.k
 
-    def merge(x: Formula, neg: Node, pos: Node, x_star: Node) -> Node:
+    def split(
+        x: Formula, own: Node, own_on_x: bool, other: Node, x_star: Callable[[], Node]
+    ) -> Node:
+        """The case split on x, where own rests on its case hypothesis
+        (x when own_on_x, !x otherwise) and other on the opposite one."""
+        if (Neg(x) if own_on_x else x) not in other.hyps:
+            return other
+        pos, neg = (own, other) if own_on_x else (other, own)
         return _merge_complement(
-            params, x, neg, pos, x_star, theta, theta_star, theta_circ
+            params,
+            x,
+            discharge(neg, Neg(x), params),
+            discharge(pos, x, params),
+            x_star(),
+            theta,
+            theta_star,
+            theta_circ,
         )
 
-    # F side: collapse the ladder down to the F_0 block
-    f0_branch = branches[n + k]  # rests on (~psi, psi^*)
-    ax5 = axiom_node(params, "Ax5", {"phi": psi})  # (!^n psi)^*
-    if n == 0:
-        half_f = cut(f0_branch, star(psi), ax5)
-    else:
-        a = cut(branches[n - 1], star(iter_neg(n, psi)), ax5)
-        for j in range(n - 1, 0, -1):
-            # a proves theta from the first j+1 negated stars
-            target = star(iter_neg(j, psi))
-            neg = discharge(a, Neg(target), params)
-            pos = discharge(branches[j - 1], target, params)
-            x_star = template_node("star_of_star", {"phi": iter_neg(j, psi)}, params)
-            a = merge(target, neg, pos, x_star)
-        # a now proves theta from !(psi^*)
-        neg = discharge(a, Neg(star(psi)), params)
-        pos = discharge(f0_branch, star(psi), params)
-        x_star = template_node("star_of_star", {"phi": psi}, params)
-        half_f = merge(star(psi), neg, pos, x_star)
-    # half_f: ~psi |- theta
+    def ladder(rungs, top: Callable[[], Node]) -> Node:
+        """Eliminate rungs, bottom first: (j, x, on_x, x_star) splits on x
+        with branch(j), which rests on x when on_x and on !x otherwise;
+        top() builds the arm above the last rung."""
+        below = []
+        for j, x, on_x, x_star in rungs:
+            own = branch(j)
+            if (x if on_x else Neg(x)) not in own.hyps:
+                break
+            below.append((own, x, on_x, x_star))
+        else:
+            own = top()
+        for under, x, on_x, x_star in reversed(below):
+            own = split(x, under, on_x, own, x_star)
+        return own
 
-    # T side: collapse the conjunction ladder down to the T_0 block
-    t0_branch = branches[n + k + 1]  # rests on (@psi, psi^o)
-    ax6 = axiom_node(params, "Ax6", {"phi": psi})  # (!^k psi)^o
-    if k == 0:
-        half_t = cut(t0_branch, circ(psi), ax6)
-    else:
-        b = cut(branches[n + k - 1], circ(iter_neg(k, psi)), ax6)
-        for j in range(k - 1, 0, -1):
-            # b proves theta from conjunctions 1..j+1; the circle
-            # (!^j psi)^o is literally the negation of the (j+1)-th one
-            conj = and_(iter_neg(j + 1, psi), iter_neg(j, psi))
-            neg = discharge(branches[n + j - 1], Neg(conj), params)
-            pos = discharge(b, conj, params)
-            x_star = _star_of_strongneg(
-                params, Imp(iter_neg(j + 1, psi), strong_neg(iter_neg(j, psi)))
-            )
-            b = merge(conj, neg, pos, x_star)
-        # b now proves theta from !psi && psi
-        conj = and_(Neg(psi), psi)
-        neg = discharge(t0_branch, Neg(conj), params)  # psi^o = !(conj)
-        pos = discharge(b, conj, params)
-        x_star = _star_of_strongneg(params, Imp(Neg(psi), strong_neg(psi)))
-        half_t = merge(conj, neg, pos, x_star)
-    # half_t: @psi |- theta
+    def star_of_star(j: int):
+        return lambda: template_node(
+            "star_of_star", {"phi": iter_neg(j, psi)}, params
+        )
+
+    def conj(j: int) -> Formula:
+        return and_(iter_neg(j + 1, psi), iter_neg(j, psi))
+
+    def star_of_conj(j: int):
+        # the conjunction !^{j+1} psi && !^j psi is ~(!^{j+1} psi -> ~!^j psi)
+        u = Imp(iter_neg(j + 1, psi), strong_neg(iter_neg(j, psi)))
+        return lambda: _star_of_strongneg(params, u)
+
+    # F side: the block of F_r ends with (!^r psi)^*, after the negated
+    # stars of the blocks below it; Ax5 proves the top one, (!^n psi)^*.
+    # The result rests on ~psi, from the F_0 block.
+    f_index = [n + k] + list(range(n))
+    half_f = ladder(
+        [
+            (f_index[r], star(iter_neg(r, psi)), True, star_of_star(r))
+            for r in range(n)
+        ],
+        lambda: cut(
+            branch(f_index[n]),
+            star(iter_neg(n, psi)),
+            axiom_node(params, "Ax5", {"phi": psi}),
+        ),
+    )
+    # T side: the block of T_i ends with (!^i psi)^o, literally the
+    # negation of the conjunction !^{i+1} psi && !^i psi that the blocks
+    # above it hold; Ax6 proves the top one, (!^k psi)^o. The result
+    # rests on @psi, from the T_0 block.
+    t_index = [n + k + 1] + list(range(n, n + k))
+
+    def half_t() -> Node:
+        return ladder(
+            [(t_index[i], conj(i), False, star_of_conj(i)) for i in range(k)],
+            lambda: cut(
+                branch(t_index[k]),
+                circ(iter_neg(k, psi)),
+                axiom_node(params, "Ax6", {"phi": psi}),
+            ),
+        )
 
     # final join on @psi, whose negation is literally ~psi
-    neg = discharge(half_f, strong_neg(psi), params)
-    pos = discharge(half_t, classicalize(psi), params)
-    x_star = template_node("star_of_classicalize", {"phi": psi}, params)
-    return merge(classicalize(psi), neg, pos, x_star)
+    if strong_neg(psi) not in half_f.hyps:
+        return half_f
+    return split(
+        classicalize(psi),
+        half_f,
+        False,
+        half_t(),
+        lambda: template_node("star_of_classicalize", {"phi": psi}, params),
+    )
 
 
 def lemma2_combine(
@@ -513,7 +559,9 @@ def lemma2_combine(
     psi = F_{j+1} (j < n), T_{j-n+1} (n <= j < n+k), F_0 (j = n+k) or
     T_0 (j = n+k+1).  theta_star and theta_circ are hypothesis-free
     proofs of theta^* and theta^o.  Every input is run through the
-    checker as it enters the node kernel.
+    checker as it enters the node kernel.  A branch that does not rest
+    on its case hypothesis is taken as it is, in place of a merge (see
+    _combine), so the result may leave some branches unused.
     """
     size = params.size
     if len(branch_proofs) != size:
@@ -546,7 +594,7 @@ def lemma2_combine(
             raise ValueError(f"branch {j} uses hypotheses outside its block")
         branches.append(checked(f"branch {j}", pf))
 
-    merged = _combine(params, psi, theta, branches, *sides)
+    merged = _combine(params, psi, theta, branches.__getitem__, *sides)
     return linearize(merged, params, delta)
 
 
@@ -563,8 +611,17 @@ def complete_prove(
 ) -> Proof:
     """Synthesize a hypothesis-free proof of a tautology.
 
-    Raises NotATautology (with the falsifying valuation) otherwise.  The
-    optional trace callback receives one line per case-elimination step.
+    Raises NotATautology (with the falsifying valuation) otherwise.
+
+    The atoms are eliminated in order, each over the results for the
+    values of the atoms after it, down to one leaf per valuation. A
+    result is built only when a merge needs it: a merge whose first arm
+    does not rest on its case hypothesis takes that arm and builds no
+    other (see _combine), so most leaves of a large logic are never
+    derived. The optional trace callback receives one line per
+    case-elimination step, every class of every round in the order of
+    the valuations; it forces those results but not the returned proof,
+    which is the same with and without it.
     """
     verdict = is_tautology(params, f)
     if not verdict:
@@ -572,38 +629,55 @@ def complete_prove(
 
     names = atoms(f)
     m = len(names)
-    size = params.size
 
     theta_star = _star_theorem(params, f)
     theta_circ = _circ_theorem(params, f)
     order = _value_order(params)
 
-    table: dict[tuple[TruthValue, ...], Node] = {}
-    for v in enumerate_valuations(params, names):
-        key = tuple(v[nm] for nm in names)
-        table[key] = _leaf(params, f, build_delta(params, names, v))
-    assert len(table) == size**m
+    # result(j, tail) proves f from the contexts of names[j:] at the
+    # values tail: a leaf when j = 0, else the elimination of names[j-1]
+    # over the results it needs.
+    memo: dict[tuple[int, tuple[TruthValue, ...]], Node] = {}
 
-    for round_idx, nm in enumerate(names):
-        remaining = names[round_idx + 1 :]
-        classes: dict[tuple[TruthValue, ...], dict[TruthValue, Node]] = {}
-        for key, node in table.items():
-            classes.setdefault(key[1:], {})[key[0]] = node
-        assert len(classes) == size ** (m - 1 - round_idx)
-        table = {}
-        for class_idx, (tail, per_value) in enumerate(classes.items()):
-            branches = [per_value[w] for w in order]
-            merged = _combine(params, Atom(nm), f, branches, theta_star, theta_circ)
-            table[tail] = merged
-            if trace is not None:
+    def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
+        node = memo.get((j, tail))
+        if node is None:
+            if j == 0:
+                delta = build_delta(params, names, dict(zip(names, tail)))
+                node = _leaf(params, f, delta)
+            else:
+                node = _combine(
+                    params,
+                    Atom(names[j - 1]),
+                    f,
+                    lambda i: result(j - 1, (order[i],) + tail),
+                    theta_star,
+                    theta_circ,
+                )
+            memo[(j, tail)] = node
+        return node
+
+    if trace is not None:
+        # force every class of every round, in the order of the valuations
+        keys = [
+            tuple(v[nm] for nm in names)
+            for v in enumerate_valuations(params, names)
+        ]
+        assert len(keys) == params.size**m
+        for round_idx, nm in enumerate(names):
+            remaining = names[round_idx + 1 :]
+            keys = list(dict.fromkeys(key[1:] for key in keys))
+            assert len(keys) == params.size ** (m - 1 - round_idx)
+            for class_idx, tail in enumerate(keys):
+                merged = result(round_idx + 1, tail)
                 delta = build_delta(params, remaining, dict(zip(remaining, tail)))
                 lines = len(linearize(merged, params, delta.formulas))
                 trace(
-                    f"eliminated {nm}: class {class_idx + 1}/{len(classes)}, "
+                    f"eliminated {nm}: class {class_idx + 1}/{len(keys)}, "
                     f"{lines} lines"
                 )
 
-    final = linearize(table[()], params)
+    final = linearize(result(m, ()), params)
     assert not final.hypotheses and final.conclusion is f
     outcome = check(final)
     if not outcome:

@@ -37,6 +37,8 @@ from .formula import (
     FormulaSyntaxError,
     Imp,
     Neg,
+    _ROOM_PER_CHAR,
+    _TextCache,
     _render_cached,
     circ,
     iter_neg,
@@ -894,8 +896,12 @@ class ProofFormatError(ValueError):
 
 
 def proof_to_json(proof: Proof) -> dict:
-    """Plain-dict form of a proof; line references become 1-based."""
-    text: dict[Formula, str] = {}
+    """Plain-dict form of a proof; line references become 1-based.
+
+    The fields share the texts of their common subformulas, within a
+    budget linear in the document's size (see _TextCache).
+    """
+    text = _TextCache().render
     lines = []
     for line in proof.lines:
         just = line.just
@@ -904,7 +910,7 @@ def proof_to_json(proof: Proof) -> dict:
                 "kind": "axiom",
                 "schema": just.schema,
                 "subst": {
-                    v: _render_cached(f, text) for v, f in sorted(just.subst.items())
+                    v: text(f) for v, f in sorted(just.subst.items())
                 },
             }
         elif isinstance(just, Hyp):
@@ -912,10 +918,10 @@ def proof_to_json(proof: Proof) -> dict:
         else:
             assert isinstance(just, MP)
             j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
-        lines.append({"formula": _render_cached(line.formula, text), "just": j})
+        lines.append({"formula": text(line.formula), "just": j})
     return {
         "logic": {"n": proof.params.n, "k": proof.params.k},
-        "hypotheses": [_render_cached(h, text) for h in proof.hypotheses],
+        "hypotheses": [text(h) for h in proof.hypotheses],
         "lines": lines,
     }
 
@@ -994,11 +1000,6 @@ def _predict(
         if depth < size and tuple(v for v, _ in items) == _SORTED_METAVARS.get(schema):
             f = _axiom(params, schema, items).formula
     return f if f is not None and f.comp < size else None
-
-
-# Characters of rendered text a document may keep per character of its
-# line formulas; past that the reader parses.
-_ROOM_PER_CHAR = 8
 
 
 def proof_from_json(data: Union[str, bytes, dict]) -> Proof:

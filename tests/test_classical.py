@@ -13,6 +13,7 @@ from inpk.classical import (
 from inpk.formula import Atom, Imp, Neg, parse, strong_neg
 from inpk.proofs import check, substitute
 from inpk.semantics import LogicParams, is_tautology
+from inpk.templates import TEMPLATES, derive_template
 
 from helpers import random_formula
 
@@ -145,3 +146,29 @@ def test_core_proves_a_deep_tautology():
     pf = classical_core(LogicParams(1, 1), f)
     assert pf.conclusion is f and not pf.hypotheses
     assert check(pf)
+
+
+# The templates that are built by classical_node, whose case merges are
+# elided when an arm does not rest on its literal.
+_CLASSICAL_TEMPLATES = (
+    "or_intro_left",
+    "and_elim_left",
+    "and_elim_right",
+    "or_elim",
+    "and_intro",
+    "and_to_or",
+)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(3) for k in range(3)])
+def test_core_proves_every_classical_template_skeleton(n, k):
+    params = LogicParams(n, k)
+    for tid in _CLASSICAL_TEMPLATES:
+        statement = TEMPLATES[tid].statement
+        pf = classical_core(params, untranslate(statement))
+        assert pf.conclusion is statement and not pf.hypotheses
+        assert check(pf), tid
+        # the template is that proof
+        info = TEMPLATES[tid]
+        identity = {v: Atom(v) for v in info.metavariables}
+        assert derive_template(tid, identity, params) == pf, tid

@@ -18,7 +18,7 @@ import pytest
 
 import inpk.proofs as proofs_module
 from inpk.classical import classical_prove
-from inpk.cli import main
+from inpk.cli import _format_proof, main
 from inpk.formula import Atom, FormulaSyntaxError, Imp, Neg, parse, render
 from inpk.kalmar import complete_prove, lemma1_derive
 from inpk.proofs import (
@@ -570,12 +570,27 @@ def test_writer_matches_rendering_every_field(corpus):
         assert proof_to_json(pf) == reference_to_json(pf)
 
 
+def test_deep_formulas_are_written_in_linear_memory():
+    # the text of every subformula of a 20 000-deep chain is 200 MB; the
+    # document and the CLI listing keep only what their budget allows
+    chain = parse("!" * 20000 + "p")
+    pf = Proof(LogicParams(0, 0), (chain,), (ProofLine(chain, Hyp(0)),))
+    got = []
+    assert _peak_mb(lambda: got.append(proof_to_json(pf))) < 5
+    assert got[0] == reference_to_json(pf)
+    assert _peak_mb(lambda: got.append(_format_proof(pf))) < 5
+    text = "!" * 20000 + "p"
+    assert got[1] == f"logic: (0,0)\nhypotheses:\n  [0] {text}\n1. {text}   [hyp 0]"
+
+
 @pytest.mark.parametrize(
     "nk, text, lines",
     [
-        ((1, 0), "!!p || !p", 3170),
-        ((1, 1), "p -> (q -> (r -> p))", 7951),
-        ((16, 16), "p -> p", 7278),
+        pytest.param((1, 0), "!!p || !p", 2387, id="nk0-!!p || !p-3170"),
+        pytest.param(
+            (1, 1), "p -> (q -> (r -> p))", 1791, id="nk1-p -> (q -> (r -> p))-7951"
+        ),
+        pytest.param((16, 16), "p -> p", 1778, id="nk2-p -> p-7278"),
     ],
 )
 def test_writer_matches_rendering_every_field_on_the_pinned_proofs(nk, text, lines):

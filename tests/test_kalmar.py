@@ -1,6 +1,7 @@
 """Constructive completeness machinery."""
 
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from inpk.semantics import (
     entails,
     enumerate_valuations,
     eval_formula,
+    eval_subformulas,
     is_tautology,
 )
 
@@ -334,16 +336,20 @@ def test_complete_prove_output_is_semantically_entailed():
 
 
 # -- pinned outputs ----------------------------------------------------------
-# Line counts recorded from the line-list builder that the node kernel
-# replaced; the synthesized lines are the same, in another order.
+# Line counts of the synthesis that elides vacuous case merges. Each row
+# is named by its count before the elision (the line-list code that
+# the node kernel replaced gave the same lines, in another order), which
+# the never-longer test below keeps as an upper bound.
 
 
 @pytest.mark.parametrize(
     "nk, text, lines",
     [
-        ((1, 0), "!!p || !p", 3170),
-        ((1, 1), "p -> (q -> (r -> p))", 7951),
-        ((16, 16), "p -> p", 7278),
+        pytest.param((1, 0), "!!p || !p", 2387, id="nk0-!!p || !p-3170"),
+        pytest.param(
+            (1, 1), "p -> (q -> (r -> p))", 1791, id="nk1-p -> (q -> (r -> p))-7951"
+        ),
+        pytest.param((16, 16), "p -> p", 1778, id="nk2-p -> p-7278"),
     ],
 )
 def test_complete_prove_line_counts_are_pinned(nk, text, lines):
@@ -361,7 +367,7 @@ def test_lemma1_and_its_transforms_are_pinned():
     lp = LogicParams(1, 1)
     cases = [
         ("p -> (q -> p)", {"p": F(1), "q": T(1)}, [261, 264, 263, 263, 263, 261]),
-        ("!!p || !p", {"p": T(1)}, [1349, 1356, 1351, 1349]),
+        ("!!p || !p", {"p": T(1)}, [857, 864, 859, 857]),
         ("(p -> q) -> (p -> q)", {"p": T(0), "q": F(1)},
          [388, 416, 390, 395, 390, 388]),
     ]
@@ -389,5 +395,110 @@ def test_complete_prove_on_a_deep_formula():
         f = Imp(p, f)
     pf = complete_prove(LogicParams(0, 0), f)
     assert pf.conclusion is f and not pf.hypotheses
-    assert len(pf) == 10947
+    assert len(pf) == 10352
+    assert check(pf)
+
+
+# -- vacuous merges and lazy branches ----------------------------------------
+# A case split whose arm does not rest on its case hypothesis takes that
+# arm as its result, and only the branches some split needs are built.
+
+# Line counts before the elision, each an upper bound on the count now:
+# the goal shapes of the benchmark's prove workload, in its order, under
+# fixed atom names (the last repeats the first) ...
+_GOALS_BEFORE_ELISION = [
+    ((1, 0), "!!x || !x", 3170),
+    ((1, 0), "x -> y -> x", 4794),
+    ((1, 0), "(x -> y) -> x -> y", 4934),
+    ((1, 0), "!!(x -> x)", 2402),
+    ((0, 0), "x -> y -> x", 3909),
+    ((0, 0), "(x -> y) -> x -> y", 4137),
+    ((0, 0), "!!x || !x", 496),
+    ((0, 0), "x -> x -> x", 1959),
+    ((0, 1), "!!x || !x", 2029),
+    ((0, 1), "x -> y -> x", 4229),
+    ((0, 1), "!!(x -> x)", 2135),
+    ((1, 1), "!!x || !x", 4084),
+    ((1, 1), "x -> x -> x", 2541),
+    ((1, 1), "!!(x -> x)", 2564),
+    ((3, 3), "!!(x -> x)", 3204),
+    ((3, 3), "x -> x -> x", 3181),
+    ((0, 0), "x -> y -> y", 3924),
+    ((1, 0), "y -> x -> y", 4794),
+    ((3, 3), "x -> x", 3170),
+    ((0, 0), "y -> x -> y", 3909),
+    ((1, 0), "!!x || !x", 3170),
+]
+# ... and the pinned rows above
+_PINNED_BEFORE_ELISION = [
+    ((1, 0), "!!p || !p", 3170),
+    ((1, 1), "p -> (q -> (r -> p))", 7951),
+    ((16, 16), "p -> p", 7278),
+]
+
+
+def test_synthesized_proofs_are_never_longer_than_before_elision():
+    for nk, text, before in _GOALS_BEFORE_ELISION + _PINNED_BEFORE_ELISION:
+        assert len(complete_prove(LogicParams(*nk), parse(text))) <= before, text
+    from inpk.proofs import deduction_transform
+
+    pf = lemma1_derive(LogicParams(1, 1), parse("!!p || !p"), {"p": T(1)})
+    got = [len(pf)]
+    got += [len(deduction_transform(pf, i)) for i in range(len(pf.hypotheses))]
+    got.append(len(weaken(pf, tuple(reversed(pf.hypotheses)))))
+    assert len(got) == 4
+    assert all(a <= b for a, b in zip(got, [1349, 1356, 1351, 1349]))
+    f = p
+    for _ in range(1500):
+        f = Imp(p, f)
+    assert len(complete_prove(LogicParams(0, 0), f)) <= 10947
+
+
+def _seeded_tautologies():
+    """One tautology per logic with n, k <= 2, over 1 to 3 atoms."""
+    rng = random.Random(8)
+    found = []
+    for n in range(3):
+        for k in range(3):
+            lp = LogicParams(n, k)
+            names = ["p", "q", "r"][: 1 + (n + 2 * k) % 3]
+            while True:
+                f = random_formula(rng, names, rng.randint(len(names), 6))
+                if len(atoms(f)) == len(names) and is_tautology(lp, f):
+                    break
+            found.append((lp, f))
+    return found
+
+
+def _assert_every_line_is_valid(lp, pf):
+    # all line formulas as one implication chain, evaluated once per
+    # valuation with every subformula's value
+    formulas = list(dict.fromkeys(line.formula for line in pf.lines))
+    chain = formulas[-1]
+    for g in reversed(formulas[:-1]):
+        chain = Imp(g, chain)
+    for v in enumerate_valuations(lp, atoms(chain)):
+        values = eval_subformulas(lp, chain, v)
+        bad = [g for g in formulas if not values[g].designated]
+        assert not bad, (v, bad[0])
+
+
+def test_tracing_does_not_change_the_proof():
+    cases = [(LogicParams(*nk), parse(text)) for nk, text, _ in _PINNED_BEFORE_ELISION]
+    for lp, f in cases + _seeded_tautologies():
+        lines = []
+        traced = complete_prove(lp, f, trace=lines.append)
+        untraced = complete_prove(lp, f)
+        assert traced == untraced
+        assert lines[-1].endswith(f", {len(traced)} lines")
+        assert check(traced) and traced.conclusion is f and not traced.hypotheses
+        _assert_every_line_is_valid(lp, traced)
+
+
+def test_three_atoms_at_16_16_build_few_leaves():
+    # 34^3 = 39 304 valuations; the eager leaf table took 8 s and 25 299 lines
+    start = time.perf_counter()
+    pf = complete_prove(LogicParams(16, 16), parse("a -> b -> c -> a"))
+    assert time.perf_counter() - start < 1
+    assert len(pf) <= 2000
     assert check(pf)
