@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .formula import Atom, Formula, Imp, Neg, atoms, strong_neg
+from .formula import (
+    Atom, Formula, Imp, Neg, atoms, children, postorder, strong_neg,
+)
 from .proofs import (
     Node,
     Proof,
@@ -31,7 +33,9 @@ from .proofs import (
     perm_node,
     refl_node,
 )
-from .semantics import LogicParams
+from .semantics import (
+    F, LogicParams, T, TruthValue, eval_subformulas, is_tautology,
+)
 from .templates import template_node
 
 __all__ = [
@@ -41,6 +45,10 @@ __all__ = [
     "classical_core",
     "classical_prove",
 ]
+
+# the two-valued matrix, which reads Neg and Imp classically
+_CL = LogicParams(0, 0)
+_T0, _F0 = T(0), F(0)
 
 _A = Atom("phi")
 _B = Atom("psi")
@@ -58,38 +66,30 @@ def untranslate(f: Formula) -> Formula:
     negation node.  Raises NotClassicalImage otherwise.
     """
     cache: dict[Formula, Formula] = {}
-    # (node, children done); a node's subterms are checked left first and
-    # completed before the node itself is rebuilt
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, done = stack.pop()
-        if done:
-            if isinstance(g, Imp):
-                cache[g] = Imp(cache[g.ant], cache[g.cons])
-            else:
-                cache[g] = Neg(cache[g.body.cons])
-            continue
-        if g in cache:
-            continue
-        if isinstance(g, Atom):
+    for g in postorder(f, _image_children, cache):
+        if type(g) is Atom:
             cache[g] = g
-            continue
-        stack.append((g, True))
-        if isinstance(g, Imp):
-            stack.append((g.cons, False))
-            stack.append((g.ant, False))
-            continue
-        body = g.body
-        # strong negation of x is !(((x -> x) -> x))
-        if not (
-            isinstance(body, Imp)
-            and isinstance(body.ant, Imp)
-            and body.ant.ant is body.ant.cons
-            and body.ant.ant is body.cons
-        ):
-            raise NotClassicalImage(f"negation at {g!r} is not a strong negation")
-        stack.append((body.cons, False))
+        elif type(g) is Imp:
+            cache[g] = Imp(cache[g.ant], cache[g.cons])
+        else:
+            cache[g] = Neg(cache[g.body.cons])
     return cache[f]
+
+
+def _image_children(g: Formula) -> tuple[Formula, ...]:
+    """children(g), with a strong negation's body read through to x."""
+    if type(g) is not Neg:
+        return children(g)
+    body = g.body
+    # strong negation of x is !(((x -> x) -> x))
+    if not (
+        isinstance(body, Imp)
+        and isinstance(body.ant, Imp)
+        and body.ant.ant is body.ant.cons
+        and body.ant.ant is body.cons
+    ):
+        raise NotClassicalImage(f"negation at {g!r} is not a strong negation")
+    return (body.cons,)
 
 
 def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formula]:
@@ -97,53 +97,14 @@ def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formul
     negation, atoms become their unit formulas.  Returns the image of
     every subformula."""
     image: dict[Formula, Formula] = {}
-    stack = [g]
-    while stack:
-        h = stack[-1]
-        if h in image:
-            stack.pop()
-        elif isinstance(h, Atom):
+    for h in postorder(g, children, image):
+        if type(h) is Atom:
             image[h] = units[h.name]
-            stack.pop()
-        elif isinstance(h, Imp):
-            missing = [c for c in (h.cons, h.ant) if c not in image]
-            if missing:
-                stack.extend(missing)
-            else:
-                image[h] = Imp(image[h.ant], image[h.cons])
-                stack.pop()
-        elif h.body in image:
+        elif type(h) is Imp:
+            image[h] = Imp(image[h.ant], image[h.cons])
+        else:
             image[h] = strong_neg(image[h.body])
-            stack.pop()
-        else:
-            stack.append(h.body)
     return image
-
-
-def _eval2(g: Formula, assign: Mapping[str, bool]) -> dict[Formula, bool]:
-    """Two-valued truth of every subformula of g under assign."""
-    value: dict[Formula, bool] = {}
-    stack = [g]
-    while stack:
-        h = stack[-1]
-        if h in value:
-            stack.pop()
-        elif isinstance(h, Atom):
-            value[h] = assign[h.name]
-            stack.pop()
-        elif isinstance(h, Imp):
-            missing = [c for c in (h.cons, h.ant) if c not in value]
-            if missing:
-                stack.extend(missing)
-            else:
-                value[h] = not value[h.ant] or value[h.cons]
-                stack.pop()
-        elif h.body in value:
-            value[h] = not value[h.body]
-            stack.pop()
-        else:
-            stack.append(h.body)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -264,52 +225,47 @@ def _ct_inst(name: str, params: LogicParams, **bind: Formula) -> Node:
 def _derive_case(
     params: LogicParams,
     skeleton: Formula,
-    value: Mapping[Formula, bool],
     image: Mapping[Formula, Formula],
-    literal: Mapping[str, Formula],
+    assign: Mapping[str, TruthValue],
 ) -> Node:
-    """The witness node for ``skeleton`` under one assignment.
+    """The witness node for ``skeleton`` under one assignment of T0/F0.
 
     The witness of a subformula g proves image[g] when g is true and
-    ~image[g] otherwise, from the literal hypotheses.  Subformulas are
-    visited from an explicit stack, each once.
+    ~image[g] otherwise, from the literal hypotheses: image[p] for a
+    true atom p, ~image[p] for a false one.  Each subformula whose
+    witness is needed is built once, by a postorder fold over those
+    needs.
     """
+    value = eval_subformulas(_CL, skeleton, assign)
+
+    def needs(g: Formula) -> tuple[Formula, ...]:
+        if type(g) is Atom:
+            return ()
+        if type(g) is Neg:
+            return (g.body,)
+        if not value[g.ant].designated:
+            return (g.ant,)
+        if value[g.cons].designated:
+            return (g.cons,)
+        return (g.ant, g.cons)
+
     nodes: dict[Formula, Node] = {}
-    stack = [skeleton]
-    while stack:
-        g = stack[-1]
-        if g in nodes:
-            stack.pop()
-            continue
-        if isinstance(g, Atom):
-            nodes[g] = hyp_node(literal[g.name])
-            stack.pop()
-            continue
-        if isinstance(g, Neg):
-            needs: tuple[Formula, ...] = (g.body,)
-        elif not value[g.ant]:
-            needs = (g.ant,)
-        elif value[g.cons]:
-            needs = (g.cons,)
-        else:
-            needs = (g.cons, g.ant)
-        missing = [c for c in needs if c not in nodes]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        if isinstance(g, Neg):
+    for g in postorder(skeleton, needs, nodes):
+        if type(g) is Atom:
+            literal = image[g] if value[g].designated else strong_neg(image[g])
+            node = hyp_node(literal)
+        elif type(g) is Neg:
             node = nodes[g.body]  # ~image(body) is already the witness for g
-            if value[g.body]:
+            if value[g.body].designated:
                 # g is false: need ~~image(body) from image(body)
                 intro = _ct_inst("nn_intro", params, phi=image[g.body])
                 node = mp_node(intro, node)
         else:
             ant_t, cons_t = image[g.ant], image[g.cons]
-            if not value[g.ant]:
+            if not value[g.ant].designated:
                 ex = _ct_inst("exfalso", params, phi=ant_t, psi=cons_t)
                 node = mp_node(ex, nodes[g.ant])
-            elif value[g.cons]:
+            elif value[g.cons].designated:
                 node = mp_node(_ax1(params, cons_t, ant_t), nodes[g.cons])
             else:
                 ni = _ct_inst("negimp", params, phi=ant_t, psi=cons_t)
@@ -331,51 +287,39 @@ def classical_node(
         missing = [nm for nm in names if nm not in units]
         if missing:
             raise ValueError(f"no unit formula for atom '{missing[0]}'")
+    verdict = is_tautology(_CL, skeleton)
+    if not verdict:
+        bad = verdict.counterexample
+        raise ValueError(
+            "skeleton is not a classical tautology: fails under "
+            + ", ".join(f"{nm}={bad[nm].designated}" for nm in names)
+        )
     image = _translate(skeleton, units)
     target = image[skeleton]
 
-    m = len(names)
-    values = []
-    for mask in range(1 << m):
-        assign = {nm: bool(mask >> i & 1) for i, nm in enumerate(names)}
-        value = _eval2(skeleton, assign)
-        if not value[skeleton]:
-            raise ValueError(
-                "skeleton is not a classical tautology: fails under "
-                + ", ".join(f"{nm}={assign[nm]}" for nm in names)
-            )
-        values.append(value)
+    # result(j, tail) proves the target from the literals of names[j:]
+    # at the values tail: a case when j = 0, else the elimination of
+    # names[j-1].  A case that does not rest on its literal is the
+    # merge's result, as it proves the target from the other literals
+    # alone, and the other case is then never built.  Each result has
+    # one caller, so none is built twice.
+    def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
+        if j == 0:
+            return _derive_case(params, skeleton, image, dict(zip(names, tail)))
+        unit = units[names[j - 1]]
+        neg_unit = strong_neg(unit)
+        pos = result(j - 1, (_T0,) + tail)
+        if unit not in pos.hyps:
+            return pos
+        neg = result(j - 1, (_F0,) + tail)
+        if neg_unit not in neg.hyps:
+            return neg
+        mg = _ct_inst("merge", params, phi=unit, psi=target)
+        pos = discharge(pos, unit, params)
+        neg = discharge(neg, neg_unit, params)
+        return mp_node(mp_node(mg, pos), neg)
 
-    table: dict[tuple[bool, ...], Node] = {}
-    for mask, value in enumerate(values):
-        vals = tuple(bool(mask >> i & 1) for i in range(m))
-        literal = {
-            nm: units[nm] if vals[i] else strong_neg(units[nm])
-            for i, nm in enumerate(names)
-        }
-        table[vals] = _derive_case(params, skeleton, value, image, literal)
-
-    # eliminate the atoms in order; a case that does not rest on its
-    # literal is the merge's result, as it proves the target from the
-    # other literals alone
-    for nm in names:
-        unit, neg_unit = units[nm], strong_neg(units[nm])
-        mg = None
-        merged: dict[tuple[bool, ...], Node] = {}
-        for tail in {vals[1:] for vals in table}:
-            pos, neg = table[(True,) + tail], table[(False,) + tail]
-            if unit not in pos.hyps:
-                merged[tail] = pos
-            elif neg_unit not in neg.hyps:
-                merged[tail] = neg
-            else:
-                if mg is None:
-                    mg = _ct_inst("merge", params, phi=unit, psi=target)
-                pos = discharge(pos, unit, params)
-                neg = discharge(neg, neg_unit, params)
-                merged[tail] = mp_node(mp_node(mg, pos), neg)
-        table = merged
-    return table[()]
+    return result(len(names), ())
 
 
 def classical_core(

@@ -17,12 +17,18 @@ connective:
 Nodes are hash-consed: building the same shape twice returns the same
 object.  Equality is therefore identity and never walks the tree, which
 the proof checker and the evaluators lean on heavily.
+
+Every bottom-up fold over a formula (evaluation, substitution, rendering,
+the translations of the classical fragment and the witnesses of the
+completeness proof) is a loop over ``postorder``: the distinct nodes
+below a root, children first, from an explicit stack.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
+from typing import Callable, Container, Iterator, Sequence
 
 __all__ = [
     "Formula", "Atom", "Neg", "Imp", "FormulaSyntaxError",
@@ -102,6 +108,47 @@ class Imp(Formula):
             found.atom_names = names + extra if extra else names
             _IMPS[(ant, cons)] = found
         return found
+
+
+def children(g: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of g, left to right."""
+    if type(g) is Imp:
+        return (g.ant, g.cons)
+    if type(g) is Neg:
+        return (g.body,)
+    return ()
+
+
+_READY = object()
+
+
+def postorder(
+    root: Formula,
+    kids: Callable[[Formula], Sequence[Formula]],
+    memo: Container[Formula],
+) -> Iterator[Formula]:
+    """Yield every node under root that is not in memo, each after the
+    nodes kids(node) returns for it: depth first, left to right.
+
+    memo is the caller's table of results, and also the visited set: the
+    caller enters each node it is given, and a node found in memo is
+    neither yielded nor descended into.  kids is called once per node,
+    when the node is first reached, so it may raise to reject a node or
+    return only the subterms a fold needs.  The stack is explicit, so
+    depth is bounded by memory, not by the call stack.
+    """
+    stack = [root]
+    while stack:
+        g = stack.pop()
+        if g is _READY:
+            yield stack.pop()
+        elif g not in memo:
+            below = kids(g)
+            if below:
+                stack += (g, _READY)
+                stack += below[::-1]
+            else:
+                yield g
 
 
 def classicalize(f: Formula) -> Formula:
@@ -236,33 +283,18 @@ def _render_cached(
     square of its own length (a deep chain) or far more (a tree of
     shared subformulas).
     """
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in cache:
-            stack.pop()
-            continue
+    for g in postorder(f, children, cache):
         if type(g) is Atom:
             text = g.name
         elif type(g) is Neg:
-            body = cache.get(g.body)
-            if body is None:
-                stack.append(g.body)
-                continue
+            body = cache[g.body]
             if room is not None:
                 room -= len(body) + 3
                 if room < 0:
                     return None
             text = "!(" + body + ")" if type(g.body) is Imp else "!" + body
         else:
-            ant = cache.get(g.ant)
-            cons = cache.get(g.cons)
-            if ant is None or cons is None:
-                if cons is None:
-                    stack.append(g.cons)
-                if ant is None:
-                    stack.append(g.ant)
-                continue
+            ant, cons = cache[g.ant], cache[g.cons]
             if room is not None:
                 room -= len(ant) + len(cons) + 6
                 if room < 0:
@@ -271,7 +303,6 @@ def _render_cached(
                 ant = "(" + ant + ")"
             text = ant + " -> " + cons
         cache[g] = text
-        stack.pop()
     return cache[f]
 
 

@@ -32,6 +32,7 @@ from .formula import (
     circ,
     classicalize,
     iter_neg,
+    postorder,
     star,
     strong_neg,
 )
@@ -267,25 +268,16 @@ class _Lemma1:
             return (f.ant,) if wa.index == 0 else ()
         if wc.designated:
             return (f.cons,)
-        return (f.ant,) if wc.index > 0 else (f.cons, f.ant)
+        return (f.ant,) if wc.index > 0 else (f.ant, f.cons)
 
     def derive(self, f: Formula) -> Node:
-        """The witness of f; subformulas first, from an explicit stack."""
+        """The witness of f; subformulas first, by a postorder fold over
+        what each step needs."""
         nodes = self.nodes
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            if g in nodes:
-                stack.pop()
-                continue
-            missing = [c for c in self.needs(g) if c not in nodes]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            if isinstance(g, Atom):
+        for g in postorder(f, self.needs, nodes):
+            if type(g) is Atom:
                 nodes[g] = self._atom(g)
-            elif isinstance(g, Neg):
+            elif type(g) is Neg:
                 nodes[g] = self._neg(g)
             else:
                 nodes[g] = self._imp(g)

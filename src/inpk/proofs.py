@@ -40,9 +40,11 @@ from .formula import (
     _ROOM_PER_CHAR,
     _TextCache,
     _render_cached,
+    children,
     circ,
     iter_neg,
     parse,
+    postorder,
     star,
 )
 from .semantics import LogicParams
@@ -174,33 +176,13 @@ def _substitute(
 ) -> Formula:
     """substitute with a caller-owned cache, shared by every formula
     that the same substitution is applied to."""
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in cache:
-            stack.pop()
-            continue
-        if isinstance(g, Atom):
+    for g in postorder(f, children, cache):
+        if type(g) is Atom:
             cache[g] = subst.get(g.name, g)
-            stack.pop()
-        elif isinstance(g, Neg):
-            if g.body in cache:
-                cache[g] = Neg(cache[g.body])
-                stack.pop()
-            else:
-                stack.append(g.body)
+        elif type(g) is Neg:
+            cache[g] = Neg(cache[g.body])
         else:
-            assert isinstance(g, Imp)
-            ant_done = g.ant in cache
-            cons_done = g.cons in cache
-            if ant_done and cons_done:
-                cache[g] = Imp(cache[g.ant], cache[g.cons])
-                stack.pop()
-            else:
-                if not ant_done:
-                    stack.append(g.ant)
-                if not cons_done:
-                    stack.append(g.cons)
+            cache[g] = Imp(cache[g.ant], cache[g.cons])
     return cache[f]
 
 

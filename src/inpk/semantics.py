@@ -32,7 +32,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .formula import (
-    CONNECTIVES, Atom, Neg, Imp, Formula, atoms, expand, iter_neg, or_, and_,
+    CONNECTIVES, Atom, Neg, Imp, Formula, atoms, children, expand, iter_neg,
+    or_, and_, postorder,
 )
 
 __all__ = [
@@ -162,36 +163,17 @@ def eval_subformulas(
     params: LogicParams, f: Formula, v: Valuation
 ) -> dict[Formula, TruthValue]:
     """The value under v of every subformula of f, f included."""
+    for name in f.atom_names:
+        if name not in v:
+            raise ValueError(f"unbound atom {name!r}")
     cache: dict[Formula, TruthValue] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in cache:
-            stack.pop()
-            continue
+    for g in postorder(f, children, cache):
         if type(g) is Atom:
-            if g.name not in v:
-                raise ValueError(f"unbound atom {g.name!r}")
             cache[g] = params.check_value(v[g.name])
-            stack.pop()
         elif type(g) is Neg:
-            got = cache.get(g.body)
-            if got is None:
-                stack.append(g.body)
-            else:
-                cache[g] = neg_value(params, got)
-                stack.pop()
+            cache[g] = neg_value(params, cache[g.body])
         else:
-            a = cache.get(g.ant)
-            b = cache.get(g.cons)
-            if a is None or b is None:
-                if a is None:
-                    stack.append(g.ant)
-                if b is None:
-                    stack.append(g.cons)
-            else:
-                cache[g] = imp_value(params, a, b)
-                stack.pop()
+            cache[g] = imp_value(params, cache[g.ant], cache[g.cons])
     return cache
 
 
@@ -227,28 +209,6 @@ _ALL_CLEAR = np.uint8(0)
 _ALL_SET = np.uint8(0xFF)
 
 
-def _postorder(f: Formula) -> list[Formula]:
-    """Distinct subformulas of f, children before parents."""
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if g in seen:
-            continue
-        if expanded:
-            seen.add(g)
-            order.append(g)
-        else:
-            stack.append((g, True))
-            if type(g) is Neg:
-                stack.append((g.body, False))
-            elif type(g) is Imp:
-                stack.append((g.ant, False))
-                stack.append((g.cons, False))
-    return order
-
-
 def _designation(grades: list[TruthValue], j: int) -> np.ndarray:
     """Designation of !^j p at each of p's grades.
 
@@ -269,14 +229,10 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
     position = {name: i for i, name in enumerate(names)}
     # chains[!^j p] = (position of p, j); every other node is a bit.
     chains: dict[Formula, tuple[int, int]] = {}
-    order: list[Formula] = []
-    seen: set[Formula] = set()
+    order: dict[Formula, None] = {}
     for root in roots:
-        for g in _postorder(root):
-            if g in seen:
-                continue
-            seen.add(g)
-            order.append(g)
+        for g in postorder(root, children, order):
+            order[g] = None
             if type(g) is Atom:
                 chains[g] = (position[g.name], 0)
             elif type(g) is Neg and g.body in chains:

@@ -1,6 +1,7 @@
 """Classical-fragment proof synthesis."""
 
 import random
+import time
 
 import pytest
 
@@ -146,6 +147,28 @@ def test_core_proves_a_deep_tautology():
     pf = classical_core(LogicParams(1, 1), f)
     assert pf.conclusion is f and not pf.hypotheses
     assert check(pf)
+
+
+def test_core_builds_only_the_cases_a_merge_needs():
+    params = LogicParams(1, 1)
+    classical_core(params, parse("x -> (y -> x)"))  # the lemmas, built once
+    names = [Atom(f"a{i}") for i in range(12)]
+    f = names[0]
+    for a in reversed(names):
+        f = Imp(a, f)
+    start = time.perf_counter()
+    pf = classical_core(params, f)
+    assert time.perf_counter() - start < 0.5
+    assert len(pf.lines) == 651
+    assert pf.conclusion is f and check(pf)
+
+
+def test_core_names_the_first_failing_assignment_in_canonical_order():
+    # p <-> q fails under p=True, q=False and p=False, q=True; the
+    # canonical order (False first, first atom most significant) meets
+    # the second first
+    with pytest.raises(ValueError, match="fails under p=False, q=True$"):
+        classical_core(LogicParams(0, 0), parse("(p -> q) && (q -> p)"))
 
 
 # The templates that are built by classical_node, whose case merges are

@@ -99,6 +99,12 @@ def test_eval_missing_atom_is_usage_error(capsys):
     assert "q" in err
 
 
+def test_eval_names_the_leftmost_unbound_atom(capsys):
+    rc, _, err = run(capsys, "eval", "--n", "0", "--k", "0", "--val", "", "p -> q")
+    assert rc == 2
+    assert "unbound atom 'p'" in err
+
+
 def test_eval_value_out_of_range_is_usage_error(capsys):
     rc, _, err = run(capsys, "eval", "--n", "0", "--k", "0", "--val", "p=F3", "p")
     assert rc == 2

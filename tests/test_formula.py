@@ -1,11 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from inpk.classical import untranslate
 from inpk.formula import (
     Atom, Neg, Imp, FormulaSyntaxError,
     parse, render, expand, atoms, complexity,
     classicalize, strong_neg, or_, and_, or_cl, and_cl, star, circ, iter_neg,
+    children, postorder,
 )
+from inpk.proofs import substitute
+from inpk.semantics import LogicParams, T, eval_formula
 
 p = Atom("p")
 q = Atom("q")
@@ -264,6 +268,99 @@ def test_complexity_counts_connectives(f):
             count += 1
             stack.extend((g.ant, g.cons))
     assert complexity(f) == count
+
+
+def _reference_postorder(f, seen, out):
+    """Distinct subformulas of f not in seen, children first, recursively."""
+    if f in seen:
+        return
+    if isinstance(f, Neg):
+        _reference_postorder(f.body, seen, out)
+    elif isinstance(f, Imp):
+        _reference_postorder(f.ant, seen, out)
+        _reference_postorder(f.cons, seen, out)
+    seen.add(f)
+    out.append(f)
+
+
+def _walk(f, memo):
+    """postorder with memo filled as nodes are yielded; records kids calls."""
+    calls, got = [], []
+
+    def kids(g):
+        calls.append(g)
+        return children(g)
+
+    for g in postorder(f, kids, memo):
+        assert all(c in memo for c in children(g))
+        memo[g] = None
+        got.append(g)
+    return got, calls
+
+
+@given(formulas, st.data())
+def test_postorder_matches_a_recursive_reference(f, data):
+    expected = []
+    _reference_postorder(f, set(), expected)
+    got, calls = _walk(f, {})
+    assert got == expected
+    assert sorted(map(id, calls)) == sorted(map(id, got))
+
+    # nodes already in memo are neither yielded nor descended into
+    done = set(data.draw(st.lists(st.sampled_from(expected))))
+    expected = []
+    _reference_postorder(f, set(done), expected)
+    got, calls = _walk(f, dict.fromkeys(done))
+    assert got == expected
+    assert not done & set(calls)
+    assert sorted(map(id, calls)) == sorted(map(id, got))
+
+
+def _deep_chain(depth, neg=Neg, every=2):
+    """depth levels over p, each neg(_) when its index is a multiple of
+    every and q -> _ otherwise."""
+    f = p
+    for i in range(1, depth + 1):
+        f = Imp(q, f) if i % every else neg(f)
+    return f
+
+
+def _eval_deep(depth):
+    f = _deep_chain(depth)
+    got = eval_formula(LogicParams(1, 1), f, {"p": T(1), "q": T(0)})
+    assert got == eval_formula(LogicParams(1, 1), f, {"p": T(0), "q": T(1)})
+
+
+def _substitute_deep(depth):
+    f = _deep_chain(depth)
+    swapped = substitute(f, {"p": q, "q": p})
+    assert substitute(swapped, {"p": q, "q": p}) is f
+
+
+def _render_deep(depth):
+    f = _deep_chain(depth)
+    cache = {}
+    assert render(f, cache) == render(f)
+    assert len(cache) == depth + 2
+
+
+def _untranslate_deep(depth):
+    # a strong negation triples the size of its body, so they are sparse
+    image = _deep_chain(depth, strong_neg, every=100)
+    assert untranslate(image) is _deep_chain(depth, every=100)
+
+
+# A cache of every subformula's text is quadratic in the depth (some
+# 10^10 characters at 10^5), so the cached render takes a shorter chain,
+# still deeper than the default recursion limit.
+@pytest.mark.parametrize("walk, depth", [
+    (_eval_deep, 10**5),
+    (_substitute_deep, 10**5),
+    (_render_deep, 2500),
+    (_untranslate_deep, 10**5),
+])
+def test_formula_walks_take_deep_chains(walk, depth):
+    walk(depth)
 
 
 # (concrete syntax, formula) pairs over the derived connectives, every

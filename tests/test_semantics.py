@@ -11,7 +11,8 @@ from inpk.formula import (
 )
 from inpk.semantics import (
     F, T, LogicParams, OrderVerdict, parse_value, parse_valuation,
-    render_valuation, neg_value, imp_value, eval_formula, is_designated,
+    render_valuation, neg_value, imp_value, eval_formula, eval_subformulas,
+    is_designated,
     enumerate_valuations, is_tautology, entails, compare_logics,
     separating_witness, truth_table,
 )
@@ -108,8 +109,11 @@ def test_eval_oracles():
 
 
 def test_eval_unbound_atom():
-    with pytest.raises(ValueError, match="unbound"):
+    with pytest.raises(ValueError, match="unbound atom 'q'"):
         eval_formula(CL, Imp(p, q), {"p": T(0)})
+    # the leftmost unbound atom is named
+    with pytest.raises(ValueError, match="unbound atom 'p'"):
+        eval_formula(CL, Imp(p, q), {})
 
 
 def test_eval_range_check():
@@ -317,6 +321,29 @@ def test_semantic_deduction_theorem(hyps, a, b, lp):
 def test_entailment_monotonicity(hyps, extra, goal, lp):
     if entails(lp, hyps, goal).valid:
         assert entails(lp, hyps + [extra], goal).valid
+
+
+def _classical_truth(g, assign):
+    if isinstance(g, Atom):
+        return assign[g.name]
+    if isinstance(g, Neg):
+        return not _classical_truth(g.body, assign)
+    return not _classical_truth(g.ant, assign) or _classical_truth(g.cons, assign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas)
+def test_two_valued_matrix_is_classical_truth(f):
+    # the classical fragment's proof synthesis reads its case values
+    # off eval_subformulas at (0, 0)
+    names = atoms(f)
+    for bits in itertools.product([False, True], repeat=len(names)):
+        assign = dict(zip(names, bits))
+        values = eval_subformulas(
+            CL, f, {nm: T(0) if b else F(0) for nm, b in assign.items()})
+        for g, got in values.items():
+            assert got in (T(0), F(0))
+            assert got.designated == _classical_truth(g, assign), g
 
 
 def test_homomorphism_property():
