@@ -23,11 +23,10 @@ from .formula import (
 from .proofs import (
     Node,
     Proof,
-    axiom_node,
+    _ax1,
     chain_node,
     discharge,
     hyp_node,
-    instantiate,
     linearize,
     mp_node,
     perm_node,
@@ -36,7 +35,7 @@ from .proofs import (
 from .semantics import (
     F, LogicParams, T, TruthValue, eval_subformulas, is_tautology,
 )
-from .templates import template_node
+from .templates import _derived, lemma, template_node
 
 __all__ = [
     "NotClassicalImage",
@@ -110,26 +109,13 @@ def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formul
 # ---------------------------------------------------------------------------
 # Classical helper lemmas, derived from Ax1/Ax2 plus the case-split
 # template.  Each is built once per logic over placeholder atoms and
-# instantiated by substitution.
+# instantiated by substitution (see templates.lemma).
 # ---------------------------------------------------------------------------
-
-_CT_CACHE: dict[tuple[str, LogicParams], Node] = {}
 
 
 def _cases(params: LogicParams, a: Formula, b: Formula) -> Node:
     """(~a -> ~b) -> ((~a -> b) -> a), with ~ the strong negation."""
     return template_node("strong_neg_cases", {"phi": a, "psi": b}, params)
-
-
-def _ax1(params: LogicParams, a: Formula, b: Formula) -> Node:
-    return axiom_node(params, "Ax1", {"phi": a, "psi": b})
-
-
-def _close(params: LogicParams, node: Node, hyps: tuple[Formula, ...]) -> Node:
-    """Discharge the hypotheses, the last one first."""
-    for h in reversed(hyps):
-        node = discharge(node, h, params)
-    return node
 
 
 def _build_nn_elim(params: LogicParams) -> Node:
@@ -139,7 +125,7 @@ def _build_nn_elim(params: LogicParams) -> Node:
     bx = _cases(params, _A, sa)
     s1 = mp_node(_ax1(params, ssa, sa), hyp_node(ssa))  # ~a -> ~~a
     s2 = mp_node(bx, s1)  # (~a -> ~a) -> a
-    return _close(params, mp_node(s2, refl_node(params, sa)), (ssa,))
+    return _derived(params, (ssa,), mp_node(s2, refl_node(params, sa)))
 
 
 def _build_nn_intro(params: LogicParams) -> Node:
@@ -148,9 +134,9 @@ def _build_nn_intro(params: LogicParams) -> Node:
     ssa = strong_neg(sa)
     sssa = strong_neg(ssa)
     bx = _cases(params, ssa, _A)  # (~~~a -> ~a) -> ((~~~a -> a) -> ~~a)
-    s1 = mp_node(bx, _ct_inst("nn_elim", params, phi=sa))
+    s1 = mp_node(bx, lemma(_build_nn_elim, params, (sa,)))
     s2 = mp_node(_ax1(params, _A, sssa), hyp_node(_A))  # ~~~a -> a
-    return _close(params, mp_node(s1, s2), (_A,))
+    return _derived(params, (_A,), mp_node(s1, s2))
 
 
 def _build_exfalso(params: LogicParams) -> Node:
@@ -160,7 +146,7 @@ def _build_exfalso(params: LogicParams) -> Node:
     bx = _cases(params, _B, _A)  # (~b -> ~a) -> ((~b -> a) -> b)
     s1 = mp_node(_ax1(params, sa, sb), hyp_node(sa))
     s2 = mp_node(_ax1(params, _A, sb), hyp_node(_A))
-    return _close(params, mp_node(mp_node(bx, s1), s2), (sa, _A))
+    return _derived(params, (sa, _A), mp_node(mp_node(bx, s1), s2))
 
 
 def _build_contrap(params: LogicParams) -> Node:
@@ -171,8 +157,9 @@ def _build_contrap(params: LogicParams) -> Node:
     hyps = (Imp(_A, _B), sb)
     bx = _cases(params, sa, _B)  # (~~a -> ~b) -> ((~~a -> b) -> ~a)
     s1 = mp_node(_ax1(params, sb, ssa), hyp_node(sb))
-    s2 = chain_node(params, _ct("nn_elim", params), hyp_node(hyps[0]))  # ~~a -> b
-    return _close(params, mp_node(mp_node(bx, s1), s2), hyps)
+    nn_elim = lemma(_build_nn_elim, params, (_A,))
+    s2 = chain_node(params, nn_elim, hyp_node(hyps[0]))  # ~~a -> b
+    return _derived(params, hyps, mp_node(mp_node(bx, s1), s2))
 
 
 def _build_negimp(params: LogicParams) -> Node:
@@ -180,41 +167,20 @@ def _build_negimp(params: LogicParams) -> Node:
     ab = Imp(_A, _B)
     pm = perm_node(params, refl_node(params, ab))  # a -> ((a->b) -> b)
     s1 = mp_node(pm, hyp_node(_A))  # (a->b) -> b
-    ct = _ct_inst("contrap", params, phi=ab, psi=_B)
-    return _close(params, mp_node(ct, s1), (_A,))
+    ct = lemma(_build_contrap, params, (ab, _B))
+    return _derived(params, (_A,), mp_node(ct, s1))
 
 
 def _build_merge(params: LogicParams) -> Node:
     # (a -> b) -> ((~a -> b) -> b): case analysis on a
     sa = strong_neg(_A)
     hyps = (Imp(_A, _B), Imp(sa, _B))
-    s1 = mp_node(_ct("contrap", params), hyp_node(hyps[0]))  # ~b -> ~a
-    c2 = _ct_inst("contrap", params, phi=sa, psi=_B)
+    c1 = lemma(_build_contrap, params, (_A, _B))
+    s1 = mp_node(c1, hyp_node(hyps[0]))  # ~b -> ~a
+    c2 = lemma(_build_contrap, params, (sa, _B))
     s2 = mp_node(c2, hyp_node(hyps[1]))  # ~b -> ~~a
     bx = _cases(params, _B, sa)  # (~b -> ~~a) -> ((~b -> ~a) -> b)
-    return _close(params, mp_node(mp_node(bx, s2), s1), hyps)
-
-
-_CT_BUILDERS = {
-    "nn_elim": _build_nn_elim,
-    "nn_intro": _build_nn_intro,
-    "exfalso": _build_exfalso,
-    "contrap": _build_contrap,
-    "negimp": _build_negimp,
-    "merge": _build_merge,
-}
-
-
-def _ct(name: str, params: LogicParams) -> Node:
-    key = (name, params)
-    node = _CT_CACHE.get(key)
-    if node is None:
-        node = _CT_CACHE[key] = _CT_BUILDERS[name](params)
-    return node
-
-
-def _ct_inst(name: str, params: LogicParams, **bind: Formula) -> Node:
-    return instantiate(_ct(name, params), bind, params)
+    return _derived(params, hyps, mp_node(mp_node(bx, s2), s1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +224,17 @@ def _derive_case(
             node = nodes[g.body]  # ~image(body) is already the witness for g
             if value[g.body].designated:
                 # g is false: need ~~image(body) from image(body)
-                intro = _ct_inst("nn_intro", params, phi=image[g.body])
+                intro = lemma(_build_nn_intro, params, (image[g.body],))
                 node = mp_node(intro, node)
         else:
             ant_t, cons_t = image[g.ant], image[g.cons]
             if not value[g.ant].designated:
-                ex = _ct_inst("exfalso", params, phi=ant_t, psi=cons_t)
+                ex = lemma(_build_exfalso, params, (ant_t, cons_t))
                 node = mp_node(ex, nodes[g.ant])
             elif value[g.cons].designated:
                 node = mp_node(_ax1(params, cons_t, ant_t), nodes[g.cons])
             else:
-                ni = _ct_inst("negimp", params, phi=ant_t, psi=cons_t)
+                ni = lemma(_build_negimp, params, (ant_t, cons_t))
                 node = mp_node(mp_node(ni, nodes[g.ant]), nodes[g.cons])
         nodes[g] = node
     return nodes[skeleton]
@@ -314,7 +280,7 @@ def classical_node(
         neg = result(j - 1, (_F0,) + tail)
         if neg_unit not in neg.hyps:
             return neg
-        mg = _ct_inst("merge", params, phi=unit, psi=target)
+        mg = lemma(_build_merge, params, (unit, target))
         pos = discharge(pos, unit, params)
         neg = discharge(neg, neg_unit, params)
         return mp_node(mp_node(mg, pos), neg)
@@ -345,8 +311,6 @@ def classical_prove(params: LogicParams, f: Formula) -> Proof:
     classical tautology.
     """
     skeleton = untranslate(f)
-    proof = classical_core(
-        params, skeleton, {nm: Atom(nm) for nm in atoms(skeleton)}
-    )
+    proof = classical_core(params, skeleton)
     assert proof.conclusion is f
     return proof

@@ -59,6 +59,10 @@ _ATOMS: dict[str, "Atom"] = {}
 _NEGS: dict["Formula", "Neg"] = {}
 _IMPS: dict[tuple["Formula", "Formula"], "Imp"] = {}
 
+# comp saturates here, so that it stays a machine-size integer: a strong
+# negation triples it, and 40 of them would pass 2^62.
+_COMP_CAP = 2**62
+
 
 class Atom(Formula):
     __slots__ = ("name", "comp", "atom_names")
@@ -86,7 +90,8 @@ class Neg(Formula):
         if found is None:
             found = object.__new__(cls)
             found.body = body
-            found.comp = body.comp + 1
+            comp = body.comp + 1
+            found.comp = comp if comp < _COMP_CAP else _COMP_CAP
             found.atom_names = body.atom_names
             _NEGS[body] = found
         return found
@@ -102,7 +107,8 @@ class Imp(Formula):
             found = object.__new__(cls)
             found.ant = ant
             found.cons = cons
-            found.comp = ant.comp + cons.comp + 1
+            comp = ant.comp + cons.comp + 1
+            found.comp = comp if comp < _COMP_CAP else _COMP_CAP
             names = ant.atom_names
             extra = tuple(a for a in cons.atom_names if a not in names)
             found.atom_names = names + extra if extra else names
@@ -225,7 +231,8 @@ def atoms(f: Formula) -> list[str]:
 
 
 def complexity(f: Formula) -> int:
-    """Number of connective nodes."""
+    """Number of connective nodes, each occurrence counted; a formula
+    with more than 2^62 of them gives 2^62."""
     return f.comp
 
 

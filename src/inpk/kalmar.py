@@ -166,33 +166,18 @@ def _strip_negs(f: Formula) -> tuple[int, Formula]:
     return q, f
 
 
-def _star_theorem(params: LogicParams, f: Formula) -> Node:
-    """Hypothesis-free proof of f^* for f a negation chain over an
-    implication (the shape of every tautology)."""
+def _ladder(params: LogicParams, f: Formula, base: str, step: str) -> Node:
+    """Hypothesis-free proof of f^* (base Ax3, step Ax11) or f^o (Ax4,
+    Ax12) for f a negation chain over an implication (the shape of
+    every tautology): the base axiom at the implication, then one step
+    per negation."""
     q, core = _strip_negs(f)
     if not isinstance(core, Imp):
-        raise ValueError("star theorem needs an implication under the negations")
-    node = axiom_node(params, "Ax3", {"phi": core.ant, "psi": core.cons})
+        raise ValueError("ladder needs an implication under the negations")
+    node = axiom_node(params, base, {"phi": core.ant, "psi": core.cons})
     for j in range(q):
-        node = mp_node(axiom_node(params, "Ax11", {"phi": iter_neg(j, core)}), node)
+        node = mp_node(axiom_node(params, step, {"phi": iter_neg(j, core)}), node)
     return node
-
-
-def _circ_theorem(params: LogicParams, f: Formula) -> Node:
-    """Hypothesis-free proof of f^o, same shape requirement."""
-    q, core = _strip_negs(f)
-    if not isinstance(core, Imp):
-        raise ValueError("circle theorem needs an implication under the negations")
-    node = axiom_node(params, "Ax4", {"phi": core.ant, "psi": core.cons})
-    for j in range(q):
-        node = mp_node(axiom_node(params, "Ax12", {"phi": iter_neg(j, core)}), node)
-    return node
-
-
-def _star_of_strongneg(params: LogicParams, u: Formula) -> Node:
-    """Hypothesis-free proof of (~u)^*."""
-    ax3 = axiom_node(params, "Ax3", {"phi": Imp(u, u), "psi": u})  # (@u)^*
-    return mp_node(axiom_node(params, "Ax11", {"phi": classicalize(u)}), ax3)
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +208,33 @@ class _Lemma1:
         return axiom_node(self.params, schema, subst)
 
     def circ_node(self, f: Formula) -> Node:
-        """f^o, from the contexts when f is an atom chain and from Ax4
-        plus the Ax12 ladder otherwise."""
+        """f^o, from the Ax4/Ax12 ladder when f is a negation chain over an
+        implication and from the contexts when it is one over an atom."""
         hit = self.circ_nodes.get(f)
         if hit is not None:
             return hit
         q, core = _strip_negs(f)
         if isinstance(core, Imp):
-            node = self.ax("Ax4", phi=core.ant, psi=core.cons)
-            base = 0
+            node = _ladder(self.params, f, "Ax4", "Ax12")
         else:
             name = core.name
             w = self.v[name]
+            base = 0
             if w.kind == "F" and w.index == 0:
                 tpl = self.use("strongneg_to_circ", phi=core)
                 node = mp_node(tpl, self.q_hyp(name, 0))  # ~a gives a^o
-                base = 0
             elif w.kind == "F":
                 tpl = self.use("negstar_to_circ", phi=core)
                 node = mp_node(tpl, self.q_hyp(name, 0))  # !(a^*) gives a^o
-                base = 0
             elif w.index == 0:
                 node = self.q_hyp(name, 1)  # a^o is in the context
-                base = 0
             else:
                 node = self.q_hyp(name, w.index)  # (!^i a)^o closes the block
                 base = w.index
-        if q < base:
-            raise AssertionError("negation chain shorter than its context ladder")
-        for j in range(base, q):
-            node = mp_node(self.ax("Ax12", phi=iter_neg(j, core)), node)
+            if q < base:
+                raise AssertionError("negation chain shorter than its context ladder")
+            for j in range(base, q):
+                node = mp_node(self.ax("Ax12", phi=iter_neg(j, core)), node)
         self.circ_nodes[f] = node
         return node
 
@@ -489,9 +471,12 @@ def _combine(
         return and_(iter_neg(j + 1, psi), iter_neg(j, psi))
 
     def star_of_conj(j: int):
-        # the conjunction !^{j+1} psi && !^j psi is ~(!^{j+1} psi -> ~!^j psi)
+        # the conjunction !^{j+1} psi && !^j psi is ~u for
+        # u = !^{j+1} psi -> ~!^j psi, and ~u is !((u -> u) -> u)
         u = Imp(iter_neg(j + 1, psi), strong_neg(iter_neg(j, psi)))
-        return lambda: _star_of_strongneg(params, u)
+        return lambda: template_node(
+            "star_of_neg_imp", {"phi": Imp(u, u), "psi": u}, params
+        )
 
     # F side: the block of F_r ends with (!^r psi)^*, after the negated
     # stars of the blocks below it; Ax5 proves the top one, (!^n psi)^*.
@@ -622,8 +607,8 @@ def complete_prove(
     names = atoms(f)
     m = len(names)
 
-    theta_star = _star_theorem(params, f)
-    theta_circ = _circ_theorem(params, f)
+    theta_star = _ladder(params, f, "Ax3", "Ax11")
+    theta_circ = _ladder(params, f, "Ax4", "Ax12")
     order = _value_order(params)
 
     # result(j, tail) proves f from the contexts of names[j:] at the

@@ -7,6 +7,8 @@ rules for the defined conjunction and disjunction.  Every entry pairs a
 statement over placeholder atoms with a derivation script; the generic
 proof node is built once per logic and instantiated by one substitution
 rewrite of its DAG, so a caller pays for each script at most once.
+``lemma`` keeps that one memo table for these and for the classical
+helper lemmas alike.
 """
 
 from __future__ import annotations
@@ -55,6 +57,38 @@ class TemplateInfo:
     id: str
     metavariables: tuple[str, ...]
     statement: Formula
+
+
+_PLACEHOLDERS = (_A, _B, _C)
+
+# (build, params, bind) -> the node of build's script under bind
+_LEMMAS: dict[tuple, Node] = {}
+
+
+def lemma(
+    build: Callable[[LogicParams], Node],
+    params: LogicParams,
+    bind: tuple[Formula, ...],
+) -> Node:
+    """The lemma that build(params) proves over phi, psi, theta (a prefix
+    of them), with bind in their place, in that order.
+
+    The generic, whose bind is the placeholders themselves, is built
+    once and rests on no hypothesis; any other binding is made once, by
+    instantiating the generic.
+    """
+    key = (build, params, bind)
+    node = _LEMMAS.get(key)
+    if node is None:
+        generic = _PLACEHOLDERS[: len(bind)]
+        if bind == generic:
+            node = build(params)
+            assert not node.hyps
+        else:
+            subst = {a.name: f for a, f in zip(_PLACEHOLDERS, bind)}
+            node = instantiate(lemma(build, params, generic), subst, params)
+        _LEMMAS[key] = node
+    return node
 
 
 def _ax(params: LogicParams, schema: str, **subst: Formula) -> Node:
@@ -214,10 +248,9 @@ def _g_circ_of_circ(params: LogicParams) -> Node:
 
 
 def _star_negconj(params: LogicParams) -> Node:
-    """(!phi && phi)^*; hypothesis-free."""
+    """(!phi && phi)^*, which is star_of_neg_imp at (u -> u, u)."""
     u = Imp(Neg(_A), strong_neg(_A))
-    ax3 = _ax(params, "Ax3", phi=Imp(u, u), psi=u)  # (@u)^*
-    return mp_node(_ax(params, "Ax11", phi=classicalize(u)), ax3)
+    return template_node("star_of_neg_imp", {"phi": Imp(u, u), "psi": u}, params)
 
 
 def _g_negstar_to_circ(params: LogicParams) -> Node:
@@ -399,9 +432,6 @@ _BUILDERS: dict[str, Callable[[LogicParams], Node]] = {
     tid: builder for tid, _, _, builder in _REGISTRY
 }
 
-_GENERIC: dict[tuple[str, LogicParams], Node] = {}
-_INSTANCES: dict[tuple, Node] = {}
-
 
 def template_ids() -> tuple[str, ...]:
     return tuple(TEMPLATES)
@@ -417,27 +447,12 @@ def template_node(
     if info is None:
         raise ValueError(f"unknown template id '{template_id}'")
     try:
-        bind = {v: subst[v] for v in info.metavariables}
+        bind = tuple(subst[v] for v in info.metavariables)
     except KeyError as exc:
         raise ValueError(
             f"template '{template_id}' needs a binding for {exc.args[0]!r}"
         ) from None
-
-    key = (template_id, params)
-    generic = _GENERIC.get(key)
-    if generic is None:
-        generic = _BUILDERS[template_id](params)
-        assert not generic.hyps
-        assert generic.formula is info.statement
-        _GENERIC[key] = generic
-
-    if all(bind[v] is Atom(v) for v in info.metavariables):
-        return generic
-    ikey = (template_id, params, tuple(bind[v] for v in info.metavariables))
-    inst = _INSTANCES.get(ikey)
-    if inst is None:
-        inst = _INSTANCES[ikey] = instantiate(generic, bind, params)
-    return inst
+    return lemma(_BUILDERS[template_id], params, bind)
 
 
 def derive_template(

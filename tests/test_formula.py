@@ -118,6 +118,16 @@ def test_star_complexity_pinned():
     assert complexity(star(p)) == 7
 
 
+def test_complexity_saturates_at_two_to_the_62():
+    # a strong negation triples the count: 10^5 levels would need an
+    # integer of about 79 000 bits
+    f = p
+    for i in range(10**5):
+        f = Imp(q, f) if i % 2 else strong_neg(f)
+    got = complexity(f)  # not in the assert: a failure message would render f
+    assert got == 2**62
+
+
 def test_atom_name_validation():
     with pytest.raises(ValueError):
         Atom("P")

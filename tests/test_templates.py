@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from inpk import classical, templates
 from inpk.formula import Atom, Imp, Neg, and_, circ, or_, parse, star
-from inpk.proofs import Axiom, check
+from inpk.proofs import Axiom, check, instantiate
 from inpk.semantics import LogicParams, is_tautology
-from inpk.templates import TEMPLATES, derive_template, template_ids
+from inpk.templates import TEMPLATES, derive_template, lemma, template_ids
 
 from helpers import random_formula
 
@@ -116,3 +117,34 @@ def test_extra_bindings_are_ignored():
         "refl", {"phi": Atom("p"), "psi": Atom("q")}, params
     )
     assert pf.conclusion is parse("p -> p")
+
+
+PLACEHOLDERS = (Atom("phi"), Atom("psi"), Atom("theta"))
+CLASSICAL_HELPERS = ("nn_elim", "nn_intro", "exfalso", "contrap", "negimp", "merge")
+
+
+def lemma_builders():
+    yield from templates._BUILDERS.items()
+    for name in CLASSICAL_HELPERS:
+        yield name, getattr(classical, "_build_" + name)
+
+
+@pytest.mark.parametrize("params", [LogicParams(1, 1), LogicParams(0, 2)], ids=str)
+def test_lemma_builds_once_and_instantiates_once(params):
+    rng = random.Random(11)
+    for name, build in lemma_builders():
+        generic = build(params)
+        ident = PLACEHOLDERS[: len(generic.formula.atom_names)]
+        swapped = (PLACEHOLDERS[1], PLACEHOLDERS[0])[: len(ident)] + ident[2:]
+        binds = [ident, swapped] + [
+            tuple(random_formula(rng, ["p", "phi", "psi"], rng.randint(0, 2))
+                  for _ in ident)
+            for _ in range(2)
+        ]
+        assert not generic.hyps, name
+        assert lemma(build, params, ident) is generic, name
+        for bind in binds:
+            got = lemma(build, params, bind)
+            subst = {a.name: f for a, f in zip(PLACEHOLDERS, bind)}
+            assert got is instantiate(generic, subst, params), (name, bind)
+            assert lemma(build, params, bind) is got, (name, bind)
