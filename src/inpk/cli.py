@@ -52,10 +52,10 @@ from .semantics import (
 MAX_PARAM = 16
 # The budget counts all (n+k+2)^m valuations of m atoms.  taut and entails
 # enumerate only the grades each atom's negation chains can tell apart, at
-# most that many.  With every chain as deep as n and k, a formula of 60
-# to 80 connectives goes through 3 to 10 * 10^8 valuations a second (one
-# core, Python 3.11, numpy 2.4), so a query at the budget takes well under
-# a second.
+# most that many.  With every chain as deep as n and k, a 5-atom formula
+# of 100 to 1100 connectives goes through 2 to 10 * 10^8 valuations a
+# second (one core, Python 3.11), so a query at the budget takes at most
+# about half a second.
 MAX_VALUATIONS = 10**8
 # prove splits on the (n+k+2)^m valuations and derives only the cases a
 # merge needs (the 34^3 = 39 304 cases of "a -> b -> c -> a" at (16,16)

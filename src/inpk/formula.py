@@ -27,6 +27,7 @@ below a root, children first, from an explicit stack.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import islice
 from typing import Callable, Container, Iterator, Sequence
 
@@ -49,7 +50,7 @@ class Formula:
         return render(self)
 
     def __repr__(self) -> str:
-        text = render(self)
+        text = _render_plain(self, limit=61)
         if len(text) > 60:
             text = text[:57] + "..."
         return f"<formula {text}>"
@@ -248,13 +249,15 @@ def render(f: Formula, cache: dict[Formula, str] | None = None) -> str:
     return _render_plain(f)
 
 
-def _render_plain(f: Formula, known: dict[Formula, str] | None = None) -> str:
-    """render(f), taking the text of a subformula found in known."""
+def _render_plain(f: Formula, known: dict[Formula, str] | None = None,
+                  limit: int = sys.maxsize) -> str:
+    """render(f), taking the text of a subformula found in known; it stops
+    after limit parts, none empty, so a longer text is cut to a prefix."""
     if known is None:
         known = {}
     parts: list[str] = []
     stack: list[object] = [f]
-    while stack:
+    while stack and len(parts) < limit:
         item = stack.pop()
         if type(item) is str:
             parts.append(item)

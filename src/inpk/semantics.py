@@ -17,8 +17,8 @@ Clipping grades there keeps every designation and never moves a
 valuation later in the order, so the first counterexample lies in that
 collapsed space.  A chain node is a lookup in its atom's grades; every
 other node is a designation bit (implication ~a | b, negation ~a),
-evaluated for whole blocks of valuations at once, 8 to a byte, with
-numpy.
+evaluated for whole blocks of valuations at once: bit v of a Python int
+is valuation v of the block.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .formula import (
     CONNECTIVES, Atom, Neg, Imp, Formula, atoms, children, expand, iter_neg,
@@ -205,21 +203,19 @@ class Verdict:
 # Bit-parallel decision core.
 
 _CHUNK = 1 << 18
-_ALL_CLEAR = np.uint8(0)
-_ALL_SET = np.uint8(0xFF)
 
 
-def _designation(grades: list[TruthValue], j: int) -> np.ndarray:
+def _designation(grades: list[TruthValue], j: int) -> list[bool]:
     """Designation of !^j p at each of p's grades.
 
     Negation walks F(r) down to F0 and T(i) down to T0, then alternates
     F0, T0, F0, ...  So a grade at or above j keeps its side, and below
     it the parity of the remaining steps decides.
     """
-    return np.array([
+    return [
         g.kind == "T" if g.index >= j else (j - g.index) % 2 == (g.kind == "F")
         for g in grades
-    ])
+    ]
 
 
 def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
@@ -262,17 +258,28 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
         if i + 1 != split:
             inner[i] = inner[i + 1] * radix[i + 1]
 
-    # Designation bits, 8 valuations a byte: built once for the trailing
-    # chains, a byte scalar per block for the leading ones.
-    patterns: dict[Formula, np.ndarray] = {}
-    leading: dict[Formula, tuple[int, np.ndarray]] = {}
+    # Designation bits, bit v for valuation v of the block: built once
+    # for the trailing chains, all set or all clear for the leading ones.
+    full = (1 << size) - 1
+    patterns: dict[Formula, int] = {}
+    leading: dict[Formula, tuple[int, list[bool]]] = {}
     for g, (i, j) in chains.items():
         bits = _designation(grades[i], j)
         if i < split:
             leading[g] = (i, bits)
         else:
-            reps = size // (radix[i] * inner[i])
-            patterns[g] = np.packbits(np.tile(np.repeat(bits, inner[i]), reps))
+            # One period, then doubled: a multiple of the period's
+            # repunit would take a long division, which is quadratic.
+            run = (1 << inner[i]) - 1
+            x = 0
+            for r, on in enumerate(bits):
+                if on:
+                    x |= run << (r * inner[i])
+            period = radix[i] * inner[i]
+            while period < size:
+                x |= x << period
+                period *= 2
+            patterns[g] = x & full
 
     # Free each intermediate after its last use.
     last_use: dict[Formula, int] = {}
@@ -290,35 +297,30 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
             expiry.setdefault(pos, []).append(g)
 
     for block in range(math.prod(radix[:split])):
-        value: dict[Formula, np.ndarray] = {}
+        value: dict[Formula, int] = {}
         for pos, g in enumerate(order):
             if g in patterns:
                 value[g] = patterns[g]
             elif g in leading:
                 i, bits = leading[g]
-                on = bits[block // inner[i] % radix[i]]
-                value[g] = _ALL_SET if on else _ALL_CLEAR
+                value[g] = full if bits[block // inner[i] % radix[i]] else 0
             elif type(g) is Neg:
-                value[g] = ~value[g.body]
+                value[g] = full ^ value[g.body]
             else:
-                value[g] = ~value[g.ant] | value[g.cons]
+                value[g] = (full ^ value[g.ant]) | value[g.cons]
             for dead in expiry.get(pos, ()):
                 del value[dead]
-        bad = ~value[goal]
+        bad = full ^ value[goal]
         for h in hyps:
-            bad = bad & value[h]
-        bad = np.ravel(bad)
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            # the first set bit, unless it is padding past the block's end
-            at = int(hits[0])
-            at = 8 * at + 8 - int(bad[at]).bit_length()
-            if at < size:
-                witness = {}
-                for i, name in enumerate(names):
-                    index = block if i < split else at
-                    witness[name] = grades[i][index // inner[i] % radix[i]]
-                return Verdict(False, witness)
+            bad &= value[h]
+        if bad:
+            # the lowest set bit is the first valuation in canonical order
+            at = (bad & -bad).bit_length() - 1
+            witness = {}
+            for i, name in enumerate(names):
+                index = block if i < split else at
+                witness[name] = grades[i][index // inner[i] % radix[i]]
+            return Verdict(False, witness)
     return Verdict(True)
 
 

@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names and what importing it loads."""
+
+import os
+import subprocess
+import sys
 
 import inpk
 
@@ -34,3 +38,14 @@ def test_public_names_are_pinned_and_resolve():
     assert tuple(inpk.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(inpk, name) is not None, name
+
+
+def test_import_loads_no_numpy():
+    # a fresh interpreter: this one may have numpy loaded by a test tool
+    src = os.path.dirname(os.path.dirname(inpk.__file__))
+    code = "import sys, inpk, inpk.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    ).stdout
+    assert out == "False\n"

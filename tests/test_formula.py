@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,6 +128,31 @@ def test_complexity_saturates_at_two_to_the_62():
         f = Imp(q, f) if i % 2 else strong_neg(f)
     got = complexity(f)  # not in the assert: a failure message would render f
     assert got == 2**62
+
+
+def _old_repr(f):
+    text = render(f)
+    if len(text) > 60:
+        text = text[:57] + "..."
+    return f"<formula {text}>"
+
+
+def test_repr_renders_only_a_prefix():
+    # the full text of a 20-level tower has about 3^20 characters
+    f = p
+    for _ in range(20):
+        f = strong_neg(f)
+    start = time.perf_counter()
+    got = repr(f)
+    assert time.perf_counter() - start < 0.5
+    assert got == "<formula " + "!((" * 19 + "...>"
+    f = p
+    for _ in range(9):
+        f = strong_neg(f)
+        assert repr(f) == _old_repr(f)
+    for g in (p, Neg(p), Imp(Imp(p, q), r), or_(p, q), Atom("a" * 60)):
+        assert repr(g) == _old_repr(g) == f"<formula {render(g)}>"
+    assert repr(Atom("a" * 61)) == "<formula " + "a" * 57 + "...>"
 
 
 def test_atom_name_validation():

@@ -381,15 +381,20 @@ def _first_counterexample(lp, hyps, goal):
     return None
 
 
-@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("chunk", [None, 1, 5, 7])
 def test_decide_agrees_with_brute_force_on_grid(chunk, monkeypatch):
-    # a 5-valuation block splits most queries into several blocks and
-    # leaves padding bits in the last byte of each
+    # a block of 1 valuation fixes every atom per block; blocks of at
+    # most 5 or 7 split most queries into several blocks
     if chunk is not None:
         monkeypatch.setattr("inpk.semantics._CHUNK", chunk)
     rng = random.Random(4)
     for n, k in itertools.product(range(4), repeat=2):
         lp = LogicParams(n, k)
+        # p, !^(k-1) p and !^k p all hold only at T_k, p's last grade, so
+        # the only counterexample is the last valuation
+        last = [iter_neg(j, Atom(a)) for a in "pqr"
+                for j in sorted({0, max(k - 1, 0), k})]
+        queries = [(last, Neg(Imp(p, p)))]
         for m in (1, 2, 3):
             names = ["p", "q", "r"][:m]
             for _ in range(10):
@@ -397,13 +402,16 @@ def test_decide_agrees_with_brute_force_on_grid(chunk, monkeypatch):
                 hyps = [_chained_formula(rng, names, rng.randint(0, 3), depth)
                         for _ in range(rng.randint(0, 2))]
                 goal = _chained_formula(rng, names, rng.randint(1, 5), depth)
-                want = _first_counterexample(lp, hyps, goal)
-                got = entails(lp, hyps, goal)
-                assert got.valid == (want is None)
-                if want is not None:
-                    assert list(got.counterexample.items()) == list(want.items())
-                if not hyps:
-                    assert is_tautology(lp, goal) == got
+                queries.append((hyps, goal))
+        for hyps, goal in queries:
+            want = _first_counterexample(lp, hyps, goal)
+            got = entails(lp, hyps, goal)
+            assert got.valid == (want is None)
+            if want is not None:
+                assert list(got.counterexample.items()) == list(want.items())
+            if not hyps:
+                assert is_tautology(lp, goal) == got
+        assert entails(lp, *queries[0]).counterexample == dict.fromkeys("pqr", T(k))
 
 
 def _chain_depths(f):
