@@ -130,7 +130,7 @@ def test_complexity_saturates_at_two_to_the_62():
     assert got == 2**62
 
 
-def _old_repr(f):
+def _cut_full_text(f):
     text = render(f)
     if len(text) > 60:
         text = text[:57] + "..."
@@ -149,9 +149,9 @@ def test_repr_renders_only_a_prefix():
     f = p
     for _ in range(9):
         f = strong_neg(f)
-        assert repr(f) == _old_repr(f)
+        assert repr(f) == _cut_full_text(f)
     for g in (p, Neg(p), Imp(Imp(p, q), r), or_(p, q), Atom("a" * 60)):
-        assert repr(g) == _old_repr(g) == f"<formula {render(g)}>"
+        assert repr(g) == _cut_full_text(g) == f"<formula {render(g)}>"
     assert repr(Atom("a" * 61)) == "<formula " + "a" * 57 + "...>"
 
 
