@@ -12,6 +12,7 @@ machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -40,6 +41,7 @@ from .semantics import (
     LogicParams,
     OrderVerdict,
     compare_logics,
+    decision_size,
     entails,
     eval_formula,
     is_tautology,
@@ -57,6 +59,13 @@ MAX_PARAM = 16
 # second (one core, Python 3.11), so a query at the budget takes at most
 # about half a second.
 MAX_VALUATIONS = 10**8
+# Within that budget the time still grows with the formula: the decision
+# evaluates each distinct subformula but the negation chains over atoms
+# once per collapsed valuation, at 1 to 11 * 10^-11 s a step (one core,
+# Python 3.11).  So taut, entails and the check before prove also refuse
+# more than this many steps, and a query at the budget decides in about
+# half a second at most.
+MAX_DECISION_STEPS = 5 * 10**9
 # prove splits on the (n+k+2)^m valuations and derives only the cases a
 # merge needs (the 34^3 = 39 304 cases of "a -> b -> c -> a" at (16,16)
 # take about 0.6 s end to end); synthesis has a budget of its own, which
@@ -91,6 +100,18 @@ def _within_budget(
         raise _CliError(
             f"{len(names)} atoms at (n,k) = ({params.n},{params.k}) make "
             f"{count} {what}, over the budget of {budget}"
+        )
+
+
+def _decidable(params: LogicParams, formulas: list[Formula]) -> None:
+    """Refuse a query over the valuation or the decision-step budget."""
+    _within_budget(params, formulas)
+    valuations, nodes = decision_size(params, formulas)
+    if valuations * nodes > MAX_DECISION_STEPS:
+        raise _CliError(
+            f"{valuations} valuations times {nodes} subformulas at "
+            f"(n,k) = ({params.n},{params.k}) make {valuations * nodes} "
+            f"decision steps, over the budget of {MAX_DECISION_STEPS}"
         )
 
 
@@ -236,7 +257,7 @@ def _verdict_exit(args: argparse.Namespace, verdict) -> int:
 def _cmd_taut(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
     f = _formula(args.expr)
-    _within_budget(params, [f])
+    _decidable(params, [f])
     return _verdict_exit(args, is_tautology(params, f))
 
 
@@ -244,7 +265,7 @@ def _cmd_entails(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
     hyps = [_formula(h) for h in args.hyp]
     goal = _formula(args.expr)
-    _within_budget(params, hyps + [goal])
+    _decidable(params, hyps + [goal])
     return _verdict_exit(args, entails(params, hyps, goal))
 
 
@@ -291,7 +312,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
     f = _formula(args.expr)
-    _within_budget(params, [f])
+    _decidable(params, [f])
     _within_budget(params, [f], MAX_PROVE_CASES, "cases to synthesize")
     try:
         pf = complete_prove(params, f)
@@ -408,8 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building it costs more than most commands
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -63,7 +63,7 @@ from .semantics import (
     is_tautology,
     render_valuation,
 )
-from .templates import template_node
+from .templates import scope, template_node
 
 __all__ = [
     "AtomContext",
@@ -599,64 +599,72 @@ def complete_prove(
     case-elimination step, every class of every round in the order of
     the valuations; it forces those results but not the returned proof,
     which is the same with and without it.
+
+    Whether the call returns or raises, the proof nodes and lemmas it
+    made are dropped (see templates.scope), nodes a trace callback
+    builds among them. What survives is every generic lemma the call
+    built, over phi, psi and theta, with the nodes under it, so a later
+    call at the same logic finds it. The returned Proof holds formulas
+    and lines, never nodes.
     """
-    verdict = is_tautology(params, f)
-    if not verdict:
-        raise NotATautology(params, f, verdict.counterexample)
+    with scope():
+        verdict = is_tautology(params, f)
+        if not verdict:
+            raise NotATautology(params, f, verdict.counterexample)
 
-    names = atoms(f)
-    m = len(names)
+        names = atoms(f)
+        m = len(names)
 
-    theta_star = _ladder(params, f, "Ax3", "Ax11")
-    theta_circ = _ladder(params, f, "Ax4", "Ax12")
-    order = _value_order(params)
+        theta_star = _ladder(params, f, "Ax3", "Ax11")
+        theta_circ = _ladder(params, f, "Ax4", "Ax12")
+        order = _value_order(params)
 
-    # result(j, tail) proves f from the contexts of names[j:] at the
-    # values tail: a leaf when j = 0, else the elimination of names[j-1]
-    # over the results it needs.
-    memo: dict[tuple[int, tuple[TruthValue, ...]], Node] = {}
+        # result(j, tail) proves f from the contexts of names[j:] at the
+        # values tail: a leaf when j = 0, else the elimination of names[j-1]
+        # over the results it needs.
+        memo: dict[tuple[int, tuple[TruthValue, ...]], Node] = {}
 
-    def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
-        node = memo.get((j, tail))
-        if node is None:
-            if j == 0:
-                delta = build_delta(params, names, dict(zip(names, tail)))
-                node = _leaf(params, f, delta)
-            else:
-                node = _combine(
-                    params,
-                    Atom(names[j - 1]),
-                    f,
-                    lambda i: result(j - 1, (order[i],) + tail),
-                    theta_star,
-                    theta_circ,
-                )
-            memo[(j, tail)] = node
-        return node
+        def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
+            node = memo.get((j, tail))
+            if node is None:
+                if j == 0:
+                    delta = build_delta(params, names, dict(zip(names, tail)))
+                    node = _leaf(params, f, delta)
+                else:
+                    node = _combine(
+                        params,
+                        Atom(names[j - 1]),
+                        f,
+                        lambda i: result(j - 1, (order[i],) + tail),
+                        theta_star,
+                        theta_circ,
+                    )
+                memo[(j, tail)] = node
+            return node
 
-    if trace is not None:
-        # force every class of every round, in the order of the valuations
-        keys = [
-            tuple(v[nm] for nm in names)
-            for v in enumerate_valuations(params, names)
-        ]
-        assert len(keys) == params.size**m
-        for round_idx, nm in enumerate(names):
-            remaining = names[round_idx + 1 :]
-            keys = list(dict.fromkeys(key[1:] for key in keys))
-            assert len(keys) == params.size ** (m - 1 - round_idx)
-            for class_idx, tail in enumerate(keys):
-                merged = result(round_idx + 1, tail)
-                delta = build_delta(params, remaining, dict(zip(remaining, tail)))
-                lines = len(linearize(merged, params, delta.formulas))
-                trace(
-                    f"eliminated {nm}: class {class_idx + 1}/{len(keys)}, "
-                    f"{lines} lines"
-                )
+        if trace is not None:
+            # force every class of every round, in the order of the valuations
+            keys = [
+                tuple(v[nm] for nm in names)
+                for v in enumerate_valuations(params, names)
+            ]
+            assert len(keys) == params.size**m
+            for round_idx, nm in enumerate(names):
+                remaining = names[round_idx + 1 :]
+                keys = list(dict.fromkeys(key[1:] for key in keys))
+                assert len(keys) == params.size ** (m - 1 - round_idx)
+                for class_idx, tail in enumerate(keys):
+                    merged = result(round_idx + 1, tail)
+                    delta = build_delta(params, remaining, dict(zip(remaining, tail)))
+                    lines = len(linearize(merged, params, delta.formulas))
+                    trace(
+                        f"eliminated {nm}: class {class_idx + 1}/{len(keys)}, "
+                        f"{lines} lines"
+                    )
 
-    final = linearize(result(m, ()), params)
-    assert not final.hypotheses and final.conclusion is f
-    outcome = check(final)
-    if not outcome:
-        raise AssertionError(f"synthesized proof failed the checker: {outcome}")
-    return final
+        final = linearize(result(m, ()), params)
+        assert not final.hypotheses and final.conclusion is f
+        outcome = check(final)
+        if not outcome:
+            raise AssertionError(f"synthesized proof failed the checker: {outcome}")
+        return final

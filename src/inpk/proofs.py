@@ -383,7 +383,10 @@ class Node:
 # The node table. Keys: (schema, sorted binding, n, k) for an axiom
 # node, the formula itself for a hypothesis node, (major, minor) for a
 # modus ponens node. An axiom node carries its instance formula, so the
-# table is also the memo of axiom instances.
+# table is also the memo of axiom instances. A node must be unique only
+# among the live ones: complete_prove drops the nodes it made, nodes its
+# trace callback built among them, when it returns or raises, and keeps
+# only those under the generic lemmas it built (templates.scope).
 _NODES: dict[object, Node] = {}
 _NO_HYPS: frozenset = frozenset()
 

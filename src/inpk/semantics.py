@@ -218,10 +218,10 @@ def _designation(grades: list[TruthValue], j: int) -> list[bool]:
     ]
 
 
-def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
-            names: list[str]) -> Verdict:
-    """First valuation (canonical order) designating hyps but not goal."""
-    roots = list(dict.fromkeys(hyps + [goal]))
+def _collapse(params: LogicParams, roots: list[Formula], names: list[str]):
+    """The distinct subformulas of roots in postorder, the chain !^j p
+    each negation chain over an atom is (as (position of p, j)), and
+    the grades each atom ranges over after the collapse."""
     position = {name: i for i, name in enumerate(names)}
     # chains[!^j p] = (position of p, j); every other node is a bit.
     chains: dict[Formula, tuple[int, int]] = {}
@@ -244,6 +244,24 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
         + [T(r) for r in range(min(params.k, d) + 1)]
         for d in depth
     ]
+    return order, chains, grades
+
+
+def decision_size(params: LogicParams, formulas: list[Formula]) -> tuple[int, int]:
+    """The valuations (after the collapse) that is_tautology or entails
+    goes through to decide these formulas, and the distinct subformulas
+    it evaluates as bits at each (all but the negation chains over an
+    atom, which are looked up); the work is about their product."""
+    names = list(dict.fromkeys(a for f in formulas for a in atoms(f)))
+    order, chains, grades = _collapse(params, list(dict.fromkeys(formulas)), names)
+    return math.prod(len(g) for g in grades), len(order) - len(chains)
+
+
+def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
+            names: list[str]) -> Verdict:
+    """First valuation (canonical order) designating hyps but not goal."""
+    roots = list(dict.fromkeys(hyps + [goal]))
+    order, chains, grades = _collapse(params, roots, names)
     radix = [len(g) for g in grades]
 
     # The trailing atoms names[split:] vary inside a block of `size`

@@ -13,8 +13,10 @@ helper lemmas alike.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from itertools import islice
+from typing import Callable, Iterator, Mapping
 
 from .formula import (
     Atom,
@@ -29,6 +31,7 @@ from .formula import (
     strong_neg,
 )
 from .proofs import (
+    _NODES,
     Node,
     Proof,
     axiom_node,
@@ -61,7 +64,8 @@ class TemplateInfo:
 
 _PLACEHOLDERS = (_A, _B, _C)
 
-# (build, params, bind) -> the node of build's script under bind
+# (build, params, bind) -> the node of build's script under bind; a scope
+# drops the entries made inside it but for the generics
 _LEMMAS: dict[tuple, Node] = {}
 
 
@@ -89,6 +93,49 @@ def lemma(
             node = instantiate(lemma(build, params, generic), subst, params)
         _LEMMAS[key] = node
     return node
+
+
+def _newest(table: dict, mark: int) -> list:
+    """The items added to table since it held mark entries."""
+    return list(islice(reversed(table.items()), len(table) - mark))
+
+
+@contextmanager
+def scope() -> Iterator[None]:
+    """On exit, drop the proof nodes and lemmas made inside, except the
+    generic lemmas made inside and every node they reach.
+
+    Nodes need to be unique only among the live ones, so a caller may
+    open a scope when what it returns holds no node (a Proof holds
+    formulas and lines). The generics stay, and keep their memo hits
+    across scopes.
+    """
+    nodes_mark, lemmas_mark = len(_NODES), len(_LEMMAS)
+    try:
+        yield
+    finally:
+        lemmas = _newest(_LEMMAS, lemmas_mark)
+        nodes = _newest(_NODES, nodes_mark)
+        fresh = {node for _, node in nodes}
+        generics = {
+            key for key, _ in lemmas if key[2] == _PLACEHOLDERS[: len(key[2])]
+        }
+        # a node is made after its premises, so a node made before the
+        # scope reaches none made inside, and the walk stops at it
+        keep: set[Node] = set()
+        stack = [_LEMMAS[key] for key in generics]
+        while stack:
+            node = stack.pop()
+            if node in fresh and node not in keep:
+                keep.add(node)
+                if node.major is not None:
+                    stack += (node.major, node.minor)
+        for key, node in nodes:
+            if node not in keep:
+                del _NODES[key]
+        for key, node in lemmas:
+            if key not in generics and node not in keep:
+                del _LEMMAS[key]
 
 
 def _ax(params: LogicParams, schema: str, **subst: Formula) -> Node:

@@ -5,12 +5,14 @@ ints and output is captured with capsys.
 """
 
 import json
+import random
 import time
 
 import pytest
 
+from inpk import cli
 from inpk.cli import main
-from inpk.formula import Atom, Imp, parse, render
+from inpk.formula import Atom, Imp, Neg, complexity, iter_neg, parse, render
 from inpk.kalmar import complete_prove
 from inpk.proofs import check, proof_from_json, proof_to_json
 from inpk.semantics import LogicParams, is_tautology
@@ -170,6 +172,56 @@ def test_taut_over_valuation_budget_is_capacity_error(capsys):
     assert time.perf_counter() - start < 1
     assert rc == 2
     assert "valuations" in err
+
+
+def _deep_tautology(leaves: int) -> Imp:
+    """a -> (b -> a) for random a, b over !^16 of five atoms: every grade
+    at (16,16) counts, so the decision goes through 34^5 valuations."""
+    rng = random.Random(0)
+
+    def grow(size):
+        if size <= 1:
+            return iter_neg(16, Atom(rng.choice("abcde")))
+        if rng.random() < 0.2:
+            return Neg(grow(size - 1))
+        cut = rng.randint(1, size - 1)
+        return Imp(grow(cut), grow(size - cut))
+
+    a = grow(leaves)
+    return Imp(a, Imp(grow(leaves), a))
+
+
+def test_decision_step_budget_refuses_long_deep_queries(capsys):
+    # 34^5 valuations, under the valuation budget, but 30 KB of text
+    f = _deep_tautology(600)
+    text = render(f)
+    assert 30_000 < len(text) < 32_000
+    for argv in (
+        ["taut", text],
+        ["entails", "--hyp", "a", text],
+        ["prove", text],
+    ):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv[0], "--n", "16", "--k", "16", *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert "decision steps, over the budget" in err
+
+    # the same shape at about 1000 connectives still decides
+    f = _deep_tautology(25)
+    assert 900 < complexity(f) < 1100
+    rc, out, err = run(capsys, "taut", "--n", "16", "--k", "16", render(f))
+    assert (rc, out.strip(), err) == (0, "valid", "")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    rc, out, _ = run(capsys, "entails", "--n", "0", "--k", "0", "--hyp", "q", "q")
+    assert (rc, out.strip()) == (0, "valid")
+    # the --hyp list of the call before does not carry over
+    rc, out, _ = run(capsys, "entails", "--n", "0", "--k", "0", "q")
+    assert rc == 1
+    assert out.startswith("counterexample: ")
 
 
 def test_entails_budget_counts_atoms_of_hypotheses_and_goal(capsys):

@@ -1,9 +1,12 @@
 """Constructive completeness machinery."""
 
+import json
 import random
 import time
 
 import pytest
+
+from inpk import proofs, templates
 
 from inpk.formula import (
     Atom,
@@ -27,7 +30,15 @@ from inpk.kalmar import (
     lemma2_combine,
     phi_v,
 )
-from inpk.proofs import Proof, ProofLine, Hyp, axiom_proof, check, weaken
+from inpk.proofs import (
+    Proof,
+    ProofLine,
+    Hyp,
+    axiom_proof,
+    check,
+    proof_to_json,
+    weaken,
+)
 from inpk.semantics import (
     F,
     LogicParams,
@@ -502,3 +513,118 @@ def test_three_atoms_at_16_16_build_few_leaves():
     assert time.perf_counter() - start < 1
     assert len(pf) <= 2000
     assert check(pf)
+
+
+# -- table scope -------------------------------------------------------------
+
+_GENERIC = (Atom("phi"), Atom("psi"), Atom("theta"))
+
+
+def _generics(params=None):
+    """The generic lemmas in the table, at params or at every logic."""
+    return {
+        key: node
+        for key, node in templates._LEMMAS.items()
+        if key[2] == _GENERIC[: len(key[2])] and params in (None, key[1])
+    }
+
+
+def _sizes():
+    return len(proofs._NODES), len(templates._LEMMAS)
+
+
+def _assert_generics_are_interned():
+    """Every node under a generic lemma is the table's node for its key."""
+    for (_, params, _), root in _generics().items():
+        stack, seen = [root], set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if node.major is not None:
+                key = (node.major, node.minor)
+                stack += (node.major, node.minor)
+            elif node.schema is not None:
+                key = (node.schema, node.subst, params.n, params.k)
+            else:
+                key = node.formula
+            assert proofs._NODES.get(key) is node
+
+
+def test_complete_prove_keeps_the_tables_flat_across_renamings():
+    shapes = [
+        ((1, 0), "{x} -> ({y} -> {x})"),
+        ((0, 0), "({x} -> {y}) -> ({x} -> {y})"),
+        ((1, 1), "!!{x} || !{x}"),
+        ((0, 1), "!!({x} -> {x})"),
+    ]
+    sizes = []
+    for x, y in (("ra", "rb"), ("sa", "sb"), ("ta", "tb")):
+        # no check here: check memoizes the axiom instances it meets
+        for (n, k), text in shapes:
+            goal = parse(text.format(x=x, y=y))
+            assert complete_prove(LogicParams(n, k), goal).conclusion is goal
+        sizes.append(_sizes())
+    assert sizes[0] == sizes[1] == sizes[2]
+    _assert_generics_are_interned()
+
+
+def test_complete_prove_keeps_the_generics_it_builds():
+    params = LogicParams(4, 5)
+    assert not _generics(params), "an earlier test used this logic"
+    # atoms named as the placeholders make leaves cite the generics
+    # themselves, next to nodes built afresh
+    goal = parse("!!phi || !phi -> (psi -> !!phi || !phi)")
+    first = json.dumps(proof_to_json(complete_prove(params, goal)))
+    built = _generics(params)
+    assert built
+    _assert_generics_are_interned()
+    sizes = _sizes()
+
+    second = json.dumps(proof_to_json(complete_prove(params, goal)))
+    assert second == first
+    assert _sizes() == sizes
+    again = _generics(params)
+    assert again.keys() == built.keys()
+    assert all(again[key] is node for key, node in built.items())
+
+
+def test_complete_prove_drops_its_nodes_when_the_trace_raises():
+    def stop_at(count):
+        seen = []
+
+        def trace(line):
+            seen.append(line)
+            if len(seen) == count:
+                raise RuntimeError("stop")
+
+        return trace
+
+    params = LogicParams(3, 6)
+    assert not _generics(params), "an earlier test used this logic"
+    goal = parse("ua -> (ub -> ua)")
+    nodes_before = set(map(id, proofs._NODES.values()))
+    lemmas_before = set(templates._LEMMAS)
+    with pytest.raises(RuntimeError):
+        complete_prove(params, goal, trace=stop_at(3))
+    # what is left is the generics this call built, over the placeholders
+    placeholders = {"phi", "psi", "theta"}
+    added = [
+        node for node in proofs._NODES.values() if id(node) not in nodes_before
+    ]
+    assert added
+    assert all(set(node.formula.atom_names) <= placeholders for node in added)
+    for key in set(templates._LEMMAS) - lemmas_before:
+        assert key[1] == params
+        assert all(set(f.atom_names) <= placeholders for f in key[2])
+    _assert_generics_are_interned()
+
+    # once the generics exist, a raising call leaves the sizes as they were
+    sizes = _sizes()
+    with pytest.raises(RuntimeError):
+        complete_prove(params, goal, trace=stop_at(3))
+    assert _sizes() == sizes
+    with pytest.raises(NotATautology):
+        complete_prove(params, parse("ua -> ub"))
+    assert _sizes() == sizes
