@@ -54,17 +54,14 @@ from .semantics import (
 MAX_PARAM = 16
 # The budget counts all (n+k+2)^m valuations of m atoms.  taut and entails
 # enumerate only the grades each atom's negation chains can tell apart, at
-# most that many.  With every chain as deep as n and k, a 5-atom formula
-# of 100 to 1100 connectives goes through 2 to 10 * 10^8 valuations a
-# second (one core, Python 3.11), so a query at the budget takes at most
-# about half a second.
+# most that many.
 MAX_VALUATIONS = 10**8
 # Within that budget the time still grows with the formula: the decision
 # evaluates each distinct subformula but the negation chains over atoms
 # once per collapsed valuation, at 1 to 11 * 10^-11 s a step (one core,
 # Python 3.11).  So taut, entails and the check before prove also refuse
-# more than this many steps, and a query at the budget decides in about
-# half a second at most.
+# more than this many steps, and a query within both budgets decides in
+# about half a second at most.
 MAX_DECISION_STEPS = 5 * 10**9
 # prove splits on the (n+k+2)^m valuations and derives only the cases a
 # merge needs (the 34^3 = 39 304 cases of "a -> b -> c -> a" at (16,16)

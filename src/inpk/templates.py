@@ -118,12 +118,14 @@ def scope() -> Iterator[None]:
         nodes = _newest(_NODES, nodes_mark)
         fresh = {node for _, node in nodes}
         generics = {
-            key for key, _ in lemmas if key[2] == _PLACEHOLDERS[: len(key[2])]
+            key: node
+            for key, node in lemmas
+            if key[2] == _PLACEHOLDERS[: len(key[2])]
         }
         # a node is made after its premises, so a node made before the
         # scope reaches none made inside, and the walk stops at it
         keep: set[Node] = set()
-        stack = [_LEMMAS[key] for key in generics]
+        stack = list(generics.values())
         while stack:
             node = stack.pop()
             if node in fresh and node not in keep:
