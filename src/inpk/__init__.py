@@ -12,7 +12,7 @@ from .semantics import (
     compare_logics, separating_witness, truth_table,
 )
 from .proofs import (
-    AXIOM_IDS, Axiom, Hyp, MP, ProofLine, Proof, CheckVerdict,
+    AXIOM_IDS, Axiom, Hyp, MP, Lemma, ProofLine, Proof, CheckVerdict,
     ProofBuilder, ProofFormatError,
     axiom_pattern, axiom_metavariables, axiom_proof, match_axiom,
     substitute, check, deduction_transform, weaken,
@@ -41,7 +41,8 @@ __all__ = [
     "entails", "parse_valuation", "render_valuation", "compare_logics",
     "separating_witness", "truth_table",
     # proofs
-    "AXIOM_IDS", "Axiom", "Hyp", "MP", "ProofLine", "Proof", "CheckVerdict",
+    "AXIOM_IDS", "Axiom", "Hyp", "MP", "Lemma", "ProofLine", "Proof",
+    "CheckVerdict",
     "ProofBuilder", "ProofFormatError", "axiom_pattern",
     "axiom_metavariables", "axiom_proof", "match_axiom", "substitute",
     "check", "deduction_transform", "weaken", "replace_hyp_with_theorem",

@@ -109,7 +109,7 @@ def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formul
 # ---------------------------------------------------------------------------
 # Classical helper lemmas, derived from Ax1/Ax2 plus the case-split
 # template.  Each is built once per logic over placeholder atoms and
-# instantiated by substitution (see templates.lemma).
+# cited at each binding (see templates.lemma).
 # ---------------------------------------------------------------------------
 
 

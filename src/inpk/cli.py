@@ -30,6 +30,7 @@ from .kalmar import NotATautology, complete_prove
 from .proofs import (
     Axiom,
     Hyp,
+    Lemma,
     Proof,
     ProofFormatError,
     check,
@@ -142,23 +143,32 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, Any]) -> None:
 
 def _format_proof(pf: Proof) -> str:
     text = _TextCache().render
+
+    def binding(subst) -> str:
+        return ", ".join(f"{name} := {text(g)}" for name, g in sorted(subst.items()))
+
+    def listing(lines, indent: str) -> None:
+        for i, line in enumerate(lines, start=1):
+            j = line.just
+            if isinstance(j, Axiom):
+                label = f"{j.schema} {{{binding(j.subst)}}}"
+            elif isinstance(j, Hyp):
+                label = f"hyp {j.index}"
+            elif isinstance(j, Lemma):
+                label = f"lemma {j.index + 1} {{{binding(j.bind)}}}"
+            else:
+                label = f"mp {j.major + 1}, {j.minor + 1}"
+            out.append(f"{indent}{i}. {text(line.formula)}   [{label}]")
+
     out = [f"logic: ({pf.params.n},{pf.params.k})"]
     if pf.hypotheses:
         out.append("hypotheses:")
         for i, h in enumerate(pf.hypotheses):
             out.append(f"  [{i}] {text(h)}")
-    for i, line in enumerate(pf.lines, start=1):
-        j = line.just
-        if isinstance(j, Axiom):
-            binds = ", ".join(
-                f"{name} := {text(g)}" for name, g in sorted(j.subst.items())
-            )
-            label = f"{j.schema} {{{binds}}}"
-        elif isinstance(j, Hyp):
-            label = f"hyp {j.index}"
-        else:
-            label = f"mp {j.major + 1}, {j.minor + 1}"
-        out.append(f"{i}. {text(line.formula)}   [{label}]")
+    for e, entry in enumerate(pf.lemmas, start=1):
+        out.append(f"lemma {e}:")
+        listing(entry, "  ")
+    listing(pf.lines, "")
     return "\n".join(out)
 
 

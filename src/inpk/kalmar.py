@@ -605,7 +605,9 @@ def complete_prove(
     builds among them. What survives is every generic lemma the call
     built, over phi, psi and theta, with the nodes under it, so a later
     call at the same logic finds it. The returned Proof holds formulas
-    and lines, never nodes.
+    and lines, never nodes. It cites every template and classical
+    helper lemma it uses from its lemma table; proofs.expand gives the
+    flat proof.
     """
     with scope():
         verdict = is_tautology(params, f)

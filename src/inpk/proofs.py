@@ -2,26 +2,31 @@
 
 Proofs are built as one hash-consed DAG of proof nodes. A node is a
 formula, its justification over child nodes (an axiom schema with an
-explicit substitution, a hypothesis formula, or modus ponens over two
-nodes) and the set of hypothesis formulas it rests on. Building the
-same step twice returns the same node, so a subproof used in many
-places is stored once. The constructors ``axiom_node``, ``hyp_node``
-and ``mp_node`` are the only place a step is validated: every node is
-correct by construction. The transformers (the deduction theorem
+explicit substitution, a hypothesis formula, modus ponens over two
+nodes, or the citation of a hypothesis-free node under a substitution)
+and the set of hypothesis formulas it rests on. Building the same step
+twice returns the same node, so a subproof used in many places is
+stored once. The constructors ``axiom_node``, ``hyp_node``, ``mp_node``
+and ``lemma_node`` are the only place a step is validated: every node
+is correct by construction, a citation because a substitution instance
+of a theorem is a theorem. The transformers (the deduction theorem
 ``discharge``, the cut and substitution) are rewrites that visit only
 the nodes resting on the hypothesis in question and reuse the rest.
 
 Numbered lines exist only at the boundary. ``linearize`` is the one
 place a node becomes a ``Proof``: a finite sequence of lines over a
 fixed logic and hypothesis list, in postorder from the conclusion,
-major premise first. ``check`` is the trusted kernel for proofs that
-come from outside: every line carries its own justification, so
-checking never searches; it applies the declared substitution and
-compares. ``ProofBuilder`` and the public transformers on ``Proof``
-objects are thin layers over the nodes.
+major premise first. A citation is one line, and the node it cites is
+numbered once into the Proof's lemma table. ``check`` is the trusted
+kernel for proofs that come from outside: every line carries its own
+justification, so checking never searches; it applies the declared
+substitution and compares, and checks each lemma once, however often
+it is cited. ``expand`` gives the flat proof, every citation replaced
+by its instance. ``ProofBuilder`` and the public transformers on
+``Proof`` objects are thin layers over the nodes.
 
-Line references are 0-based inside the library and 1-based in the JSON
-serialization. Hypothesis indices are 0-based in both.
+Line and lemma references are 0-based inside the library and 1-based
+in the JSON serialization. Hypothesis indices are 0-based in both.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .formula import (
     Atom,
@@ -54,6 +59,7 @@ __all__ = [
     "Axiom",
     "Hyp",
     "MP",
+    "Lemma",
     "Justification",
     "ProofLine",
     "Proof",
@@ -70,11 +76,14 @@ __all__ = [
     "axiom_node",
     "hyp_node",
     "mp_node",
+    "lemma_node",
     "linearize",
     "node_of",
     "discharge",
     "cut",
     "instantiate",
+    "expand_node",
+    "expand",
     "deduction_transform",
     "weaken",
     "replace_hyp_with_theorem",
@@ -240,7 +249,16 @@ class MP:
     minor: int
 
 
-Justification = Union[Axiom, Hyp, MP]
+@dataclass(frozen=True)
+class Lemma:
+    """Cites an entry of the proof's lemma table: this line is the
+    entry's conclusion with bind applied."""
+
+    index: int
+    bind: Mapping[str, Formula]
+
+
+Justification = Union[Axiom, Hyp, MP, Lemma]
 
 
 @dataclass(frozen=True)
@@ -251,13 +269,22 @@ class ProofLine:
 
 @dataclass(frozen=True)
 class Proof:
+    """Numbered lines over a logic and a hypothesis list.
+
+    lemmas is the ordered lemma table: each entry is the lines of a
+    hypothesis-free proof, which Lemma lines cite by their position. An
+    entry may cite only entries before it. len counts the main lines.
+    """
+
     params: LogicParams
     hypotheses: tuple[Formula, ...]
     lines: tuple[ProofLine, ...]
+    lemmas: tuple[tuple[ProofLine, ...], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         object.__setattr__(self, "lines", tuple(self.lines))
+        object.__setattr__(self, "lemmas", tuple(map(tuple, self.lemmas)))
 
     @property
     def conclusion(self) -> Formula:
@@ -287,69 +314,100 @@ class CheckVerdict:
 _ACCEPTED = CheckVerdict(True)
 
 
-def _reject(i: int, reason: str) -> CheckVerdict:
-    return CheckVerdict(False, i + 1, reason)
-
-
 def check(proof: Proof) -> CheckVerdict:
-    """Validate every line of a proof.
+    """Validate every line of a proof and of its lemma table.
 
     Accepts iff each line is the declared axiom instance, a verbatim
-    hypothesis, or modus ponens over two strictly earlier lines whose
-    shapes agree. Rejection reports the first offending line (1-based).
+    hypothesis, modus ponens over two strictly earlier lines whose
+    shapes agree, or the conclusion of a lemma under the line's binding.
+    Each lemma is checked once, in table order, before the lines: it
+    must have lines, cite no hypothesis and cite only earlier lemmas.
+    Rejection reports the first offending line (1-based); a fault in
+    the lemma table has line None and a reason naming the lemma and its
+    line.
+
+    check adds nothing to the node table. It looks axiom instances up
+    there and builds the ones it misses; proof_from_json leaves in the
+    table every instance it predicts, so a document just read is
+    checked without building any.
     """
     if not proof.lines:
         return CheckVerdict(False, None, "proof has no lines")
-    hyps = proof.hypotheses
-    lines = proof.lines
     params = proof.params
+    conclusions: list[Formula] = []
+    for e, entry in enumerate(proof.lemmas, start=1):
+        if not entry:
+            return CheckVerdict(False, None, f"lemma {e} has no lines")
+        fault = _fault(entry, None, params, conclusions)
+        if fault is not None:
+            i, reason = fault
+            return CheckVerdict(False, None, f"lemma {e} line {i + 1}: {reason}")
+        conclusions.append(entry[-1].formula)
+    fault = _fault(proof.lines, proof.hypotheses, params, conclusions)
+    if fault is not None:
+        i, reason = fault
+        return CheckVerdict(False, i + 1, reason)
+    return _ACCEPTED
+
+
+def _fault(
+    lines: Sequence[ProofLine],
+    hyps: Optional[tuple[Formula, ...]],
+    params: LogicParams,
+    conclusions: Sequence[Formula],
+) -> Optional[tuple[int, str]]:
+    """The first bad line of a line list, as (0-based index, reason), or
+    None. hyps is None in a lemma, which may cite no hypothesis;
+    conclusions are those of the lemmas the lines may cite."""
     for i, line in enumerate(lines):
         just = line.just
         if isinstance(just, Axiom):
             needed = _METAVARS.get(just.schema)
             if needed is None:
-                return _reject(i, f"unknown axiom schema {just.schema!r}")
+                return i, f"unknown axiom schema {just.schema!r}"
             for name in needed:
                 if name not in just.subst:
-                    return _reject(
-                        i, f"substitution does not bind {name!r} for {just.schema}"
-                    )
+                    return i, f"substitution does not bind {name!r} for {just.schema}"
             for name in just.subst:
                 if name not in needed:
-                    return _reject(
-                        i, f"substitution binds {name!r}, unused by {just.schema}"
-                    )
+                    return i, f"substitution binds {name!r}, unused by {just.schema}"
             items = tuple(sorted(just.subst.items()))
-            instance = _axiom(params, just.schema, items).formula
+            node = _NODES.get((just.schema, items, params.n, params.k))
+            if node is None:
+                instance = substitute(axiom_pattern(just.schema, params), just.subst)
+            else:
+                instance = node.formula
             if instance is not line.formula:
-                return _reject(
-                    i, f"formula is not the declared {just.schema} instance"
-                )
+                return i, f"formula is not the declared {just.schema} instance"
         elif isinstance(just, Hyp):
+            if hyps is None:
+                return i, "a lemma may not cite a hypothesis"
             if not 0 <= just.index < len(hyps):
-                return _reject(i, f"hypothesis index {just.index} out of range")
+                return i, f"hypothesis index {just.index} out of range"
             if hyps[just.index] is not line.formula:
-                return _reject(
-                    i, f"formula does not match hypothesis {just.index}"
-                )
+                return i, f"formula does not match hypothesis {just.index}"
         elif isinstance(just, MP):
             dangling = [r for r in (just.major, just.minor) if not 0 <= r < i]
             if dangling:
-                return _reject(
-                    i, f"reference to line {dangling[0] + 1} is not an earlier line"
-                )
+                return i, f"reference to line {dangling[0] + 1} is not an earlier line"
             major = lines[just.major].formula
             if not isinstance(major, Imp):
-                return _reject(i, "major premise is not an implication")
+                return i, "major premise is not an implication"
             if major.ant is not lines[just.minor].formula:
-                return _reject(
-                    i, "minor premise does not match the major's antecedent"
-                )
+                return i, "minor premise does not match the major's antecedent"
             if major.cons is not line.formula:
-                return _reject(i, "formula is not the major's consequent")
+                return i, "formula is not the major's consequent"
+        elif isinstance(just, Lemma):
+            at = just.index
+            if not 0 <= at < len(conclusions):
+                if hyps is None and at >= 0:
+                    return i, f"lemma {at + 1} is not an earlier lemma"
+                return i, f"lemma index {at + 1} out of range"
+            if substitute(conclusions[at], just.bind) is not line.formula:
+                return i, f"formula is not lemma {at + 1} under its binding"
         else:
-            return _reject(i, f"unknown justification {type(just).__name__}")
-    return _ACCEPTED
+            return i, f"unknown justification {type(just).__name__}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -357,36 +415,41 @@ def check(proof: Proof) -> CheckVerdict:
 
 
 class Node:
-    """One interned proof step; made only by axiom_node, hyp_node and
-    mp_node, which validate it.
+    """One interned proof step; made only by axiom_node, hyp_node,
+    mp_node and lemma_node, which validate it.
 
     An axiom node has ``schema`` and ``subst`` (its binding as sorted
-    (name, formula) pairs); a modus ponens node has ``major`` and
-    ``minor``; a hypothesis node has neither. ``hyps`` is the set of
-    hypothesis formulas the step rests on. ``proof`` keeps the
-    linearized Proof of a template instance once derive_template has
-    made it.
+    (name, formula) pairs); a citation node has ``lemma`` (the
+    hypothesis-free node it cites) and ``subst``; a modus ponens node
+    has ``major`` and ``minor``; a hypothesis node has none of these.
+    ``hyps`` is the set of hypothesis formulas the step rests on.
+    ``proof`` keeps the expanded Proof of a template instance once
+    derive_template has made it.
     """
 
-    __slots__ = ("formula", "schema", "subst", "major", "minor", "hyps", "proof")
+    __slots__ = (
+        "formula", "schema", "subst", "major", "minor", "hyps", "lemma", "proof"
+    )
 
-    def __init__(self, formula, schema, subst, major, minor, hyps) -> None:
+    def __init__(self, formula, schema, subst, major, minor, hyps, lemma=None):
         self.formula = formula
         self.schema = schema
         self.subst = subst
         self.major = major
         self.minor = minor
         self.hyps = hyps
+        self.lemma = lemma
         self.proof = None
 
 
 # The node table. Keys: (schema, sorted binding, n, k) for an axiom
 # node, the formula itself for a hypothesis node, (major, minor) for a
-# modus ponens node. An axiom node carries its instance formula, so the
-# table is also the memo of axiom instances. A node must be unique only
-# among the live ones: complete_prove drops the nodes it made, nodes its
-# trace callback built among them, when it returns or raises, and keeps
-# only those under the generic lemmas it built (templates.scope).
+# modus ponens node, (lemma, sorted binding) for a citation node. An
+# axiom node carries its instance formula, so the table is also the
+# memo of axiom instances. A node must be unique only among the live
+# ones: complete_prove drops the nodes it made, nodes its trace callback
+# built among them, when it returns or raises, and keeps only those
+# under the generic lemmas it built (templates.scope).
 _NODES: dict[object, Node] = {}
 _NO_HYPS: frozenset = frozenset()
 
@@ -453,6 +516,30 @@ def mp_node(major: Node, minor: Node) -> Node:
     return node
 
 
+def lemma_node(generic: Node, bind: Mapping[str, Formula]) -> Node:
+    """Cite a hypothesis-free node: its formula with bind applied.
+
+    A substitution instance of a theorem is a theorem, since every atom
+    of an axiom pattern is one of its metavariables; the citation stands
+    for that instance without copying its proof.
+    """
+    return _cite(generic, tuple(sorted(bind.items())))
+
+
+def _cite(generic: Node, items: tuple, formula: Optional[Formula] = None) -> Node:
+    """The citation of generic under a binding given as sorted (name,
+    formula) pairs; formula may pass its instance when it is known."""
+    key = (generic, items)
+    node = _NODES.get(key)
+    if node is None:
+        if generic.hyps:
+            raise ValueError("a cited lemma must rest on no hypothesis")
+        if formula is None:
+            formula = substitute(generic.formula, dict(items))
+        node = _NODES[key] = Node(formula, None, items, None, None, _NO_HYPS, generic)
+    return node
+
+
 def _ax1(params: LogicParams, a: Formula, b: Formula) -> Node:
     return _axiom(params, "Ax1", (("phi", a), ("psi", b)))
 
@@ -468,12 +555,34 @@ def linearize(
 
     Lines come in postorder from root, major premise first, each node
     once. A Hyp line cites the first position of its formula in
-    hypotheses; root must rest on no formula outside that list.
+    hypotheses; root must rest on no formula outside that list. A
+    citation node is one Lemma line: the node it cites is numbered on
+    its own, once, into the lemma table, after the lemmas it cites.
     """
     hypotheses = tuple(hypotheses)
     position: dict[Formula, int] = {}
     for i, h in enumerate(hypotheses):
         position.setdefault(h, i)
+    table: dict[Node, int] = {}
+    lemmas: list[tuple[ProofLine, ...]] = []
+
+    def cite(generic: Node) -> int:
+        at = table.get(generic)
+        if at is None:
+            entry = _number(generic, {}, cite)
+            at = table[generic] = len(lemmas)
+            lemmas.append(entry)
+        return at
+
+    lines = _number(root, position, cite)
+    return Proof(params, hypotheses, lines, tuple(lemmas))
+
+
+def _number(
+    root: Node, position: Mapping[Formula, int], cite: Callable[[Node], int]
+) -> tuple[ProofLine, ...]:
+    """The lines of root, a citation's line naming the table index that
+    cite gives the node it cites."""
     index: dict[Node, int] = {}
     lines: list[ProofLine] = []
     stack = [root]
@@ -496,6 +605,8 @@ def linearize(
             line = ProofLine(node.formula, MP(i, j))
         elif node.schema is not None:
             line = ProofLine(node.formula, Axiom(node.schema, dict(node.subst)))
+        elif node.lemma is not None:
+            line = ProofLine(node.formula, Lemma(cite(node.lemma), dict(node.subst)))
         else:
             at = position.get(node.formula)
             if at is None:
@@ -504,7 +615,7 @@ def linearize(
         stack.pop()
         index[node] = len(lines)
         lines.append(line)
-    return Proof(params, hypotheses, tuple(lines))
+    return tuple(lines)
 
 
 def _nodes_of(proof: Proof) -> list[Node]:
@@ -513,14 +624,29 @@ def _nodes_of(proof: Proof) -> list[Node]:
     verdict = check(proof)
     if not verdict:
         raise ValueError(f"proof does not check ({verdict})")
-    hyps, params = proof.hypotheses, proof.params
+    params = proof.params
+    cited: list[Node] = []
+    for entry in proof.lemmas:
+        cited.append(_rebuild(entry, (), params, cited)[-1])
+    return _rebuild(proof.lines, proof.hypotheses, params, cited)
+
+
+def _rebuild(
+    lines: Sequence[ProofLine],
+    hyps: tuple[Formula, ...],
+    params: LogicParams,
+    cited: Sequence[Node],
+) -> list[Node]:
     nodes: list[Node] = []
-    for line in proof.lines:
+    for line in lines:
         just = line.just
         if isinstance(just, Axiom):
             node = axiom_node(params, just.schema, just.subst)
         elif isinstance(just, Hyp):
             node = hyp_node(hyps[just.index])
+        elif isinstance(just, Lemma):
+            items = tuple(sorted(just.bind.items()))
+            node = _cite(cited[just.index], items, line.formula)
         else:
             node = mp_node(nodes[just.major], nodes[just.minor])
         nodes.append(node)
@@ -614,8 +740,8 @@ def instantiate(
 ) -> Node:
     """Apply an atom substitution to every formula under root.
 
-    Axiom bindings are composed with it. One formula cache serves the
-    whole DAG.
+    Axiom and citation bindings are composed with it; a cited lemma is
+    left as it is. One formula cache serves the whole DAG.
     """
     cache: dict[Formula, Formula] = {}
 
@@ -643,11 +769,75 @@ def instantiate(
             new = _NODES.get((node.schema, items, params.n, params.k))
             if new is None:
                 new = _axiom(params, node.schema, items, sub(node.formula))
+        elif node.lemma is not None:
+            names = node.lemma.formula.atom_names
+            items = _compose(node.subst, names, sub, subst)
+            new = _cite(node.lemma, items, sub(node.formula))
         else:
             new = hyp_node(sub(node.formula))
         done[node] = new
         stack.pop()
     return done[root]
+
+
+def _compose(
+    items: Sequence[tuple[str, Formula]],
+    names: Sequence[str],
+    sub: Callable[[Formula], Formula],
+    subst: Mapping[str, Formula],
+) -> tuple:
+    """The binding, as sorted pairs, that applies the binding items and
+    then subst to a formula over the atoms names: sub applies subst."""
+    out = {name: sub(g) for name, g in items}
+    for name in names:
+        if name not in out and name in subst:
+            out[name] = subst[name]
+    return tuple(sorted(out.items()))
+
+
+def expand_node(root: Node, params: LogicParams) -> Node:
+    """root with every citation replaced by the instance of the lemma
+    it cites (see instantiate), that lemma expanded first: the same
+    proof with no citation left, which can be far larger."""
+    done: dict[Node, Node] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        major = node.major
+        if major is not None:
+            minor = node.minor
+            if major not in done or minor not in done:
+                stack.append(minor)
+                stack.append(major)
+                continue
+            new = mp_node(done[major], done[minor])
+        elif node.lemma is not None:
+            generic = done.get(node.lemma)
+            if generic is None:
+                stack.append(node.lemma)
+                continue
+            new = instantiate(generic, dict(node.subst), params)
+        else:
+            new = node  # an axiom or a hypothesis cites nothing
+        done[node] = new
+        stack.pop()
+    return done[root]
+
+
+def expand(proof: Proof) -> Proof:
+    """The flat proof of a Proof with a lemma table: every Lemma line
+    replaced by the instance of the lemma it cites, and no table.
+
+    Raises ValueError unless the proof passes check. A proof without a
+    lemma table is returned as it is.
+    """
+    if not proof.lemmas:
+        return proof
+    root = expand_node(node_of(proof), proof.params)
+    return linearize(root, proof.params, proof.hypotheses)
 
 
 def chain_node(params: LogicParams, ab: Node, bc: Node) -> Node:
@@ -794,21 +984,30 @@ def replace_hyp_with_theorem(proof: Proof, index: int, theorem: Proof) -> Proof:
 def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
     """Apply an atom substitution to every formula of a proof.
 
-    Justification structure is preserved line for line; axiom
-    substitutions are composed with the new one.
+    Justification structure is preserved line for line; axiom and
+    citation bindings are composed with the new one. The lemma table,
+    hypothesis-free, is kept as it is.
     """
     cache: dict[Formula, Formula] = {}
-    hyps = tuple(_substitute(h, subst, cache) for h in proof.hypotheses)
+
+    def sub(f: Formula) -> Formula:
+        return _substitute(f, subst, cache)
+
+    hyps = tuple(map(sub, proof.hypotheses))
+    lemmas = proof.lemmas
     out: list[ProofLine] = []
     for line in proof.lines:
         just = line.just
         if isinstance(just, Axiom):
-            just = Axiom(
-                just.schema,
-                {v: _substitute(f, subst, cache) for v, f in just.subst.items()},
-            )
-        out.append(ProofLine(_substitute(line.formula, subst, cache), just))
-    return Proof(proof.params, hyps, tuple(out))
+            just = Axiom(just.schema, {v: sub(f) for v, f in just.subst.items()})
+        elif isinstance(just, Lemma):
+            at = just.index
+            cited = lemmas[at] if 0 <= at < len(lemmas) else ()
+            names = cited[-1].formula.atom_names if cited else tuple(subst)
+            items = _compose(just.bind.items(), names, sub, subst)
+            just = Lemma(at, dict(items))
+        out.append(ProofLine(sub(line.formula), just))
+    return Proof(proof.params, hyps, tuple(out), lemmas)
 
 
 # ---------------------------------------------------------------------------
@@ -870,34 +1069,44 @@ class ProofFormatError(ValueError):
 
 
 def proof_to_json(proof: Proof) -> dict:
-    """Plain-dict form of a proof; line references become 1-based.
+    """Plain-dict form of a proof; line and lemma references become
+    1-based. The "lemmas" list is written only when the table is not
+    empty; each entry is a list of lines.
 
     The fields share the texts of their common subformulas, within a
     budget linear in the document's size (see _TextCache).
     """
     text = _TextCache().render
-    lines = []
-    for line in proof.lines:
-        just = line.just
-        if isinstance(just, Axiom):
-            j = {
-                "kind": "axiom",
-                "schema": just.schema,
-                "subst": {
-                    v: text(f) for v, f in sorted(just.subst.items())
-                },
-            }
-        elif isinstance(just, Hyp):
-            j = {"kind": "hyp", "index": just.index}
-        else:
-            assert isinstance(just, MP)
-            j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
-        lines.append({"formula": text(line.formula), "just": j})
-    return {
+
+    def binding(subst: Mapping[str, Formula]) -> dict:
+        return {v: text(f) for v, f in sorted(subst.items())}
+
+    def lines_of(lines: Sequence[ProofLine]) -> list:
+        out = []
+        for line in lines:
+            just = line.just
+            if isinstance(just, Axiom):
+                subst = binding(just.subst)
+                j = {"kind": "axiom", "schema": just.schema, "subst": subst}
+            elif isinstance(just, Hyp):
+                j = {"kind": "hyp", "index": just.index}
+            elif isinstance(just, Lemma):
+                bind = binding(just.bind)
+                j = {"kind": "lemma", "lemma": just.index + 1, "bind": bind}
+            else:
+                assert isinstance(just, MP)
+                j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
+            out.append({"formula": text(line.formula), "just": j})
+        return out
+
+    doc = {
         "logic": {"n": proof.params.n, "k": proof.params.k},
         "hypotheses": [text(h) for h in proof.hypotheses],
-        "lines": lines,
     }
+    if proof.lemmas:
+        doc["lemmas"] = [lines_of(entry) for entry in proof.lemmas]
+    doc["lines"] = lines_of(proof.lines)
+    return doc
 
 
 def _parse_formula_field(text: object, where: str) -> Formula:
@@ -909,9 +1118,32 @@ def _parse_formula_field(text: object, where: str) -> Formula:
         raise ProofFormatError(f"{where}: {e}") from None
 
 
+def _read_binding(
+    j: dict, field: str, where: str, known: dict[str, Formula]
+) -> dict[str, Formula]:
+    """The object j[field] of formula texts; a text found in known
+    (texts of this document already rendered) is not parsed."""
+    raw = j.get(field, {})
+    if not isinstance(raw, dict):
+        raise ProofFormatError(f'{where}: "{field}" must be an object')
+    out = {}
+    for v, t in raw.items():
+        f = known.get(t) if isinstance(t, str) else None
+        if f is None:
+            f = _parse_formula_field(t, f"{where} {field} {v!r}")
+        out[str(v)] = f
+    return out
+
+
+def _read_index(j: dict, field: str, where: str) -> int:
+    r = j.get(field)
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ProofFormatError(f'{where}: "{field}" must be an integer')
+    return r
+
+
 def _read_just(j: object, where: str, known: dict[str, Formula]) -> Justification:
-    """A line's justification; a substitution value found in known (texts
-    of this document already rendered) is not parsed."""
+    """A line's justification; see _read_binding for known."""
     if not isinstance(j, dict):
         raise ProofFormatError(f'{where}: "just" must be an object')
     kind = j.get("kind")
@@ -919,29 +1151,15 @@ def _read_just(j: object, where: str, known: dict[str, Formula]) -> Justificatio
         schema = j.get("schema")
         if not isinstance(schema, str):
             raise ProofFormatError(f'{where}: "schema" must be a string')
-        raw_subst = j.get("subst", {})
-        if not isinstance(raw_subst, dict):
-            raise ProofFormatError(f'{where}: "subst" must be an object')
-        subst = {}
-        for v, t in raw_subst.items():
-            f = known.get(t) if isinstance(t, str) else None
-            if f is None:
-                f = _parse_formula_field(t, f"{where} subst {v!r}")
-            subst[str(v)] = f
-        return Axiom(schema, subst)
+        return Axiom(schema, _read_binding(j, "subst", where, known))
     if kind == "hyp":
-        idx = j.get("index")
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise ProofFormatError(f'{where}: "index" must be an integer')
-        return Hyp(idx)
+        return Hyp(_read_index(j, "index", where))
     if kind == "mp":
-        refs = []
-        for field_name in ("major", "minor"):
-            r = j.get(field_name)
-            if not isinstance(r, int) or isinstance(r, bool):
-                raise ProofFormatError(f'{where}: "{field_name}" must be an integer')
-            refs.append(r - 1)
-        return MP(refs[0], refs[1])
+        major = _read_index(j, "major", where)
+        return MP(major - 1, _read_index(j, "minor", where) - 1)
+    if kind == "lemma":
+        at = _read_index(j, "lemma", where)
+        return Lemma(at - 1, _read_binding(j, "bind", where, known))
     raise ProofFormatError(f"{where}: unknown justification kind {kind!r}")
 
 
@@ -950,12 +1168,14 @@ def _predict(
     params: LogicParams,
     hyps: tuple[Formula, ...],
     lines: list[ProofLine],
+    conclusions: list[Formula],
     size: int,
 ) -> Optional[Formula]:
     """The formula just gives its line (the cited hypothesis, the major
-    premise's consequent or the axiom instance), or None when it names
-    none that a text of size characters can spell: a text spells at
-    least one character per connective and atom."""
+    premise's consequent, the axiom instance or the cited lemma's
+    conclusion under the binding), or None when it names none that a
+    text of size characters can spell: a text spells at least one
+    character per connective and atom."""
     f = None
     if type(just) is MP:
         if 0 <= just.major < len(lines):
@@ -973,6 +1193,12 @@ def _predict(
         items = tuple(sorted(just.subst.items()))
         if depth < size and tuple(v for v, _ in items) == _METAVARS.get(schema):
             f = _axiom(params, schema, items).formula
+    elif type(just) is Lemma:
+        # an instance is no smaller than the conclusion substituted
+        if 0 <= just.index < len(conclusions):
+            cited = conclusions[just.index]
+            if cited.comp < size:
+                f = substitute(cited, just.bind)
     return f if f is not None and f.comp < size else None
 
 
@@ -980,7 +1206,8 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     """Read the JSON proof document format.
 
     Accepts a dict or raw JSON text. Only structural problems raise;
-    whether the proof is correct is check's business.
+    whether the proof is correct is check's business. The lemma table,
+    if there is one, is read before the lines.
 
     A line's justification predicts its formula (see _predict). The
     prediction is rendered and compared with the line's text, which is
@@ -989,8 +1216,8 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     parsing every field gives. The text of every subformula rendered is
     kept for the document, within _ROOM_PER_CHAR characters per
     character of the line formulas, and a substitution value found
-    among those texts is not parsed. The 2.87 MB, 1785-line proof of
-    a -> b -> a at (16,16) reads in about 0.09 s.
+    among those texts is not parsed. The 2.87 MB, 1785-line flat proof
+    of a -> b -> a at (16,16) reads in about 0.09 s.
     """
     if isinstance(data, (str, bytes)):
         try:
@@ -1020,39 +1247,56 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     hyps = tuple(
         _parse_formula_field(h, f"hypothesis {i}") for i, h in enumerate(raw_hyps)
     )
+    raw_lemmas = data.get("lemmas", [])
+    if not isinstance(raw_lemmas, list):
+        raise ProofFormatError('"lemmas" must be a list')
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a nonempty list')
     text_of: dict[Formula, str] = {}
     formula_of: dict[str, Formula] = {}
     room = 0
-    lines: list[ProofLine] = []
-    for num, raw in enumerate(raw_lines, start=1):
-        where = f"line {num}"
-        if not isinstance(raw, dict):
-            raise ProofFormatError(f"{where}: expected an object")
-        text = raw.get("formula")
-        if not isinstance(text, str):
-            raise ProofFormatError(f"{where}: expected a formula string")
-        # a fault in the formula is reported before one in "just"
-        try:
-            just = _read_just(raw.get("just"), where, formula_of)
-            fault = None
-        except ProofFormatError as e:
-            just, fault = None, e
-        formula = _predict(just, params, hyps, lines, len(text))
-        if formula is not None:
-            room += _ROOM_PER_CHAR * len(text)
-            before = len(text_of)
-            spelled = _render_cached(formula, text_of, room)
-            for f, t in islice(reversed(text_of.items()), len(text_of) - before):
-                formula_of[t] = f
-                room -= len(t)
-            if spelled != text:
-                formula = None
-        if formula is None:
-            formula = _parse_formula_field(text, where)
-        if fault is not None:
-            raise fault
-        lines.append(ProofLine(formula, just))
-    return Proof(params, hyps, tuple(lines))
+    conclusions: list[Formula] = []
+
+    def read(raw_lines: list, hyps: tuple[Formula, ...], prefix: str) -> tuple:
+        nonlocal room
+        lines: list[ProofLine] = []
+        for num, raw in enumerate(raw_lines, start=1):
+            where = f"{prefix}line {num}"
+            if not isinstance(raw, dict):
+                raise ProofFormatError(f"{where}: expected an object")
+            text = raw.get("formula")
+            if not isinstance(text, str):
+                raise ProofFormatError(f"{where}: expected a formula string")
+            # a fault in the formula is reported before one in "just"
+            try:
+                just = _read_just(raw.get("just"), where, formula_of)
+                fault = None
+            except ProofFormatError as e:
+                just, fault = None, e
+            formula = _predict(just, params, hyps, lines, conclusions, len(text))
+            if formula is not None:
+                room += _ROOM_PER_CHAR * len(text)
+                before = len(text_of)
+                spelled = _render_cached(formula, text_of, room)
+                for f, t in islice(reversed(text_of.items()), len(text_of) - before):
+                    formula_of[t] = f
+                    room -= len(t)
+                if spelled != text:
+                    formula = None
+            if formula is None:
+                formula = _parse_formula_field(text, where)
+            if fault is not None:
+                raise fault
+            lines.append(ProofLine(formula, just))
+        return tuple(lines)
+
+    lemmas = []
+    for e, raw_entry in enumerate(raw_lemmas, start=1):
+        if not isinstance(raw_entry, list) or not raw_entry:
+            raise ProofFormatError(f"lemma {e}: expected a nonempty list of lines")
+        # a lemma cites no hypothesis and only earlier lemmas
+        entry = read(raw_entry, (), f"lemma {e} ")
+        lemmas.append(entry)
+        conclusions.append(entry[-1].formula)
+    return Proof(params, hyps, read(raw_lines, hyps, ""), tuple(lemmas))

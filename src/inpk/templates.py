@@ -5,8 +5,9 @@ properties of the star and circle modalities, contraposition in both
 directions, case analysis through strong negation, and the lattice
 rules for the defined conjunction and disjunction.  Every entry pairs a
 statement over placeholder atoms with a derivation script; the generic
-proof node is built once per logic and instantiated by one substitution
-rewrite of its DAG, so a caller pays for each script at most once.
+proof node is built once per logic, and an instance is a citation of
+it (see ``proofs.lemma_node``), so a caller pays for each script at
+most once and a proof carries each generic once, in its lemma table.
 ``lemma`` keeps that one memo table for these and for the classical
 helper lemmas alike.
 """
@@ -37,8 +38,9 @@ from .proofs import (
     axiom_node,
     chain_node,
     discharge,
+    expand_node,
     hyp_node,
-    instantiate,
+    lemma_node,
     linearize,
     mp_node,
     perm_node,
@@ -78,8 +80,8 @@ def lemma(
     of them), with bind in their place, in that order.
 
     The generic, whose bind is the placeholders themselves, is built
-    once and rests on no hypothesis; any other binding is made once, by
-    instantiating the generic.
+    once and rests on no hypothesis; any other binding is a citation of
+    the generic.
     """
     key = (build, params, bind)
     node = _LEMMAS.get(key)
@@ -90,7 +92,7 @@ def lemma(
             assert not node.hyps
         else:
             subst = {a.name: f for a, f in zip(_PLACEHOLDERS, bind)}
-            node = instantiate(lemma(build, params, generic), subst, params)
+            node = lemma_node(lemma(build, params, generic), subst)
         _LEMMAS[key] = node
     return node
 
@@ -122,8 +124,9 @@ def scope() -> Iterator[None]:
             for key, node in lemmas
             if key[2] == _PLACEHOLDERS[: len(key[2])]
         }
-        # a node is made after its premises, so a node made before the
-        # scope reaches none made inside, and the walk stops at it
+        # a node is made after its premises and the lemma it cites, so a
+        # node made before the scope reaches none made inside, and the
+        # walk stops at it
         keep: set[Node] = set()
         stack = list(generics.values())
         while stack:
@@ -132,6 +135,8 @@ def scope() -> Iterator[None]:
                 keep.add(node)
                 if node.major is not None:
                     stack += (node.major, node.minor)
+                elif node.lemma is not None:
+                    stack.append(node.lemma)
         for key, node in nodes:
             if node not in keep:
                 del _NODES[key]
@@ -509,8 +514,10 @@ def derive_template(
     subst: Mapping[str, Formula],
     params: LogicParams,
 ) -> Proof:
-    """Instantiate a registered template as a hypothesis-free proof."""
+    """Instantiate a registered template as a hypothesis-free proof,
+    every lemma its script cites expanded in place (see
+    proofs.expand_node): the proof has no lemma table."""
     node = template_node(template_id, subst, params)
     if node.proof is None:
-        node.proof = linearize(node, params)
+        node.proof = linearize(expand_node(node, params), params)
     return node.proof

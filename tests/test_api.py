@@ -17,7 +17,8 @@ PUBLIC = (
     "entails", "parse_valuation", "render_valuation", "compare_logics",
     "separating_witness", "truth_table",
     # proofs
-    "AXIOM_IDS", "Axiom", "Hyp", "MP", "ProofLine", "Proof", "CheckVerdict",
+    "AXIOM_IDS", "Axiom", "Hyp", "MP", "Lemma", "ProofLine", "Proof",
+    "CheckVerdict",
     "ProofBuilder", "ProofFormatError", "axiom_pattern",
     "axiom_metavariables", "axiom_proof", "match_axiom", "substitute",
     "check", "deduction_transform", "weaken", "replace_hyp_with_theorem",

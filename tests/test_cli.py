@@ -6,6 +6,7 @@ ints and output is captured with capsys.
 
 import json
 import random
+import re
 import time
 
 import pytest
@@ -325,8 +326,16 @@ def test_prove_over_valuation_budget_is_capacity_error(capsys):
 def test_prove_text_listing_without_output_file(capsys):
     rc, out, _ = run(capsys, "prove", "--n", "0", "--k", "0", "p -> p")
     assert rc == 0
-    assert out.startswith("logic: (0,0)")
-    assert "1." in out
+    assert out.startswith("logic: (0,0)\nlemma 1:\n  1. ")
+    listing = out.splitlines()
+    # the lemma table, indented, then the main lines, which cite it
+    main_lines = [ln for ln in listing if ln[:1].isdigit()]
+    assert main_lines[0].startswith("1. ")
+    assert main_lines[-1].startswith(f"{len(main_lines)}. p -> p   [")
+    assert any(re.search(r"   \[lemma \d+ {phi := ", ln) for ln in main_lines)
+    assert len(main_lines) + sum(ln.startswith("lemma ") for ln in listing) < len(
+        listing
+    )
 
 
 def test_check_tampered_proof_rejected(tmp_path, capsys):

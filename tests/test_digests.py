@@ -2,9 +2,11 @@
 
 The line-count tests say how long a proof is; these say what it is. Each
 digest is the SHA-256 of the compact JSON text of ``proof_to_json`` of a
-proof: every template's generic at (1,1), and ``complete_prove`` on the
-21 goal shapes of the benchmark's ``prove`` workload, with its atoms x
-and y named p and q.
+flat proof: every template's generic at (1,1), and the expansion of
+``complete_prove`` on the 21 goal shapes of the benchmark's ``prove``
+workload, with its atoms x and y named p and q. A synthesized proof
+cites its lemmas; expanding every citation in place gives the proof
+that was synthesized before lemmas were cited, byte for byte.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 
 from inpk.formula import Atom, parse
 from inpk.kalmar import complete_prove
-from inpk.proofs import Proof, proof_to_json
+from inpk.proofs import Proof, check, expand, proof_to_json
 from inpk.semantics import LogicParams
 from inpk.templates import TEMPLATES, derive_template
 
@@ -101,4 +103,8 @@ PROVE_DIGESTS = [
     ids=[f"{i}-{n}{k}-{text}" for i, (n, k, text, _) in enumerate(PROVE_DIGESTS)],
 )
 def test_prove_goal_is_pinned(n, k, text, want):
-    assert digest(complete_prove(LogicParams(n, k), parse(text))) == want
+    pf = complete_prove(LogicParams(n, k), parse(text))
+    assert pf.lemmas
+    flat = expand(pf)
+    assert not flat.lemmas and check(flat)
+    assert digest(flat) == want

@@ -26,6 +26,7 @@ from inpk.proofs import (
     MP,
     Axiom,
     Hyp,
+    Lemma,
     Proof,
     ProofFormatError,
     ProofLine,
@@ -33,6 +34,7 @@ from inpk.proofs import (
     axiom_proof,
     check,
     deduction_transform,
+    expand,
     proof_from_json,
     proof_to_json,
     prune,
@@ -66,6 +68,53 @@ def _reference_formula_field(text, where):
         raise ProofFormatError(f"{where}: {e}") from None
 
 
+def _reference_index(j, field, where):
+    ref = j.get(field)
+    if not isinstance(ref, int) or isinstance(ref, bool):
+        raise ProofFormatError(f'{where}: "{field}" must be an integer')
+    return ref
+
+
+def _reference_binding(j, field, where):
+    raw = j.get(field, {})
+    if not isinstance(raw, dict):
+        raise ProofFormatError(f'{where}: "{field}" must be an object')
+    return {
+        str(v): _reference_formula_field(t, f"{where} {field} {v!r}")
+        for v, t in raw.items()
+    }
+
+
+def _reference_lines(raw_lines, prefix):
+    lines = []
+    for num, raw in enumerate(raw_lines, start=1):
+        where = f"{prefix}line {num}"
+        if not isinstance(raw, dict):
+            raise ProofFormatError(f"{where}: expected an object")
+        formula = _reference_formula_field(raw.get("formula"), where)
+        j = raw.get("just")
+        if not isinstance(j, dict):
+            raise ProofFormatError(f'{where}: "just" must be an object')
+        kind = j.get("kind")
+        if kind == "axiom":
+            schema = j.get("schema")
+            if not isinstance(schema, str):
+                raise ProofFormatError(f'{where}: "schema" must be a string')
+            just = Axiom(schema, _reference_binding(j, "subst", where))
+        elif kind == "hyp":
+            just = Hyp(_reference_index(j, "index", where))
+        elif kind == "mp":
+            major = _reference_index(j, "major", where) - 1
+            just = MP(major, _reference_index(j, "minor", where) - 1)
+        elif kind == "lemma":
+            at = _reference_index(j, "lemma", where) - 1
+            just = Lemma(at, _reference_binding(j, "bind", where))
+        else:
+            raise ProofFormatError(f"{where}: unknown justification kind {kind!r}")
+        lines.append(ProofLine(formula, just))
+    return tuple(lines)
+
+
 def reference_from_json(data):
     if isinstance(data, (str, bytes)):
         try:
@@ -93,55 +142,23 @@ def reference_from_json(data):
     hyps = tuple(
         _reference_formula_field(h, f"hypothesis {i}") for i, h in enumerate(raw_hyps)
     )
+    raw_lemmas = data.get("lemmas", [])
+    if not isinstance(raw_lemmas, list):
+        raise ProofFormatError('"lemmas" must be a list')
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a nonempty list')
-    lines = []
-    for num, raw in enumerate(raw_lines, start=1):
-        where = f"line {num}"
-        if not isinstance(raw, dict):
-            raise ProofFormatError(f"{where}: expected an object")
-        formula = _reference_formula_field(raw.get("formula"), where)
-        j = raw.get("just")
-        if not isinstance(j, dict):
-            raise ProofFormatError(f'{where}: "just" must be an object')
-        kind = j.get("kind")
-        if kind == "axiom":
-            schema = j.get("schema")
-            if not isinstance(schema, str):
-                raise ProofFormatError(f'{where}: "schema" must be a string')
-            raw_subst = j.get("subst", {})
-            if not isinstance(raw_subst, dict):
-                raise ProofFormatError(f'{where}: "subst" must be an object')
-            subst = {
-                str(v): _reference_formula_field(t, f"{where} subst {v!r}")
-                for v, t in raw_subst.items()
-            }
-            just = Axiom(schema, subst)
-        elif kind == "hyp":
-            idx = j.get("index")
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise ProofFormatError(f'{where}: "index" must be an integer')
-            just = Hyp(idx)
-        elif kind == "mp":
-            refs = []
-            for field_name in ("major", "minor"):
-                ref = j.get(field_name)
-                if not isinstance(ref, int) or isinstance(ref, bool):
-                    raise ProofFormatError(
-                        f'{where}: "{field_name}" must be an integer'
-                    )
-                refs.append(ref - 1)
-            just = MP(refs[0], refs[1])
-        else:
-            raise ProofFormatError(f"{where}: unknown justification kind {kind!r}")
-        lines.append(ProofLine(formula, just))
-    return Proof(params, hyps, tuple(lines))
+    lemmas = []
+    for e, raw_entry in enumerate(raw_lemmas, start=1):
+        if not isinstance(raw_entry, list) or not raw_entry:
+            raise ProofFormatError(f"lemma {e}: expected a nonempty list of lines")
+        lemmas.append(_reference_lines(raw_entry, f"lemma {e} "))
+    return Proof(params, hyps, _reference_lines(raw_lines, ""), tuple(lemmas))
 
 
-def reference_to_json(proof):
-    lines = []
-    for line in proof.lines:
+def _reference_json_lines(lines):
+    out = []
+    for line in lines:
         just = line.just
         if isinstance(just, Axiom):
             j = {
@@ -151,31 +168,57 @@ def reference_to_json(proof):
             }
         elif isinstance(just, Hyp):
             j = {"kind": "hyp", "index": just.index}
+        elif isinstance(just, Lemma):
+            j = {
+                "kind": "lemma",
+                "lemma": just.index + 1,
+                "bind": {v: render(f) for v, f in sorted(just.bind.items())},
+            }
         else:
             j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
-        lines.append({"formula": render(line.formula), "just": j})
-    return {
+        out.append({"formula": render(line.formula), "just": j})
+    return out
+
+
+def reference_to_json(proof):
+    doc = {
         "logic": {"n": proof.params.n, "k": proof.params.k},
         "hypotheses": [render(h) for h in proof.hypotheses],
-        "lines": lines,
     }
+    if proof.lemmas:
+        doc["lemmas"] = [_reference_json_lines(entry) for entry in proof.lemmas]
+    doc["lines"] = _reference_json_lines(proof.lines)
+    return doc
+
+
+def _assert_identical_lines(got, want, where):
+    assert len(got) == len(want), where
+    for num, (a, b) in enumerate(zip(got, want), start=1):
+        assert a.formula is b.formula, f"{where}line {num}"
+        assert type(a.just) is type(b.just), f"{where}line {num}"
+        if isinstance(a.just, Axiom):
+            assert a.just.schema == b.just.schema, f"{where}line {num}"
+            x, y = a.just.subst, b.just.subst
+        elif isinstance(a.just, Lemma):
+            assert a.just.index == b.just.index, f"{where}line {num}"
+            x, y = a.just.bind, b.just.bind
+        else:
+            assert a.just == b.just, f"{where}line {num}"
+            continue
+        assert list(x) == list(y), f"{where}line {num}"
+        assert all(x[v] is y[v] for v in y), f"{where}line {num}"
 
 
 def assert_identical(got, want):
-    """Same params, the same formula objects, equal justifications."""
+    """Same params, the same formula objects, equal justifications, in
+    the lines and in the lemma table."""
     assert got.params == want.params
     assert len(got.hypotheses) == len(want.hypotheses)
     assert all(a is b for a, b in zip(got.hypotheses, want.hypotheses))
-    assert len(got.lines) == len(want.lines)
-    for num, (a, b) in enumerate(zip(got.lines, want.lines), start=1):
-        assert a.formula is b.formula, f"line {num}"
-        assert type(a.just) is type(b.just), f"line {num}"
-        if isinstance(a.just, Axiom):
-            assert a.just.schema == b.just.schema
-            assert list(a.just.subst) == list(b.just.subst)
-            assert all(a.just.subst[v] is b.just.subst[v] for v in b.just.subst)
-        else:
-            assert a.just == b.just, f"line {num}"
+    assert len(got.lemmas) == len(want.lemmas)
+    for e, (a, b) in enumerate(zip(got.lemmas, want.lemmas), start=1):
+        _assert_identical_lines(a, b, f"lemma {e} ")
+    _assert_identical_lines(got.lines, want.lines, "")
 
 
 def assert_reads_as_reference(doc):
@@ -236,7 +279,8 @@ def _build_corpus():
         for tid in SMALL_TEMPLATES:
             out.append(derive_template(tid, {"phi": Neg(p), "psi": Imp(q, r)}, params))
     out.append(classical_prove(LogicParams(1, 1), Imp(Imp(Imp(p, q), p), p)))
-    out.append(complete_prove(LogicParams(0, 0), parse("p -> p")))
+    cited = complete_prove(LogicParams(0, 0), parse("p -> p"))
+    out += [cited, expand(cited)]
     params = LogicParams(1, 1)
     theorem = axiom_proof(params, "Ax1", {"phi": p, "psi": q})
     host = weaken(
@@ -275,16 +319,23 @@ def test_canonical_documents_parse_no_line_formula(corpus, monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(proofs_module, "parse", counting)
+    cited = 0
     for pf in corpus:
         doc = proof_to_json(pf)
         seen.clear()
         proof_from_json(doc)
         allowed = set(doc["hypotheses"])
-        for raw in doc["lines"]:
-            allowed.update(raw["just"].get("subst", {}).values())
-        substs = sum(len(raw["just"].get("subst", {})) for raw in doc["lines"])
+        raw_lines = [raw for entry in doc.get("lemmas", []) for raw in entry]
+        raw_lines += doc["lines"]
+        bindings = [
+            raw["just"].get("subst", raw["just"].get("bind", {})) for raw in raw_lines
+        ]
+        for binding in bindings:
+            allowed.update(binding.values())
         assert set(seen) <= allowed
-        assert len(seen) <= len(doc["hypotheses"]) + substs
+        assert len(seen) <= len(doc["hypotheses"]) + sum(map(len, bindings))
+        cited += sum(raw["just"]["kind"] == "lemma" for raw in raw_lines)
+    assert cited
 
 
 def _tampered(doc):
@@ -594,8 +645,10 @@ def test_deep_formulas_are_written_in_linear_memory():
     ],
 )
 def test_writer_matches_rendering_every_field_on_the_pinned_proofs(nk, text, lines):
-    pf = complete_prove(LogicParams(*nk), parse(text))
-    assert len(pf) == lines
-    doc = proof_to_json(pf)
-    assert json.dumps(doc) == json.dumps(reference_to_json(pf))
-    assert_identical(proof_from_json(doc), pf)
+    cited = complete_prove(LogicParams(*nk), parse(text))
+    flat = expand(cited)
+    assert len(flat) == lines
+    for pf in (cited, flat):
+        doc = proof_to_json(pf)
+        assert json.dumps(doc) == json.dumps(reference_to_json(pf))
+        assert_identical(proof_from_json(doc), pf)

@@ -36,6 +36,7 @@ from inpk.proofs import (
     Hyp,
     axiom_proof,
     check,
+    expand,
     proof_to_json,
     weaken,
 )
@@ -347,7 +348,8 @@ def test_complete_prove_output_is_semantically_entailed():
 
 
 # -- pinned outputs ----------------------------------------------------------
-# Line counts of the synthesis that elides vacuous case merges. Each row
+# Line counts of the synthesis that elides vacuous case merges, counted
+# on the flat proof that expands every lemma citation in place. Each row
 # is named by its count before the elision (the line-list code that
 # the node kernel replaced gave the same lines, in another order), which
 # the never-longer test below keeps as an upper bound.
@@ -367,27 +369,45 @@ def test_complete_prove_line_counts_are_pinned(nk, text, lines):
     lp = LogicParams(*nk)
     f = parse(text)
     pf = complete_prove(lp, f)
-    assert len(pf) == lines
+    flat = expand(pf)
+    assert len(flat) == lines
     assert pf.conclusion is f and not pf.hypotheses
-    assert check(pf)
+    assert check(pf) and check(flat)
+
+
+# The same proofs as they are returned: (lines, lemmas, lines of the lemmas).
+@pytest.mark.parametrize(
+    "nk, text, cited",
+    [
+        ((1, 0), "!!p || !p", (177, 16, 922)),
+        ((1, 1), "p -> (q -> (r -> p))", (145, 16, 872)),
+        ((16, 16), "p -> p", (132, 16, 872)),
+    ],
+)
+def test_complete_prove_cited_counts_are_pinned(nk, text, cited):
+    pf = complete_prove(LogicParams(*nk), parse(text))
+    assert (len(pf), len(pf.lemmas), sum(map(len, pf.lemmas))) == cited
 
 
 def test_lemma1_and_its_transforms_are_pinned():
     from inpk.proofs import deduction_transform
 
     lp = LogicParams(1, 1)
+    # (flat line counts, cited line counts) of the proof and its transforms
     cases = [
-        ("p -> (q -> p)", {"p": F(1), "q": T(1)}, [261, 264, 263, 263, 263, 261]),
-        ("!!p || !p", {"p": T(1)}, [857, 864, 859, 857]),
+        ("p -> (q -> p)", {"p": F(1), "q": T(1)},
+         [261, 264, 263, 263, 263, 261], [3, 11, 5, 5, 5, 3]),
+        ("!!p || !p", {"p": T(1)}, [857, 864, 859, 857], [5, 17, 7, 5]),
         ("(p -> q) -> (p -> q)", {"p": T(0), "q": F(1)},
-         [388, 416, 390, 395, 390, 388]),
+         [388, 416, 390, 395, 390, 388], [39, 67, 41, 51, 41, 39]),
     ]
-    for text, v, want in cases:
+    for text, v, flat, cited in cases:
         pf = lemma1_derive(lp, parse(text), v)
-        got = [len(pf)]
-        got += [len(deduction_transform(pf, i)) for i in range(len(pf.hypotheses))]
-        got.append(len(weaken(pf, tuple(reversed(pf.hypotheses)))))
-        assert got == want, text
+        got = [pf]
+        got += [deduction_transform(pf, i) for i in range(len(pf.hypotheses))]
+        got.append(weaken(pf, tuple(reversed(pf.hypotheses))))
+        assert [len(expand(x)) for x in got] == flat, text
+        assert [len(x) for x in got] == cited, text
 
 
 def test_trace_ends_with_the_length_of_the_proof():
@@ -406,7 +426,8 @@ def test_complete_prove_on_a_deep_formula():
         f = Imp(p, f)
     pf = complete_prove(LogicParams(0, 0), f)
     assert pf.conclusion is f and not pf.hypotheses
-    assert len(pf) == 10352
+    assert (len(pf), len(pf.lemmas)) == (9064, 14)
+    assert len(expand(pf)) == 10352
     assert check(pf)
 
 
@@ -547,6 +568,9 @@ def _assert_generics_are_interned():
                 stack += (node.major, node.minor)
             elif node.schema is not None:
                 key = (node.schema, node.subst, params.n, params.k)
+            elif node.lemma is not None:
+                key = (node.lemma, node.subst)
+                stack.append(node.lemma)
             else:
                 key = node.formula
             assert proofs._NODES.get(key) is node
@@ -561,10 +585,11 @@ def test_complete_prove_keeps_the_tables_flat_across_renamings():
     ]
     sizes = []
     for x, y in (("ra", "rb"), ("sa", "sb"), ("ta", "tb")):
-        # no check here: check memoizes the axiom instances it meets
+        # check adds no node either
         for (n, k), text in shapes:
             goal = parse(text.format(x=x, y=y))
-            assert complete_prove(LogicParams(n, k), goal).conclusion is goal
+            pf = complete_prove(LogicParams(n, k), goal)
+            assert pf.conclusion is goal and check(pf)
         sizes.append(_sizes())
     assert sizes[0] == sizes[1] == sizes[2]
     _assert_generics_are_interned()

@@ -1,0 +1,321 @@
+"""Lemma tables: proofs that cite a hypothesis-free lemma at a binding.
+
+A Proof carries an ordered table of lemmas; a Lemma line is the cited
+lemma's conclusion under the line's binding. check verifies each lemma
+once, and the reader and the CLI carry the table.
+"""
+
+import json
+
+import pytest
+
+import inpk.proofs as proofs_module
+from inpk.cli import _format_proof, main
+from inpk.formula import Atom, Imp
+from inpk.proofs import (
+    Axiom,
+    CheckVerdict,
+    Hyp,
+    Lemma,
+    MP,
+    Proof,
+    ProofFormatError,
+    ProofLine,
+    axiom_pattern,
+    check,
+    expand,
+    lemma_node,
+    linearize,
+    node_of,
+    proof_from_json,
+    proof_to_json,
+    refl_node,
+    substitute,
+    substitute_proof,
+)
+from inpk.semantics import LogicParams
+
+P00 = LogicParams(0, 0)
+phi, p, q = Atom("phi"), Atom("p"), Atom("q")
+
+
+def refl_entry(params=P00):
+    """The five lines of phi -> phi."""
+    return linearize(refl_node(params, phi), params).lines
+
+
+def cite(index, bind, formula):
+    return ProofLine(formula, Lemma(index, bind))
+
+
+def refl_citing(params=P00, f=p):
+    """f -> f, cited from the refl lemma."""
+    return Proof(params, (), (cite(0, {"phi": f}, Imp(f, f)),), (refl_entry(params),))
+
+
+def test_a_citation_checks_and_expands_to_the_instance():
+    pf = refl_citing()
+    assert check(pf)
+    assert len(pf) == 1
+    flat = expand(pf)
+    assert not flat.lemmas and check(flat)
+    assert flat == linearize(refl_node(P00, p), P00)
+
+
+# -- the kernel ------------------------------------------------------------
+
+
+def test_a_wrong_citation_formula_is_rejected():
+    pf = refl_citing()
+    bad = Proof(P00, (), (cite(0, {"phi": p}, Imp(q, q)),), pf.lemmas)
+    assert check(bad) == CheckVerdict(
+        False, 1, "formula is not lemma 1 under its binding"
+    )
+
+
+def test_a_self_citation_is_rejected():
+    entry = (cite(0, {"phi": phi}, Imp(phi, phi)),)
+    pf = Proof(P00, (), (cite(0, {"phi": p}, Imp(p, p)),), (entry,))
+    assert check(pf) == CheckVerdict(
+        False, None, "lemma 1 line 1: lemma 1 is not an earlier lemma"
+    )
+
+
+def test_a_forward_citation_is_rejected():
+    first = (cite(1, {"phi": phi}, Imp(phi, phi)),)
+    pf = Proof(
+        P00, (), (cite(0, {"phi": p}, Imp(p, p)),), (first, refl_entry())
+    )
+    assert check(pf) == CheckVerdict(
+        False, None, "lemma 1 line 1: lemma 2 is not an earlier lemma"
+    )
+    # the same table in dependency order checks
+    second = (cite(0, {"phi": phi}, Imp(phi, phi)),)
+    assert check(Proof(P00, (), pf.lines, (refl_entry(), second)))
+
+
+@pytest.mark.parametrize("index", [1, 7, -1])
+def test_an_index_out_of_range_is_rejected(index):
+    entry = refl_entry()
+    pf = Proof(P00, (), (cite(index, {"phi": p}, Imp(p, p)),), (entry,))
+    assert check(pf) == CheckVerdict(
+        False, 1, f"lemma index {index + 1} out of range"
+    )
+
+
+def test_a_hypothesis_inside_a_lemma_is_rejected():
+    entry = (ProofLine(p, Hyp(0)),)
+    pf = Proof(P00, (p,), (cite(0, {}, p),), (entry,))
+    assert check(pf) == CheckVerdict(
+        False, None, "lemma 1 line 1: a lemma may not cite a hypothesis"
+    )
+
+
+def test_an_empty_lemma_is_rejected():
+    pf = Proof(P00, (), refl_citing().lines, ((),))
+    assert check(pf) == CheckVerdict(False, None, "lemma 1 has no lines")
+
+
+def test_a_fault_inside_a_lemma_names_the_lemma_and_its_line():
+    entry = list(refl_entry())
+    entry[2] = ProofLine(entry[2].formula, MP(2, 1))
+    pf = Proof(P00, (), refl_citing().lines, (tuple(entry),))
+    verdict = check(pf)
+    assert verdict.line is None
+    assert verdict.reason == (
+        "lemma 1 line 3: reference to line 3 is not an earlier line"
+    )
+    assert str(verdict).startswith("rejected: lemma 1 line 3: ")
+
+
+def chain(depth, params=P00):
+    """Lemma i proves phi -> phi by citing lemma i - 1 twice, so a
+    checker that followed each citation into its lemma would visit
+    lemma 0 about 2^depth times."""
+    ff = Imp(phi, phi)
+    lemmas = [refl_entry(params)]
+    for i in range(1, depth):
+        lemmas.append((
+            cite(i - 1, {"phi": ff}, Imp(ff, ff)),
+            cite(i - 1, {"phi": phi}, ff),
+            ProofLine(ff, MP(0, 1)),
+        ))
+    main = (cite(depth - 1, {"phi": p}, Imp(p, p)),)
+    return Proof(params, (), main, tuple(lemmas))
+
+
+def test_a_deep_chain_of_lemmas_checks_each_citation_once(monkeypatch):
+    calls = []
+
+    def counting(f, subst):
+        calls.append(f)
+        return substitute(f, subst)
+
+    monkeypatch.setattr(proofs_module, "substitute", counting)
+    pf = chain(30)
+    assert check(pf)
+    # one substitution per citation, and at most one per axiom line
+    assert len(calls) <= 2 * 29 + 1 + 3
+    bad = Proof(pf.params, (), (cite(29, {"phi": p}, Imp(q, q)),), pf.lemmas)
+    assert check(bad).line == 1
+
+
+def test_check_adds_no_node():
+    # an axiom instance and a citation over atoms no other test uses
+    a, b = Atom("fresh_check_a"), Atom("fresh_check_b")
+    subst = {"phi": a, "psi": b}
+    instance = substitute(axiom_pattern("Ax1", P00), subst)
+    lines = (
+        ProofLine(instance, Axiom("Ax1", subst)),
+        cite(0, {"phi": Imp(a, b)}, Imp(Imp(a, b), Imp(a, b))),
+    )
+    pf = Proof(P00, (), lines, (refl_entry(),))
+    size = len(proofs_module._NODES)
+    assert check(pf)
+    assert len(proofs_module._NODES) == size
+
+
+# -- nodes -----------------------------------------------------------------
+
+
+def test_node_of_rebuilds_the_citations():
+    pf = refl_citing()
+    node = node_of(pf)
+    assert node.lemma is node_of(Proof(P00, (), refl_entry()))
+    assert node is lemma_node(node.lemma, {"phi": p})
+    assert linearize(node, P00) == pf
+
+
+def test_a_citation_node_needs_a_hypothesis_free_lemma():
+    from inpk.proofs import hyp_node
+
+    with pytest.raises(ValueError, match="no hypothesis"):
+        lemma_node(hyp_node(p), {"p": q})
+
+
+def test_substitute_proof_composes_the_binding():
+    pf = substitute_proof(refl_citing(), {"p": Imp(q, q)})
+    assert pf.lines[0].just == Lemma(0, {"phi": Imp(q, q)})
+    assert check(pf) and pf.lemmas == refl_citing().lemmas
+
+
+# -- the JSON document -----------------------------------------------------
+
+
+def test_a_table_round_trips_through_json():
+    pf = chain(5)
+    doc = proof_to_json(pf)
+    assert list(doc) == ["logic", "hypotheses", "lemmas", "lines"]
+    assert doc["lines"][0]["just"] == {
+        "kind": "lemma", "lemma": 5, "bind": {"phi": "p"},
+    }
+    got = proof_from_json(json.dumps(doc))
+    assert got == pf and check(got)
+    # a flat proof has no "lemmas" key
+    assert "lemmas" not in proof_to_json(expand(refl_citing()))
+
+
+def _table_doc(lemmas, line=None):
+    doc = proof_to_json(refl_citing())
+    doc["lemmas"] = lemmas
+    if line is not None:
+        doc["lines"] = [line]
+    return doc
+
+
+def _citation(just):
+    return {"formula": "p -> p", "just": {"kind": "lemma", **just}}
+
+
+_ENTRY = proof_to_json(refl_citing())["lemmas"][0]
+
+MALFORMED_TABLES = [
+    (_table_doc({}), '"lemmas" must be a list'),
+    (_table_doc("phi -> phi"), '"lemmas" must be a list'),
+    (_table_doc([[]]), "lemma 1: expected a nonempty list of lines"),
+    (_table_doc([_ENTRY, {"lines": _ENTRY}]), "lemma 2: expected a nonempty list"),
+    (_table_doc([None]), "lemma 1: expected a nonempty list of lines"),
+    (_table_doc([["phi"]]), "lemma 1 line 1: expected an object"),
+    (_table_doc([[{"formula": "phi"}]]), 'lemma 1 line 1: "just" must be an object'),
+    (_table_doc([_ENTRY], _citation({"lemma": "1", "bind": {"phi": "p"}})),
+     'line 1: "lemma" must be an integer'),
+    (_table_doc([_ENTRY], _citation({"lemma": True, "bind": {"phi": "p"}})),
+     'line 1: "lemma" must be an integer'),
+    (_table_doc([_ENTRY], _citation({"lemma": 1.0, "bind": {"phi": "p"}})),
+     'line 1: "lemma" must be an integer'),
+    (_table_doc([_ENTRY], _citation({"bind": {"phi": "p"}})),
+     'line 1: "lemma" must be an integer'),
+    (_table_doc([_ENTRY], _citation({"lemma": 1, "bind": ["p"]})),
+     'line 1: "bind" must be an object'),
+    (_table_doc([_ENTRY], _citation({"lemma": 1, "bind": "p"})),
+     'line 1: "bind" must be an object'),
+    (_table_doc([_ENTRY], _citation({"lemma": 1, "bind": {"phi": 3}})),
+     "line 1 bind 'phi': expected a formula string"),
+    (_table_doc([_ENTRY], _citation({"lemma": 1, "bind": {"phi": None}})),
+     "line 1 bind 'phi': expected a formula string"),
+    (_table_doc([_ENTRY], _citation({"lemma": 1, "bind": {"phi": "p ->"}})),
+     "line 1 bind 'phi': "),
+    (_table_doc([_ENTRY, [_citation({"lemma": 1, "bind": {"phi": "(p"}})]]),
+     "lemma 2 line 1 bind 'phi': "),
+]
+
+
+@pytest.mark.parametrize("i", range(len(MALFORMED_TABLES)))
+def test_a_malformed_table_is_a_format_error(i):
+    doc, message = MALFORMED_TABLES[i]
+    for data in (doc, json.dumps(doc)):
+        with pytest.raises(ProofFormatError) as got:
+            proof_from_json(data)
+        assert str(got.value).startswith(message)
+
+
+# -- the CLI ---------------------------------------------------------------
+
+
+def test_the_listing_shows_the_table_and_the_citations():
+    text = _format_proof(chain(2))
+    assert text.splitlines() == [
+        "logic: (0,0)",
+        "lemma 1:",
+        "  1. (phi -> (phi -> phi) -> phi) -> (phi -> phi -> phi) -> phi -> phi"
+        "   [Ax2 {phi := phi, psi := phi -> phi, theta := phi}]",
+        "  2. phi -> (phi -> phi) -> phi   [Ax1 {phi := phi, psi := phi -> phi}]",
+        "  3. (phi -> phi -> phi) -> phi -> phi   [mp 1, 2]",
+        "  4. phi -> phi -> phi   [Ax1 {phi := phi, psi := phi}]",
+        "  5. phi -> phi   [mp 3, 4]",
+        "lemma 2:",
+        "  1. (phi -> phi) -> phi -> phi   [lemma 1 {phi := phi -> phi}]",
+        "  2. phi -> phi   [lemma 1 {phi := phi}]",
+        "  3. phi -> phi   [mp 1, 2]",
+        "1. p -> p   [lemma 2 {phi := p}]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "lemmas, reason",
+    [
+        (((ProofLine(p, Hyp(0)),),),
+         "lemma 1 line 1: a lemma may not cite a hypothesis"),
+        (((cite(1, {}, p),), (ProofLine(p, Hyp(0)),)),
+         "lemma 1 line 1: lemma 2 is not an earlier lemma"),
+    ],
+)
+def test_json_check_reports_a_table_fault(lemmas, reason, tmp_path, capsys):
+    pf = Proof(P00, (p,), (cite(0, {}, p),), lemmas)
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(proof_to_json(pf)))
+    assert main(["--json", "check", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"accepted": False, "reason": reason}
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == f"rejected: {reason}\n"
+
+
+def test_check_on_an_empty_lemma_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(_table_doc([[]])))
+    assert main(["--json", "check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: bad proof file: lemma 1: expected a nonempty list of lines\n"
+    )

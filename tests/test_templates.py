@@ -6,7 +6,14 @@ import pytest
 
 from inpk import classical, templates
 from inpk.formula import Atom, Imp, Neg, and_, circ, or_, parse, star
-from inpk.proofs import Axiom, check, instantiate
+from inpk.proofs import (
+    Axiom,
+    check,
+    expand_node,
+    instantiate,
+    lemma_node,
+    substitute,
+)
 from inpk.semantics import LogicParams, is_tautology
 from inpk.templates import TEMPLATES, derive_template, lemma, template_ids
 
@@ -130,21 +137,29 @@ def lemma_builders():
 
 
 @pytest.mark.parametrize("params", [LogicParams(1, 1), LogicParams(0, 2)], ids=str)
-def test_lemma_builds_once_and_instantiates_once(params):
+def test_lemma_builds_once_and_cites_once(params):
     rng = random.Random(11)
     for name, build in lemma_builders():
         generic = build(params)
         ident = PLACEHOLDERS[: len(generic.formula.atom_names)]
         swapped = (PLACEHOLDERS[1], PLACEHOLDERS[0])[: len(ident)] + ident[2:]
-        binds = [ident, swapped] + [
+        binds = [swapped] + [
             tuple(random_formula(rng, ["p", "phi", "psi"], rng.randint(0, 2))
                   for _ in ident)
             for _ in range(2)
         ]
         assert not generic.hyps, name
         assert lemma(build, params, ident) is generic, name
+        flat = expand_node(generic, params)
         for bind in binds:
+            if bind == ident:
+                continue
             got = lemma(build, params, bind)
             subst = {a.name: f for a, f in zip(PLACEHOLDERS, bind)}
-            assert got is instantiate(generic, subst, params), (name, bind)
+            assert got is lemma_node(generic, subst), (name, bind)
+            assert got.lemma is generic and not got.hyps, (name, bind)
+            assert got.formula is substitute(generic.formula, subst), (name, bind)
             assert lemma(build, params, bind) is got, (name, bind)
+            # the citation stands for the instance it used to copy
+            want = instantiate(flat, subst, params)
+            assert expand_node(got, params) is want, (name, bind)
