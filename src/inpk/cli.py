@@ -66,8 +66,8 @@ MAX_VALUATIONS = 10**8
 MAX_DECISION_STEPS = 5 * 10**9
 # prove splits on the (n+k+2)^m valuations and derives only the cases a
 # merge needs (the 34^3 = 39 304 cases of "a -> b -> c -> a" at (16,16)
-# take about 0.6 s end to end); synthesis has a budget of its own, which
-# counts every case.
+# take about 0.14 s end to end, Python 3.11); synthesis has a budget of
+# its own, which counts every case.
 MAX_PROVE_CASES = 5 * 10**4
 
 
@@ -248,17 +248,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verdict_exit(args: argparse.Namespace, verdict) -> int:
-    if verdict:
-        _emit(args, "valid", {"valid": True})
-        return 0
-    cex = verdict.counterexample
+def _refuted(args: argparse.Namespace, cex) -> int:
     _emit(
         args,
         "counterexample: " + render_valuation(cex),
         {"valid": False, "counterexample": {nm: str(w) for nm, w in cex.items()}},
     )
     return 1
+
+
+def _verdict_exit(args: argparse.Namespace, verdict) -> int:
+    if verdict:
+        _emit(args, "valid", {"valid": True})
+        return 0
+    return _refuted(args, verdict.counterexample)
 
 
 def _cmd_taut(args: argparse.Namespace) -> int:
@@ -324,16 +327,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         pf = complete_prove(params, f)
     except NotATautology as exc:
-        cex = exc.counterexample
-        _emit(
-            args,
-            "counterexample: " + render_valuation(cex),
-            {
-                "valid": False,
-                "counterexample": {nm: str(w) for nm, w in cex.items()},
-            },
-        )
-        return 1
+        return _refuted(args, exc.counterexample)
     _emit_proof(args, pf)
     return 0
 

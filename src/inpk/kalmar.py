@@ -20,6 +20,7 @@ numbered once, when the final proof is linearized.  The public
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .formula import (
@@ -50,6 +51,7 @@ from .proofs import (
     node_of,
     perm_node,
     refl_node,
+    scope,
 )
 from .semantics import (
     F,
@@ -57,13 +59,12 @@ from .semantics import (
     T,
     TruthValue,
     Valuation,
-    enumerate_valuations,
     eval_formula,
     eval_subformulas,
     is_tautology,
     render_valuation,
 )
-from .templates import scope, template_node
+from .templates import template_node
 
 __all__ = [
     "AtomContext",
@@ -600,14 +601,13 @@ def complete_prove(
     the valuations; it forces those results but not the returned proof,
     which is the same with and without it.
 
-    Whether the call returns or raises, the proof nodes and lemmas it
-    made are dropped (see templates.scope), nodes a trace callback
-    builds among them. What survives is every generic lemma the call
-    built, over phi, psi and theta, with the nodes under it, so a later
-    call at the same logic finds it. The returned Proof holds formulas
-    and lines, never nodes. It cites every template and classical
-    helper lemma it uses from its lemma table; proofs.expand gives the
-    flat proof.
+    Whether the call returns or raises, the proof nodes it made are
+    dropped (see proofs.scope), nodes a trace callback builds among
+    them. What survives is every generic lemma the call built, over
+    phi, psi and theta, with the nodes under it, so a later call at the
+    same logic finds it. The returned Proof holds formulas and lines,
+    never nodes. It cites every template and classical helper lemma it
+    uses from its lemma table; proofs.expand gives the flat proof.
     """
     with scope():
         verdict = is_tautology(params, f)
@@ -615,7 +615,6 @@ def complete_prove(
             raise NotATautology(params, f, verdict.counterexample)
 
         names = atoms(f)
-        m = len(names)
 
         theta_star = _ladder(params, f, "Ax3", "Ax11")
         theta_circ = _ladder(params, f, "Ax4", "Ax12")
@@ -646,15 +645,9 @@ def complete_prove(
 
         if trace is not None:
             # force every class of every round, in the order of the valuations
-            keys = [
-                tuple(v[nm] for nm in names)
-                for v in enumerate_valuations(params, names)
-            ]
-            assert len(keys) == params.size**m
             for round_idx, nm in enumerate(names):
                 remaining = names[round_idx + 1 :]
-                keys = list(dict.fromkeys(key[1:] for key in keys))
-                assert len(keys) == params.size ** (m - 1 - round_idx)
+                keys = list(product(params.values(), repeat=len(remaining)))
                 for class_idx, tail in enumerate(keys):
                     merged = result(round_idx + 1, tail)
                     delta = build_delta(params, remaining, dict(zip(remaining, tail)))
@@ -664,7 +657,7 @@ def complete_prove(
                         f"{lines} lines"
                     )
 
-        final = linearize(result(m, ()), params)
+        final = linearize(result(len(names), ()), params)
         assert not final.hypotheses and final.conclusion is f
         outcome = check(final)
         if not outcome:

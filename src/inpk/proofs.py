@@ -32,9 +32,10 @@ in the JSON serialization. Hypothesis indices are 0-based in both.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence, Union
 
 from .formula import (
     Atom,
@@ -77,6 +78,8 @@ __all__ = [
     "hyp_node",
     "mp_node",
     "lemma_node",
+    "generic",
+    "scope",
     "linearize",
     "node_of",
     "discharge",
@@ -423,13 +426,9 @@ class Node:
     hypothesis-free node it cites) and ``subst``; a modus ponens node
     has ``major`` and ``minor``; a hypothesis node has none of these.
     ``hyps`` is the set of hypothesis formulas the step rests on.
-    ``proof`` keeps the expanded Proof of a template instance once
-    derive_template has made it.
     """
 
-    __slots__ = (
-        "formula", "schema", "subst", "major", "minor", "hyps", "lemma", "proof"
-    )
+    __slots__ = ("formula", "schema", "subst", "major", "minor", "hyps", "lemma")
 
     def __init__(self, formula, schema, subst, major, minor, hyps, lemma=None):
         self.formula = formula
@@ -439,7 +438,6 @@ class Node:
         self.minor = minor
         self.hyps = hyps
         self.lemma = lemma
-        self.proof = None
 
 
 # The node table. Keys: (schema, sorted binding, n, k) for an axiom
@@ -447,10 +445,12 @@ class Node:
 # modus ponens node, (lemma, sorted binding) for a citation node. An
 # axiom node carries its instance formula, so the table is also the
 # memo of axiom instances. A node must be unique only among the live
-# ones: complete_prove drops the nodes it made, nodes its trace callback
-# built among them, when it returns or raises, and keeps only those
-# under the generic lemmas it built (templates.scope).
+# ones: a scope drops the nodes made inside it but those under the
+# generics made inside it (see scope).
 _NODES: dict[object, Node] = {}
+# (build, params) -> the hypothesis-free node build(params) proves over
+# phi, psi and theta; built once per logic and never dropped
+_GENERICS: dict[tuple, Node] = {}
 _NO_HYPS: frozenset = frozenset()
 
 
@@ -540,6 +540,53 @@ def _cite(generic: Node, items: tuple, formula: Optional[Formula] = None) -> Nod
     return node
 
 
+def generic(build: Callable[[LogicParams], Node], params: LogicParams) -> Node:
+    """The node build(params), built once per logic; it must rest on no
+    hypothesis, so that lemma_node may cite it."""
+    key = (build, params)
+    node = _GENERICS.get(key)
+    if node is None:
+        node = build(params)
+        assert not node.hyps
+        _GENERICS[key] = node
+    return node
+
+
+@contextmanager
+def scope() -> Iterator[None]:
+    """On exit, whether by return or raise, drop the nodes made inside,
+    except every node under a generic made inside.
+
+    Nodes need to be unique only among the live ones, so a caller may
+    open a scope when what it returns holds no node (a Proof holds
+    formulas and lines). The generics stay, and keep their memo hits
+    across scopes.
+    """
+    nodes_mark, generics_mark = len(_NODES), len(_GENERICS)
+    try:
+        yield
+    finally:
+        made = list(islice(reversed(_NODES.items()), len(_NODES) - nodes_mark))
+        fresh = {node for _, node in made}
+        generics = islice(reversed(_GENERICS.values()), len(_GENERICS) - generics_mark)
+        # a node is made after its premises and the lemma it cites, so a
+        # node made before the scope reaches none made inside, and the
+        # walk stops at it
+        keep: set[Node] = set()
+        stack = list(generics)
+        while stack:
+            node = stack.pop()
+            if node in fresh and node not in keep:
+                keep.add(node)
+                if node.major is not None:
+                    stack += (node.major, node.minor)
+                elif node.lemma is not None:
+                    stack.append(node.lemma)
+        for key, node in made:
+            if node not in keep:
+                del _NODES[key]
+
+
 def _ax1(params: LogicParams, a: Formula, b: Formula) -> Node:
     return _axiom(params, "Ax1", (("phi", a), ("psi", b)))
 
@@ -565,24 +612,31 @@ def linearize(
         position.setdefault(h, i)
     table: dict[Node, int] = {}
     lemmas: list[tuple[ProofLine, ...]] = []
-
-    def cite(generic: Node) -> int:
-        at = table.get(generic)
-        if at is None:
-            entry = _number(generic, {}, cite)
-            at = table[generic] = len(lemmas)
-            lemmas.append(entry)
-        return at
-
-    lines = _number(root, position, cite)
-    return Proof(params, hypotheses, lines, tuple(lemmas))
+    # the numberings suspended at a lemma not yet in the table, that
+    # lemma's on top: an explicit stack, since tables nest thousands deep
+    runs = [(root, _number(root, position, table))]
+    at = None
+    while True:
+        node, run = runs[-1]
+        try:
+            cited = run.send(at)
+        except StopIteration as done:
+            runs.pop()
+            if not runs:
+                return Proof(params, hypotheses, done.value, tuple(lemmas))
+            at = table[node] = len(lemmas)
+            lemmas.append(done.value)
+        else:
+            runs.append((cited, _number(cited, {}, table)))
+            at = None
 
 
 def _number(
-    root: Node, position: Mapping[Formula, int], cite: Callable[[Node], int]
-) -> tuple[ProofLine, ...]:
-    """The lines of root, a citation's line naming the table index that
-    cite gives the node it cites."""
+    root: Node, position: Mapping[Formula, int], table: Mapping[Node, int]
+) -> Generator[Node, Optional[int], tuple[ProofLine, ...]]:
+    """Number the lines of root, a citation's line naming the table
+    index of the node it cites. A cited node missing from table is
+    yielded, and its index is sent back; the lines are returned."""
     index: dict[Node, int] = {}
     lines: list[ProofLine] = []
     stack = [root]
@@ -606,7 +660,10 @@ def _number(
         elif node.schema is not None:
             line = ProofLine(node.formula, Axiom(node.schema, dict(node.subst)))
         elif node.lemma is not None:
-            line = ProofLine(node.formula, Lemma(cite(node.lemma), dict(node.subst)))
+            at = table.get(node.lemma)
+            if at is None:
+                at = yield node.lemma
+            line = ProofLine(node.formula, Lemma(at, dict(node.subst)))
         else:
             at = position.get(node.formula)
             if at is None:

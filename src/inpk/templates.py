@@ -8,16 +8,13 @@ statement over placeholder atoms with a derivation script; the generic
 proof node is built once per logic, and an instance is a citation of
 it (see ``proofs.lemma_node``), so a caller pays for each script at
 most once and a proof carries each generic once, in its lemma table.
-``lemma`` keeps that one memo table for these and for the classical
-helper lemmas alike.
+``lemma`` serves these and the classical helper lemmas alike.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .formula import (
     Atom,
@@ -32,19 +29,20 @@ from .formula import (
     strong_neg,
 )
 from .proofs import (
-    _NODES,
     Node,
     Proof,
     axiom_node,
     chain_node,
     discharge,
     expand_node,
+    generic,
     hyp_node,
     lemma_node,
     linearize,
     mp_node,
     perm_node,
     refl_node,
+    scope,
 )
 from .semantics import LogicParams
 
@@ -66,10 +64,6 @@ class TemplateInfo:
 
 _PLACEHOLDERS = (_A, _B, _C)
 
-# (build, params, bind) -> the node of build's script under bind; a scope
-# drops the entries made inside it but for the generics
-_LEMMAS: dict[tuple, Node] = {}
-
 
 def lemma(
     build: Callable[[LogicParams], Node],
@@ -79,70 +73,13 @@ def lemma(
     """The lemma that build(params) proves over phi, psi, theta (a prefix
     of them), with bind in their place, in that order.
 
-    The generic, whose bind is the placeholders themselves, is built
-    once and rests on no hypothesis; any other binding is a citation of
-    the generic.
+    At the placeholders themselves this is the generic (see
+    proofs.generic); any other binding is a citation of it.
     """
-    key = (build, params, bind)
-    node = _LEMMAS.get(key)
-    if node is None:
-        generic = _PLACEHOLDERS[: len(bind)]
-        if bind == generic:
-            node = build(params)
-            assert not node.hyps
-        else:
-            subst = {a.name: f for a, f in zip(_PLACEHOLDERS, bind)}
-            node = lemma_node(lemma(build, params, generic), subst)
-        _LEMMAS[key] = node
-    return node
-
-
-def _newest(table: dict, mark: int) -> list:
-    """The items added to table since it held mark entries."""
-    return list(islice(reversed(table.items()), len(table) - mark))
-
-
-@contextmanager
-def scope() -> Iterator[None]:
-    """On exit, drop the proof nodes and lemmas made inside, except the
-    generic lemmas made inside and every node they reach.
-
-    Nodes need to be unique only among the live ones, so a caller may
-    open a scope when what it returns holds no node (a Proof holds
-    formulas and lines). The generics stay, and keep their memo hits
-    across scopes.
-    """
-    nodes_mark, lemmas_mark = len(_NODES), len(_LEMMAS)
-    try:
-        yield
-    finally:
-        lemmas = _newest(_LEMMAS, lemmas_mark)
-        nodes = _newest(_NODES, nodes_mark)
-        fresh = {node for _, node in nodes}
-        generics = {
-            key: node
-            for key, node in lemmas
-            if key[2] == _PLACEHOLDERS[: len(key[2])]
-        }
-        # a node is made after its premises and the lemma it cites, so a
-        # node made before the scope reaches none made inside, and the
-        # walk stops at it
-        keep: set[Node] = set()
-        stack = list(generics.values())
-        while stack:
-            node = stack.pop()
-            if node in fresh and node not in keep:
-                keep.add(node)
-                if node.major is not None:
-                    stack += (node.major, node.minor)
-                elif node.lemma is not None:
-                    stack.append(node.lemma)
-        for key, node in nodes:
-            if node not in keep:
-                del _NODES[key]
-        for key, node in lemmas:
-            if key not in generics and node not in keep:
-                del _LEMMAS[key]
+    node = generic(build, params)
+    if bind == _PLACEHOLDERS[: len(bind)]:
+        return node
+    return lemma_node(node, {a.name: f for a, f in zip(_PLACEHOLDERS, bind)})
 
 
 def _ax(params: LogicParams, schema: str, **subst: Formula) -> Node:
@@ -516,8 +453,10 @@ def derive_template(
 ) -> Proof:
     """Instantiate a registered template as a hypothesis-free proof,
     every lemma its script cites expanded in place (see
-    proofs.expand_node): the proof has no lemma table."""
-    node = template_node(template_id, subst, params)
-    if node.proof is None:
-        node.proof = linearize(expand_node(node, params), params)
-    return node.proof
+    proofs.expand_node): the proof has no lemma table.
+
+    The nodes of the instance are dropped on return (see proofs.scope);
+    the generics the call builds stay."""
+    with scope():
+        node = template_node(template_id, subst, params)
+        return linearize(expand_node(node, params), params)

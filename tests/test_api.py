@@ -1,8 +1,12 @@
 """The package's public names and what importing it loads."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import inpk
 
@@ -39,6 +43,16 @@ def test_public_names_are_pinned_and_resolve():
     assert tuple(inpk.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(inpk, name) is not None, name
+
+
+SUBMODULES = [m.name for m in pkgutil.iter_modules(inpk.__path__)]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_submodule_export_resolves(module):
+    mod = importlib.import_module(f"inpk.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
 
 
 def test_import_loads_no_numpy():

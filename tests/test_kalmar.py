@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from inpk import proofs, templates
+from inpk import proofs
 
 from inpk.formula import (
     Atom,
@@ -50,6 +50,7 @@ from inpk.semantics import (
     eval_subformulas,
     is_tautology,
 )
+from inpk.templates import derive_template
 
 from helpers import random_formula
 
@@ -538,25 +539,22 @@ def test_three_atoms_at_16_16_build_few_leaves():
 
 # -- table scope -------------------------------------------------------------
 
-_GENERIC = (Atom("phi"), Atom("psi"), Atom("theta"))
-
-
 def _generics(params=None):
-    """The generic lemmas in the table, at params or at every logic."""
+    """The generic lemmas, at params or at every logic."""
     return {
         key: node
-        for key, node in templates._LEMMAS.items()
-        if key[2] == _GENERIC[: len(key[2])] and params in (None, key[1])
+        for key, node in proofs._GENERICS.items()
+        if params in (None, key[1])
     }
 
 
 def _sizes():
-    return len(proofs._NODES), len(templates._LEMMAS)
+    return len(proofs._NODES), len(proofs._GENERICS)
 
 
 def _assert_generics_are_interned():
     """Every node under a generic lemma is the table's node for its key."""
-    for (_, params, _), root in _generics().items():
+    for (_, params), root in _generics().items():
         stack, seen = [root], set()
         while stack:
             node = stack.pop()
@@ -630,7 +628,7 @@ def test_complete_prove_drops_its_nodes_when_the_trace_raises():
     assert not _generics(params), "an earlier test used this logic"
     goal = parse("ua -> (ub -> ua)")
     nodes_before = set(map(id, proofs._NODES.values()))
-    lemmas_before = set(templates._LEMMAS)
+    generics_before = set(proofs._GENERICS)
     with pytest.raises(RuntimeError):
         complete_prove(params, goal, trace=stop_at(3))
     # what is left is the generics this call built, over the placeholders
@@ -640,9 +638,7 @@ def test_complete_prove_drops_its_nodes_when_the_trace_raises():
     ]
     assert added
     assert all(set(node.formula.atom_names) <= placeholders for node in added)
-    for key in set(templates._LEMMAS) - lemmas_before:
-        assert key[1] == params
-        assert all(set(f.atom_names) <= placeholders for f in key[2])
+    assert all(key[1] == params for key in set(proofs._GENERICS) - generics_before)
     _assert_generics_are_interned()
 
     # once the generics exist, a raising call leaves the sizes as they were
@@ -653,3 +649,19 @@ def test_complete_prove_drops_its_nodes_when_the_trace_raises():
     with pytest.raises(NotATautology):
         complete_prove(params, parse("ua -> ub"))
     assert _sizes() == sizes
+
+
+def test_derive_template_keeps_the_tables_flat():
+    params = LogicParams(1, 1)
+
+    def derive(i):
+        subst = {"phi": Atom(f"dt_a{i}"), "psi": Atom(f"dt_b{i}")}
+        return derive_template("contraposition", subst, params)
+
+    first = derive(0)
+    _assert_generics_are_interned()
+    sizes = _sizes()
+    for i in range(1, 201):
+        assert len(derive(i)) == len(first)
+    assert _sizes() == sizes
+    _assert_generics_are_interned()

@@ -29,6 +29,7 @@ from inpk.proofs import (
     node_of,
     proof_from_json,
     proof_to_json,
+    prune,
     refl_node,
     substitute,
     substitute_proof,
@@ -158,6 +159,21 @@ def test_a_deep_chain_of_lemmas_checks_each_citation_once(monkeypatch):
     assert len(calls) <= 2 * 29 + 1 + 3
     bad = Proof(pf.params, (), (cite(29, {"phi": p}, Imp(q, q)),), pf.lemmas)
     assert check(bad).line == 1
+
+
+def test_a_lemma_table_nested_thousands_deep_is_numbered(tmp_path, capsys):
+    pf = chain(3000)
+    assert prune(pf) == pf
+    # the chain's last lemma used on a hypothesis, discharged by the CLI
+    lines = (cite(2999, {"phi": p}, Imp(p, p)), ProofLine(p, Hyp(0)))
+    lines += (ProofLine(p, MP(0, 1)),)
+    path, out = tmp_path / "chain.json", tmp_path / "dt.json"
+    path.write_text(json.dumps(proof_to_json(Proof(P00, (p,), lines, pf.lemmas))))
+    assert main(["dt", str(path), "--discharge", "0", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"lines -> {out}\n")
+    discharged = proof_from_json(out.read_text())
+    assert check(discharged) and discharged.conclusion is Imp(p, p)
+    assert len(discharged.lemmas) == 3000
 
 
 def test_check_adds_no_node():

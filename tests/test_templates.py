@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from inpk import classical, templates
+from inpk import classical, proofs, templates
 from inpk.formula import Atom, Imp, Neg, and_, circ, or_, parse, star
 from inpk.proofs import (
     Axiom,
@@ -92,20 +92,27 @@ def test_one_line_templates_are_bare_axioms():
         assert isinstance(pf.lines[0].just, Axiom)
 
 
+def sizes():
+    return len(proofs._NODES), len(proofs._GENERICS)
+
+
 def test_instances_are_memoized():
     params = LogicParams(1, 0)
     subst = {"phi": parse("p -> q"), "psi": Atom("q")}
     first = derive_template("contraposition", subst, params)
+    before = sizes()
     second = derive_template("contraposition", dict(subst), params)
-    assert first is second
+    assert first == second
+    assert sizes() == before
 
 
 def test_identity_instance_is_the_generic():
     params = LogicParams(0, 0)
     info = TEMPLATES["refl"]
-    assert derive_template("refl", ident(info), params) is derive_template(
-        "refl", ident(info), params
-    )
+    first = derive_template("refl", ident(info), params)
+    before = sizes()
+    assert derive_template("refl", ident(info), params) == first
+    assert sizes() == before
 
 
 def test_unknown_id():
