@@ -31,6 +31,7 @@ from .proofs import (
     mp_node,
     perm_node,
     refl_node,
+    scope,
 )
 from .semantics import (
     F, LogicParams, T, TruthValue, eval_subformulas, is_tautology,
@@ -299,8 +300,10 @@ def classical_core(
     classically.  Each atom is replaced by ``units[name]`` (the atom
     itself by default) and each negation by a strong negation; the
     returned proof concludes that translation and has no hypotheses.
+    The nodes the call makes are dropped on return (see proofs.scope).
     """
-    return linearize(classical_node(params, skeleton, units), params)
+    with scope():
+        return linearize(classical_node(params, skeleton, units), params)
 
 
 def classical_prove(params: LogicParams, f: Formula) -> Proof:

@@ -364,10 +364,12 @@ def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
     """Prove the witness form of f from the full context set of v.
 
     The returned proof has hypotheses exactly the context formulas, in
-    atom order, and conclusion phi_v(params, f, v).
+    atom order, and conclusion phi_v(params, f, v). The nodes the call
+    makes are dropped on return (see proofs.scope).
     """
-    delta = build_delta(params, atoms(f), v)
-    return linearize(_leaf(params, f, delta), params, delta.formulas)
+    with scope():
+        delta = build_delta(params, atoms(f), v)
+        return linearize(_leaf(params, f, delta), params, delta.formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +541,8 @@ def lemma2_combine(
     proofs of theta^* and theta^o.  Every input is run through the
     checker as it enters the node kernel.  A branch that does not rest
     on its case hypothesis is taken as it is, in place of a merge (see
-    _combine), so the result may leave some branches unused.
+    _combine), so the result may leave some branches unused. The nodes
+    the call makes are dropped on return (see proofs.scope).
     """
     size = params.size
     if len(branch_proofs) != size:
@@ -553,27 +556,28 @@ def lemma2_combine(
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
 
-    sides = []
-    for name, pf, goal in (
-        ("theta_star", theta_star, star(theta)),
-        ("theta_circ", theta_circ, circ(theta)),
-    ):
-        if pf.params != params or pf.hypotheses or pf.conclusion is not goal:
-            raise ValueError(f"{name} must prove the bare goal with no hypotheses")
-        sides.append(checked(name, pf))
+    with scope():
+        sides = []
+        for name, pf, goal in (
+            ("theta_star", theta_star, star(theta)),
+            ("theta_circ", theta_circ, circ(theta)),
+        ):
+            if pf.params != params or pf.hypotheses or pf.conclusion is not goal:
+                raise ValueError(f"{name} must prove the bare goal with no hypotheses")
+            sides.append(checked(name, pf))
 
-    branches: list[Node] = []
-    for j, pf in enumerate(branch_proofs):
-        if pf.params != params:
-            raise ValueError(f"branch {j} built for a different logic")
-        if pf.conclusion is not theta:
-            raise ValueError(f"branch {j} does not conclude the goal")
-        if set(pf.hypotheses) - set(delta + blocks[j]):
-            raise ValueError(f"branch {j} uses hypotheses outside its block")
-        branches.append(checked(f"branch {j}", pf))
+        branches: list[Node] = []
+        for j, pf in enumerate(branch_proofs):
+            if pf.params != params:
+                raise ValueError(f"branch {j} built for a different logic")
+            if pf.conclusion is not theta:
+                raise ValueError(f"branch {j} does not conclude the goal")
+            if set(pf.hypotheses) - set(delta + blocks[j]):
+                raise ValueError(f"branch {j} uses hypotheses outside its block")
+            branches.append(checked(f"branch {j}", pf))
 
-    merged = _combine(params, psi, theta, branches.__getitem__, *sides)
-    return linearize(merged, params, delta)
+        merged = _combine(params, psi, theta, branches.__getitem__, *sides)
+        return linearize(merged, params, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,18 @@ Numbered lines exist only at the boundary. ``linearize`` is the one
 place a node becomes a ``Proof``: a finite sequence of lines over a
 fixed logic and hypothesis list, in postorder from the conclusion,
 major premise first. A citation is one line, and the node it cites is
-numbered once into the Proof's lemma table. ``check`` is the trusted
-kernel for proofs that come from outside: every line carries its own
-justification, so checking never searches; it applies the declared
-substitution and compares, and checks each lemma once, however often
-it is cited. ``expand`` gives the flat proof, every citation replaced
-by its instance. ``ProofBuilder`` and the public transformers on
-``Proof`` objects are thin layers over the nodes.
+numbered once into the Proof's lemma table. A generic lemma (see
+``generic``) is numbered once per process and the numbering is kept; a
+proof that cites it only rewrites the lemma indices of the citation
+lines, so the line objects of a Proof may be shared with other proofs
+and must not be mutated. ``check`` is the trusted kernel for proofs
+that come from outside: every line carries its own justification, so
+checking never searches; it applies the declared substitution and
+compares, and checks each lemma once, however often it is cited.
+``expand`` gives the flat proof, every citation replaced by its
+instance. ``ProofBuilder`` and the public transformers on ``Proof``
+objects are thin layers over the nodes; a transformer runs in a
+``scope``, so the nodes it makes are dropped when it returns.
 
 Line and lemma references are 0-based inside the library and 1-based
 in the JSON serialization. Hypothesis indices are 0-based in both.
@@ -35,7 +40,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formula import (
     Atom,
@@ -549,6 +554,7 @@ def generic(build: Callable[[LogicParams], Node], params: LogicParams) -> Node:
         node = build(params)
         assert not node.hyps
         _GENERICS[key] = node
+        _NUMBERED.setdefault(node, None)
     return node
 
 
@@ -605,39 +611,58 @@ def linearize(
     hypotheses; root must rest on no formula outside that list. A
     citation node is one Lemma line: the node it cites is numbered on
     its own, once, into the lemma table, after the lemmas it cites.
+
+    A generic is numbered once per process (see _numbering); a proof
+    only rewrites the lemma index of its citation lines. So the line
+    objects of a Proof may be shared with other proofs, and must not be
+    mutated.
     """
     hypotheses = tuple(hypotheses)
     position: dict[Formula, int] = {}
     for i, h in enumerate(hypotheses):
         position.setdefault(h, i)
+    lines, cited = _number(root, position)
+    numbered: dict[Node, tuple] = {}
+
+    def kids(node: Node) -> tuple[Node, ...]:
+        numbered[node] = got = _numbering(node)
+        return got[1]
+
+    # the table in postorder over the citations, dependencies first; an
+    # explicit stack, since tables nest thousands deep
     table: dict[Node, int] = {}
     lemmas: list[tuple[ProofLine, ...]] = []
-    # the numberings suspended at a lemma not yet in the table, that
-    # lemma's on top: an explicit stack, since tables nest thousands deep
-    runs = [(root, _number(root, position, table))]
-    at = None
-    while True:
-        node, run = runs[-1]
-        try:
-            cited = run.send(at)
-        except StopIteration as done:
-            runs.pop()
-            if not runs:
-                return Proof(params, hypotheses, done.value, tuple(lemmas))
-            at = table[node] = len(lemmas)
-            lemmas.append(done.value)
-        else:
-            runs.append((cited, _number(cited, {}, table)))
-            at = None
+    for c in cited:
+        for node in postorder(c, kids, table):
+            table[node] = len(lemmas)
+            lemmas.append(_renumber(*numbered[node], table))
+    return Proof(params, hypotheses, _renumber(lines, cited, table), tuple(lemmas))
+
+
+# generic node -> its numbering (see _number), filled in by linearize
+# the first time it numbers the generic; None until then. A generic is
+# entered by generic() and, like it, never dropped.
+_NUMBERED: dict[Node, Optional[tuple]] = {}
+
+
+def _numbering(node: Node) -> tuple:
+    """_number of a cited node, which rests on no hypothesis: stored
+    when node is a generic, made afresh otherwise."""
+    got = _NUMBERED.get(node)
+    if got is None:
+        got = _number(node, {})
+        if node in _NUMBERED:
+            _NUMBERED[node] = got
+    return got
 
 
 def _number(
-    root: Node, position: Mapping[Formula, int], table: Mapping[Node, int]
-) -> Generator[Node, Optional[int], tuple[ProofLine, ...]]:
-    """Number the lines of root, a citation's line naming the table
-    index of the node it cites. A cited node missing from table is
-    yielded, and its index is sent back; the lines are returned."""
+    root: Node, position: Mapping[Formula, int]
+) -> tuple[tuple[ProofLine, ...], tuple[Node, ...]]:
+    """The lines of root and the nodes they cite, in the order of their
+    first citation; a Lemma line's index is a position in that list."""
     index: dict[Node, int] = {}
+    cited: dict[Node, int] = {}
     lines: list[ProofLine] = []
     stack = [root]
     while stack:
@@ -660,9 +685,7 @@ def _number(
         elif node.schema is not None:
             line = ProofLine(node.formula, Axiom(node.schema, dict(node.subst)))
         elif node.lemma is not None:
-            at = table.get(node.lemma)
-            if at is None:
-                at = yield node.lemma
+            at = cited.setdefault(node.lemma, len(cited))
             line = ProofLine(node.formula, Lemma(at, dict(node.subst)))
         else:
             at = position.get(node.formula)
@@ -672,7 +695,23 @@ def _number(
         stack.pop()
         index[node] = len(lines)
         lines.append(line)
-    return tuple(lines)
+    return tuple(lines), tuple(cited)
+
+
+def _renumber(
+    lines: tuple[ProofLine, ...], cited: Sequence[Node], table: Mapping[Node, int]
+) -> tuple[ProofLine, ...]:
+    """lines with each Lemma index, a position in cited, made the table
+    index of the node there; a line that cites nothing is kept."""
+    at = [table[c] for c in cited]
+    if at == list(range(len(at))):
+        return lines
+    return tuple(
+        ProofLine(line.formula, Lemma(at[line.just.index], line.just.bind))
+        if type(line.just) is Lemma
+        else line
+        for line in lines
+    )
 
 
 def _nodes_of(proof: Proof) -> list[Node]:
@@ -893,8 +932,9 @@ def expand(proof: Proof) -> Proof:
     """
     if not proof.lemmas:
         return proof
-    root = expand_node(node_of(proof), proof.params)
-    return linearize(root, proof.params, proof.hypotheses)
+    with scope():
+        root = expand_node(node_of(proof), proof.params)
+        return linearize(root, proof.params, proof.hypotheses)
 
 
 def chain_node(params: LogicParams, ab: Node, bc: Node) -> Node:
@@ -982,12 +1022,14 @@ def axiom_proof(
     params: LogicParams, schema: str, subst: Mapping[str, Formula]
 ) -> Proof:
     """One-line hypothesis-free proof of an axiom instance."""
-    return linearize(axiom_node(params, schema, subst), params)
+    with scope():
+        return linearize(axiom_node(params, schema, subst), params)
 
 
 def prune(proof: Proof) -> Proof:
     """Drop lines the conclusion does not reach; hypotheses unchanged."""
-    return linearize(node_of(proof), proof.params, proof.hypotheses)
+    with scope():
+        return linearize(node_of(proof), proof.params, proof.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +1051,9 @@ def deduction_transform(proof: Proof, discharge_index: int) -> Proof:
     """
     rest = _without(proof.hypotheses, discharge_index)
     phi = proof.hypotheses[discharge_index]
-    root = discharge(node_of(proof), phi, proof.params)
-    return linearize(root, proof.params, rest)
+    with scope():
+        root = discharge(node_of(proof), phi, proof.params)
+        return linearize(root, proof.params, rest)
 
 
 def weaken(proof: Proof, hypotheses: Sequence[Formula]) -> Proof:
@@ -1018,7 +1061,8 @@ def weaken(proof: Proof, hypotheses: Sequence[Formula]) -> Proof:
     hypotheses = tuple(hypotheses)
     if not set(proof.hypotheses) <= set(hypotheses):
         raise ValueError("the new list lacks a hypothesis of the proof")
-    return linearize(node_of(proof), proof.params, hypotheses)
+    with scope():
+        return linearize(node_of(proof), proof.params, hypotheses)
 
 
 def replace_hyp_with_theorem(proof: Proof, index: int, theorem: Proof) -> Proof:
@@ -1034,8 +1078,9 @@ def replace_hyp_with_theorem(proof: Proof, index: int, theorem: Proof) -> Proof:
         raise ValueError("replacement theorem must be hypothesis-free")
     if theorem.conclusion is not proof.hypotheses[index]:
         raise ValueError("theorem does not conclude the replaced hypothesis")
-    root = cut(node_of(proof), proof.hypotheses[index], node_of(theorem))
-    return linearize(root, proof.params, rest)
+    with scope():
+        root = cut(node_of(proof), proof.hypotheses[index], node_of(theorem))
+        return linearize(root, proof.params, rest)
 
 
 def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
@@ -1091,8 +1136,9 @@ def rule_trans(p1: Proof, p2: Proof) -> Proof:
         raise ValueError("rule_trans expects proofs of a->b and b->c")
     if p1.params != p2.params:
         raise ValueError("mismatched logic params")
-    root = chain_node(p1.params, node_of(p1), node_of(p2))
-    return linearize(root, p1.params, _merge_hypotheses(p1, p2))
+    with scope():
+        root = chain_node(p1.params, node_of(p1), node_of(p2))
+        return linearize(root, p1.params, _merge_hypotheses(p1, p2))
 
 
 def rule_perm(p: Proof) -> Proof:
@@ -1100,7 +1146,8 @@ def rule_perm(p: Proof) -> Proof:
     f = p.conclusion
     if not isinstance(f, Imp) or not isinstance(f.cons, Imp):
         raise ValueError("rule_perm expects a proof of a->(b->c)")
-    return linearize(perm_node(p.params, node_of(p)), p.params, p.hypotheses)
+    with scope():
+        return linearize(perm_node(p.params, node_of(p)), p.params, p.hypotheses)
 
 
 def rule_red(p: Proof) -> Proof:
@@ -1109,8 +1156,9 @@ def rule_red(p: Proof) -> Proof:
     if not isinstance(f, Imp) or not isinstance(f.ant, Imp):
         raise ValueError("rule_red expects a proof of (a->b)->c")
     a, mid = f.ant.ant, f.ant.cons
-    root = chain_node(p.params, _ax1(p.params, mid, a), node_of(p))  # b -> (a->b)
-    return linearize(root, p.params, p.hypotheses)
+    with scope():
+        root = chain_node(p.params, _ax1(p.params, mid, a), node_of(p))  # b -> (a->b)
+        return linearize(root, p.params, p.hypotheses)
 
 
 # ---------------------------------------------------------------------------

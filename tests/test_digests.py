@@ -6,7 +6,9 @@ flat proof: every template's generic at (1,1), and the expansion of
 ``complete_prove`` on the 21 goal shapes of the benchmark's ``prove``
 workload, with its atoms x and y named p and q. A synthesized proof
 cites its lemmas; expanding every citation in place gives the proof
-that was synthesized before lemmas were cited, byte for byte.
+that was synthesized before lemmas were cited, byte for byte. The cited
+documents themselves, lemma table and all, are pinned too, so a
+reordered or renumbered table shows even where its expansion does not.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import json
 
 import pytest
 
+import inpk.proofs as proofs_module
 from inpk.formula import Atom, parse
 from inpk.kalmar import complete_prove
 from inpk.proofs import Proof, check, expand, proof_to_json
@@ -108,3 +111,74 @@ def test_prove_goal_is_pinned(n, k, text, want):
     flat = expand(pf)
     assert not flat.lemmas and check(flat)
     assert digest(flat) == want
+
+
+# the SHA-256 of the cited document, lemma table included, of each goal
+# of PROVE_DIGESTS, in the same order
+CITED_DIGESTS = [
+    "d4af0f831942a853e7e5ed9f62789b782537d490c6d5b6c8943429413647f2f7",
+    "6ce3dd806cdcb3094538491c95703d9e4bad6750906529f156f23b9af139a4f7",
+    "6bd6598e118b005585ca40cab8f8e9ff2149b6a96d8fe8e351a3859af863d768",
+    "b15b5f9c7e7cc0cbf6b40b59f8d27eabb36f1a1766c8bd2c8e659c91b563a4de",
+    "6d0b806a7fd82b92fe0784a24b9cd617fa74f8b4686c8d175e50354e5f97812e",
+    "abd6bedd7596e1cc71dd28720c774d6acbc4cd5253e2daf63f77f8115c7e02c3",
+    "e168705f43be6eab31b7f192c2e45d97f8b0ed65973ff8b80f6f18108831ada7",
+    "8eea11de80fa5aca87ac17930d56dd8c571ee5f6c8fbf521b76aeb31c68406b6",
+    "845c6deeb2c74cdb9fd1d0640ea9434fe03ece35019b88b7b05f0619e66ae22a",
+    "70400ca0530cbacdee148dba98d64130ceeba37c9d83690a53cb44289c0b1881",
+    "fa562e670992b322c904c58e74ff4421784ee2b47900b50ce6bdbc52dce5c2c0",
+    "d1fe1fea6d6e6dff719f97ea4eef3ebc071bbb233b04f41803619245bd5656ad",
+    "1ac549d7e3f4ab63870ae3797076fd5badc7d0099bd0b9fe49219c257b175a4c",
+    "59046087d899481f4141036334ff7fd0d3e8f1e22d04b39a699b3ec05091d659",
+    "08814681c30bd03b5a335b6efb78c517028b4d92abada20b5103220170dd014f",
+    "a4aa540d141b2ff40a9f1c73adcec53581a31bef0226fda4fd7d1070a553171a",
+    "a1dc443685580394eb3ed22da4e721ccc5a72665a876bbe6d9ed98366c6b61fe",
+    "e822edbaf5ea1ef56ee4d4ac7310f90738545f2dfa9b9359e7ee954cf1f5ef35",
+    "56cfa9ef64192103f420e3d57cbc60328ddd076af66adf9cea7c41b5c6a56ae7",
+    "9d3092207ee381d984e820aa1a7606975d75e8b38587e0e6380f1a518f6a09b8",
+    "d4af0f831942a853e7e5ed9f62789b782537d490c6d5b6c8943429413647f2f7",
+]
+
+
+@pytest.mark.parametrize(
+    "n, k, text, want",
+    [row[:3] + (cited,) for row, cited in zip(PROVE_DIGESTS, CITED_DIGESTS)],
+    ids=[f"{i}-{n}{k}-{text}" for i, (n, k, text, _) in enumerate(PROVE_DIGESTS)],
+)
+def test_cited_goal_is_pinned(n, k, text, want):
+    assert digest(complete_prove(LogicParams(n, k), parse(text))) == want
+
+
+def test_every_goal_has_a_cited_digest():
+    assert len(CITED_DIGESTS) == len(PROVE_DIGESTS)
+
+
+def _cold(monkeypatch):
+    """Forget every generic's numbering, keeping the generics."""
+    monkeypatch.setattr(
+        proofs_module, "_NUMBERED", dict.fromkeys(proofs_module._NUMBERED)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, k, text",
+    [row[:3] for row in PROVE_DIGESTS],
+    ids=[f"{i}-{n}{k}-{text}" for i, (n, k, text, _) in enumerate(PROVE_DIGESTS)],
+)
+def test_a_generic_numbers_the_same_warm_and_cold(n, k, text, monkeypatch):
+    params, goal = LogicParams(n, k), parse(text)
+    complete_prove(params, goal)
+    warm = complete_prove(params, goal)
+    _cold(monkeypatch)
+    assert complete_prove(params, goal) == warm
+
+
+def test_a_traced_proof_numbers_the_same_warm_and_cold(monkeypatch):
+    params, goal = LogicParams(1, 1), parse("p -> (q -> p)")
+    complete_prove(params, goal, trace=lambda line: None)
+    warm_lines: list[str] = []
+    warm = complete_prove(params, goal, trace=warm_lines.append)
+    _cold(monkeypatch)
+    cold_lines: list[str] = []
+    assert complete_prove(params, goal, trace=cold_lines.append) == warm
+    assert cold_lines == warm_lines

@@ -30,14 +30,21 @@ from inpk.kalmar import (
     lemma2_combine,
     phi_v,
 )
+from inpk.classical import classical_core
 from inpk.proofs import (
     Proof,
     ProofLine,
     Hyp,
     axiom_proof,
     check,
+    deduction_transform,
     expand,
     proof_to_json,
+    prune,
+    replace_hyp_with_theorem,
+    rule_perm,
+    rule_red,
+    rule_trans,
     weaken,
 )
 from inpk.semantics import (
@@ -549,7 +556,7 @@ def _generics(params=None):
 
 
 def _sizes():
-    return len(proofs._NODES), len(proofs._GENERICS)
+    return len(proofs._NODES), len(proofs._GENERICS), len(proofs._NUMBERED)
 
 
 def _assert_generics_are_interned():
@@ -663,5 +670,75 @@ def test_derive_template_keeps_the_tables_flat():
     sizes = _sizes()
     for i in range(1, 201):
         assert len(derive(i)) == len(first)
+    assert _sizes() == sizes
+    _assert_generics_are_interned()
+
+
+def _fresh(i, name):
+    return Atom(f"{name}_{i}")
+
+
+def _leaf_fresh(i):
+    a = _fresh(i, "leaf")
+    return lemma1_derive(LogicParams(1, 1), Imp(a, a), {a.name: T(0)})
+
+
+def _ax1_fresh(i, phi=None, b="ax_b"):
+    """a -> (b -> a) over fresh atoms, or phi -> (b -> phi)."""
+    a = _fresh(i, "ax_a") if phi is None else phi
+    return axiom_proof(LogicParams(0, 0), "Ax1", {"phi": a, "psi": _fresh(i, b)})
+
+
+def _combine_fresh(i):
+    lp, a = LogicParams(1, 0), _fresh(i, "comb")
+    theta = Imp(a, a)
+    branches = [lemma1_derive(lp, theta, {a.name: w}) for w in (F(1), F(0), T(0))]
+    return lemma2_combine(lp, [], a, theta, branches, *_star_circ(lp, theta))
+
+
+def _cut_fresh(i):
+    theorem = _ax1_fresh(i)
+    h = theorem.conclusion
+    return replace_hyp_with_theorem(
+        Proof(LogicParams(0, 0), (h,), (ProofLine(h, Hyp(0)),)), 0, theorem
+    )
+
+
+def _trans_fresh(i):
+    first = _ax1_fresh(i)
+    return rule_trans(first, _ax1_fresh(i, first.conclusion.cons, "ax_c"))
+
+
+# every public builder that makes proof nodes and returns a Proof, each
+# call at atoms no other call uses
+PUBLIC_BUILDERS = {
+    "lemma1_derive": _leaf_fresh,  # each call used to leave 8 nodes
+    "lemma2_combine": _combine_fresh,
+    "classical_core": lambda i: classical_core(
+        LogicParams(1, 1), Imp(_fresh(i, "cc"), Neg(Neg(_fresh(i, "cc"))))
+    ),
+    "axiom_proof": _ax1_fresh,
+    "deduction_transform": lambda i: deduction_transform(_leaf_fresh(i), 0),
+    "weaken": lambda i: weaken(_leaf_fresh(i), _leaf_fresh(i).hypotheses[::-1]),
+    "prune": lambda i: prune(_leaf_fresh(i)),
+    "replace_hyp_with_theorem": _cut_fresh,
+    "rule_trans": _trans_fresh,
+    "rule_perm": lambda i: rule_perm(_ax1_fresh(i)),
+    "rule_red": lambda i: rule_red(_ax1_fresh(i, Imp(_fresh(i, "a"), _fresh(i, "b")))),
+    "expand": lambda i: expand(
+        complete_prove(LogicParams(0, 0), Imp(_fresh(i, "ex"), _fresh(i, "ex")))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_BUILDERS))
+def test_public_builders_keep_the_tables_flat(name):
+    build = PUBLIC_BUILDERS[name]
+    first = build(0)
+    assert check(first)
+    sizes = _sizes()
+    calls = 200 if name == "lemma1_derive" else 20
+    for i in range(1, calls + 1):
+        assert len(build(i)) == len(first)
     assert _sizes() == sizes
     _assert_generics_are_interned()

@@ -24,8 +24,10 @@ from inpk.proofs import (
     axiom_pattern,
     check,
     expand,
+    generic,
     lemma_node,
     linearize,
+    mp_node,
     node_of,
     proof_from_json,
     proof_to_json,
@@ -189,6 +191,50 @@ def test_check_adds_no_node():
     size = len(proofs_module._NODES)
     assert check(pf)
     assert len(proofs_module._NODES) == size
+
+
+def generic_chain(depth, params=P00):
+    """The builds of chain(depth) as generics: generic i proves
+    phi -> phi by citing generic i - 1 twice. Each call makes new ones."""
+    ff = Imp(phi, phi)
+    builds = [lambda params: refl_node(params, phi)]
+    for _ in range(1, depth):
+
+        def build(params, below=builds[-1]):
+            cited = generic(below, params)
+            major = lemma_node(cited, {"phi": ff})
+            return mp_node(major, lemma_node(cited, {"phi": phi}))
+
+        builds.append(build)
+    # bottom up, so that no build recurses into the one below
+    return [generic(build, params) for build in builds]
+
+
+def test_a_chain_of_generics_numbers_the_same_warm_and_cold(monkeypatch):
+    generics = generic_chain(200)
+    root = lemma_node(generics[-1], {"phi": p})
+    cold = linearize(root, P00)
+    assert cold == chain(200)
+    assert all(proofs_module._NUMBERED[g] is not None for g in generics)
+    assert linearize(root, P00) == cold
+    # from the middle of the chain: the table is a suffix renumbered
+    middle = linearize(lemma_node(generics[99], {"phi": p}), P00)
+    assert middle == chain(100)
+    # numbered afresh, with nothing stored
+    monkeypatch.setattr(proofs_module, "_NUMBERED", {})
+    assert linearize(root, P00) == cold
+    assert not proofs_module._NUMBERED
+
+
+def test_the_numbering_table_holds_only_generics():
+    pf = chain(3000)
+    assert prune(pf) == pf
+    # a hypothesis-free node that is no generic, cited
+    rebuilt = node_of(Proof(P00, (), refl_entry()))
+    cited = linearize(lemma_node(rebuilt, {"phi": q}), P00)
+    assert cited.lemmas == (refl_entry(),)
+    generics = set(proofs_module._GENERICS.values())
+    assert all(node in generics for node in proofs_module._NUMBERED)
 
 
 # -- nodes -----------------------------------------------------------------
