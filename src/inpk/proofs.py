@@ -456,6 +456,10 @@ _NODES: dict[object, Node] = {}
 # (build, params) -> the hypothesis-free node build(params) proves over
 # phi, psi and theta; built once per logic and never dropped
 _GENERICS: dict[tuple, Node] = {}
+# generic node -> its numbering (see _number), filled in by linearize
+# the first time it numbers the generic; None until then. A generic is
+# entered by generic() and, like it, never dropped.
+_NUMBERED: dict[Node, Optional[tuple]] = {}
 _NO_HYPS: frozenset = frozenset()
 
 
@@ -612,7 +616,7 @@ def linearize(
     citation node is one Lemma line: the node it cites is numbered on
     its own, once, into the lemma table, after the lemmas it cites.
 
-    A generic is numbered once per process (see _numbering); a proof
+    A generic is numbered once per process (see _NUMBERED); a proof
     only rewrites the lemma index of its citation lines. So the line
     objects of a Proof may be shared with other proofs, and must not be
     mutated.
@@ -625,7 +629,14 @@ def linearize(
     numbered: dict[Node, tuple] = {}
 
     def kids(node: Node) -> tuple[Node, ...]:
-        numbered[node] = got = _numbering(node)
+        # a cited node rests on no hypothesis; a generic's numbering is
+        # stored, any other node's is made afresh
+        got = _NUMBERED.get(node)
+        if got is None:
+            got = _number(node, {})
+            if node in _NUMBERED:
+                _NUMBERED[node] = got
+        numbered[node] = got
         return got[1]
 
     # the table in postorder over the citations, dependencies first; an
@@ -637,23 +648,6 @@ def linearize(
             table[node] = len(lemmas)
             lemmas.append(_renumber(*numbered[node], table))
     return Proof(params, hypotheses, _renumber(lines, cited, table), tuple(lemmas))
-
-
-# generic node -> its numbering (see _number), filled in by linearize
-# the first time it numbers the generic; None until then. A generic is
-# entered by generic() and, like it, never dropped.
-_NUMBERED: dict[Node, Optional[tuple]] = {}
-
-
-def _numbering(node: Node) -> tuple:
-    """_number of a cited node, which rests on no hypothesis: stored
-    when node is a generic, made afresh otherwise."""
-    got = _NUMBERED.get(node)
-    if got is None:
-        got = _number(node, {})
-        if node in _NUMBERED:
-            _NUMBERED[node] = got
-    return got
 
 
 def _number(
