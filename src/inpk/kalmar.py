@@ -11,6 +11,16 @@ that arm is the result. ``complete_prove`` folds the atoms away one by
 one, ending with a hypothesis-free proof, and runs the recursion only
 for the valuations whose proofs a merge needs.
 
+A proper subformula of the goal that is itself a tautology is a
+subgoal: it is proved once, hypothesis-free, innermost first, and the
+recursion takes that theorem in place of a derivation from the
+contexts. x -> x is ``refl_node``; an implication whose consequent has a
+theorem is Ax1 and one modus ponens; any other subgoal is synthesized
+the same way as the goal, at canonical atom names, and cited at its own
+atoms. Resting on no context, the steps above a subgoal let more merges
+be elided. The decision on the goal tells which subformulas are
+subgoals; nothing else is decided.
+
 All three layers build proof nodes (see ``proofs``): the leaves and
 merges of one synthesis share every common step, and lines are
 numbered once, when the final proof is linearized.  The public
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 from .formula import (
     Atom,
@@ -30,6 +40,7 @@ from .formula import (
     Neg,
     and_,
     atoms,
+    children,
     circ,
     classicalize,
     iter_neg,
@@ -46,12 +57,15 @@ from .proofs import (
     cut,
     discharge,
     hyp_node,
+    instantiate,
+    lemma_node,
     linearize,
     mp_node,
     node_of,
     perm_node,
     refl_node,
     scope,
+    substitute,
 )
 from .semantics import (
     F,
@@ -59,9 +73,9 @@ from .semantics import (
     T,
     TruthValue,
     Valuation,
+    _decide,
     eval_formula,
     eval_subformulas,
-    is_tautology,
     render_valuation,
 )
 from .templates import template_node
@@ -188,13 +202,21 @@ def _ladder(params: LogicParams, f: Formula, base: str, step: str) -> Node:
 
 class _Lemma1:
     """Proves the witness form of f and of the subformulas it needs
-    from the full context set of one valuation."""
+    from the full context set of one valuation; a subformula with a
+    hypothesis-free proof in theorems is not derived again."""
 
-    def __init__(self, params: LogicParams, delta: DeltaContext, f: Formula):
+    def __init__(
+        self,
+        params: LogicParams,
+        delta: DeltaContext,
+        f: Formula,
+        theorems: Mapping[Formula, Node],
+    ):
         self.params = params
         self.v = delta.valuation
         self.values = eval_subformulas(params, f, self.v)
-        self.nodes: dict[Formula, Node] = {}
+        self.theorems = theorems
+        self.nodes: dict[Formula, Node] = dict(theorems)
         self.circ_nodes: dict[Formula, Node] = {}
         self.q_set = {ctx.atom: ctx.q_set for ctx in delta.contexts}
 
@@ -247,10 +269,10 @@ class _Lemma1:
             w = self.values[f.body]
             return () if w.kind == "T" and w.index > 0 else (f.body,)
         wa, wc = self.values[f.ant], self.values[f.cons]
+        if wc.designated and (wa.designated or f.cons in self.theorems):
+            return (f.cons,)
         if wa.kind == "F":
             return (f.ant,) if wa.index == 0 else ()
-        if wc.designated:
-            return (f.cons,)
         return (f.ant,) if wc.index > 0 else (f.ant, f.cons)
 
     def derive(self, f: Formula) -> Node:
@@ -314,6 +336,11 @@ class _Lemma1:
         params = self.params
         ant, cons = f.ant, f.cons
         wa, wc = self.values[ant], self.values[cons]
+        # Ax1 over a consequent with a theorem, before the antecedent's
+        # F cases, so f rests on no context
+        if wc.designated and (wa.designated or cons in self.theorems):
+            lift = self.ax("Ax1", phi=cons, psi=ant)
+            return mp_node(lift, self.nodes[cons])
         if wa.kind == "F" and wa.index == 0:
             tpl = self.use("circ_explosion", phi=ant, psi=cons)
             s = mp_node(tpl, self.circ_node(ant))
@@ -328,9 +355,6 @@ class _Lemma1:
             # context holds !(ant^*) at position s_ant of the atom's block
             tpl = self.use("negstar_explosion", phi=ant, psi=cons)
             return mp_node(tpl, self.q_hyp(core.name, s_ant))
-        if wc.designated:
-            lift = self.ax("Ax1", phi=cons, psi=ant)
-            return mp_node(lift, self.nodes[cons])
         if wc.index > 0:
             s_cons, core = _strip_negs(cons)
             if not isinstance(core, Atom):
@@ -356,8 +380,13 @@ class _Lemma1:
         return mp_node(s, self.nodes[cons])  # witness of cons is !cons
 
 
-def _leaf(params: LogicParams, f: Formula, delta: DeltaContext) -> Node:
-    return _Lemma1(params, delta, f).derive(f)
+def _leaf(
+    params: LogicParams,
+    f: Formula,
+    delta: DeltaContext,
+    theorems: Mapping[Formula, Node],
+) -> Node:
+    return _Lemma1(params, delta, f, theorems).derive(f)
 
 
 def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
@@ -369,7 +398,7 @@ def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
     """
     with scope():
         delta = build_delta(params, atoms(f), v)
-        return linearize(_leaf(params, f, delta), params, delta.formulas)
+        return linearize(_leaf(params, f, delta, {}), params, delta.formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +614,107 @@ def lemma2_combine(
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(
+    params: LogicParams,
+    f: Formula,
+    theorems: Mapping[Formula, Node],
+    trace: Callable[[str], None] | None = None,
+) -> Node:
+    """A hypothesis-free node proving the tautology f, whose leaves cite
+    theorems for the subformulas it has one for (see complete_prove)."""
+    names = atoms(f)
+
+    theta_star = _ladder(params, f, "Ax3", "Ax11")
+    theta_circ = _ladder(params, f, "Ax4", "Ax12")
+    order = _value_order(params)
+
+    # result(j, tail) proves f from the contexts of names[j:] at the
+    # values tail: a leaf when j = 0, else the elimination of names[j-1]
+    # over the results it needs.
+    memo: dict[tuple[int, tuple[TruthValue, ...]], Node] = {}
+
+    def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
+        node = memo.get((j, tail))
+        if node is None:
+            if j == 0:
+                delta = build_delta(params, names, dict(zip(names, tail)))
+                node = _leaf(params, f, delta, theorems)
+            else:
+                node = _combine(
+                    params,
+                    Atom(names[j - 1]),
+                    f,
+                    lambda i: result(j - 1, (order[i],) + tail),
+                    theta_star,
+                    theta_circ,
+                )
+            memo[(j, tail)] = node
+        return node
+
+    if trace is not None:
+        # force every class of every round, in the order of the valuations
+        for round_idx, nm in enumerate(names):
+            remaining = names[round_idx + 1 :]
+            keys = list(product(params.values(), repeat=len(remaining)))
+            for class_idx, tail in enumerate(keys):
+                merged = result(round_idx + 1, tail)
+                delta = build_delta(params, remaining, dict(zip(remaining, tail)))
+                lines = len(linearize(merged, params, delta.formulas))
+                trace(
+                    f"eliminated {nm}: class {class_idx + 1}/{len(keys)}, "
+                    f"{lines} lines"
+                )
+
+    node = result(len(names), ())
+    assert not node.hyps
+    return node
+
+
+def _theorems(
+    params: LogicParams, f: Formula, valid: Container[Formula]
+) -> dict[Formula, Node]:
+    """A hypothesis-free theorem of every subformula of f in valid, f
+    itself aside, innermost first; valid holds the tautological
+    subformulas of f.
+
+    x -> x is refl_node. An implication whose consequent has a theorem
+    is Ax1 and one modus ponens. Any other subformula is synthesized
+    once, at the canonical atom names p1, p2, ... in first-occurrence
+    order, and cited at its own atoms (lemma_node): subformulas alike up
+    to their atom names share one lemma. A synthesis takes the theorems
+    of the subformulas it reaches first, renamed with instantiate.
+    """
+    out: dict[Formula, Node] = {}
+    lemmas: dict[Formula, Node] = {}  # canonical subformula -> its synthesis
+    seen: set[Formula] = set()
+    for g in postorder(f, children, seen):
+        seen.add(g)
+        if g not in valid or g is f:
+            continue
+        if type(g) is Imp and g.ant is g.cons:
+            out[g] = refl_node(params, g.ant)
+        elif type(g) is Imp and g.cons in out:
+            lift = axiom_node(params, "Ax1", {"phi": g.cons, "psi": g.ant})
+            out[g] = mp_node(lift, out[g.cons])
+        else:
+            names = atoms(g)
+            rename = {name: Atom(f"p{i}") for i, name in enumerate(names, 1)}
+            canon = substitute(g, rename)
+            lemma = lemmas.get(canon)
+            if lemma is None:
+                seeds: dict[Formula, Node] = {}
+                reached: set[Formula] = set()
+                for h in postorder(g, lambda h: () if h in out else children(h), reached):
+                    reached.add(h)
+                    if h in out:
+                        node = instantiate(out[h], rename, params)
+                        seeds[node.formula] = node
+                lemma = lemmas[canon] = _eliminate(params, canon, seeds)
+            bind = {rename[name].name: Atom(name) for name in names}
+            out[g] = lemma_node(lemma, bind)
+    return out
+
+
 def complete_prove(
     params: LogicParams,
     f: Formula,
@@ -605,63 +735,29 @@ def complete_prove(
     the valuations; it forces those results but not the returned proof,
     which is the same with and without it.
 
+    A proper subformula of f that is itself a tautology is proved once,
+    hypothesis-free, before any leaf (see _theorems); the one decision
+    on f tells which they are. A leaf cites that theorem instead of
+    deriving the subformula from its contexts, and takes Ax1 over it
+    wherever it is a consequent, so the steps above it rest on fewer
+    contexts and more merges are elided. A subgoal prints no trace line.
+
     Whether the call returns or raises, the proof nodes it made are
     dropped (see proofs.scope), nodes a trace callback builds among
     them. What survives is every generic lemma the call built, over
     phi, psi and theta, with the nodes under it, so a later call at the
     same logic finds it. The returned Proof holds formulas and lines,
-    never nodes. It cites every template and classical helper lemma it
-    uses from its lemma table; proofs.expand gives the flat proof.
+    never nodes. It cites every template and classical helper lemma and
+    every synthesized subgoal it uses from its lemma table;
+    proofs.expand gives the flat proof.
     """
     with scope():
-        verdict = is_tautology(params, f)
+        valid: set[Formula] = set()
+        verdict = _decide(params, [], f, atoms(f), valid)
         if not verdict:
             raise NotATautology(params, f, verdict.counterexample)
-
-        names = atoms(f)
-
-        theta_star = _ladder(params, f, "Ax3", "Ax11")
-        theta_circ = _ladder(params, f, "Ax4", "Ax12")
-        order = _value_order(params)
-
-        # result(j, tail) proves f from the contexts of names[j:] at the
-        # values tail: a leaf when j = 0, else the elimination of names[j-1]
-        # over the results it needs.
-        memo: dict[tuple[int, tuple[TruthValue, ...]], Node] = {}
-
-        def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
-            node = memo.get((j, tail))
-            if node is None:
-                if j == 0:
-                    delta = build_delta(params, names, dict(zip(names, tail)))
-                    node = _leaf(params, f, delta)
-                else:
-                    node = _combine(
-                        params,
-                        Atom(names[j - 1]),
-                        f,
-                        lambda i: result(j - 1, (order[i],) + tail),
-                        theta_star,
-                        theta_circ,
-                    )
-                memo[(j, tail)] = node
-            return node
-
-        if trace is not None:
-            # force every class of every round, in the order of the valuations
-            for round_idx, nm in enumerate(names):
-                remaining = names[round_idx + 1 :]
-                keys = list(product(params.values(), repeat=len(remaining)))
-                for class_idx, tail in enumerate(keys):
-                    merged = result(round_idx + 1, tail)
-                    delta = build_delta(params, remaining, dict(zip(remaining, tail)))
-                    lines = len(linearize(merged, params, delta.formulas))
-                    trace(
-                        f"eliminated {nm}: class {class_idx + 1}/{len(keys)}, "
-                        f"{lines} lines"
-                    )
-
-        final = linearize(result(len(names), ()), params)
+        theorems = _theorems(params, f, valid)
+        final = linearize(_eliminate(params, f, theorems, trace), params)
         assert not final.hypotheses and final.conclusion is f
         outcome = check(final)
         if not outcome:

@@ -20,9 +20,9 @@ major premise first. A citation is one line, and the node it cites is
 numbered once into the Proof's lemma table. A generic lemma (see
 ``generic``) is numbered once per process and the numbering is kept; a
 proof that cites it only rewrites the lemma indices of the citation
-lines, so the line objects of a Proof may be shared with other proofs
-and must not be mutated. ``check`` is the trusted kernel for proofs
-that come from outside: every line carries its own justification, so
+lines, so the line objects of a Proof may be shared with other proofs;
+their bindings are read-only mappings. ``check`` is the trusted kernel
+for proofs that come from outside: every line carries its own justification, so
 checking never searches; it applies the declared substitution and
 compares, and checks each lemma once, however often it is cited.
 ``expand`` gives the flat proof, every citation replaced by its
@@ -40,6 +40,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formula import (
@@ -618,8 +619,8 @@ def linearize(
 
     A generic is numbered once per process (see _NUMBERED); a proof
     only rewrites the lemma index of its citation lines. So the line
-    objects of a Proof may be shared with other proofs, and must not be
-    mutated.
+    objects of a Proof may be shared with other proofs; their bindings
+    are read-only, and assigning into one raises TypeError.
     """
     hypotheses = tuple(hypotheses)
     position: dict[Formula, int] = {}
@@ -654,7 +655,9 @@ def _number(
     root: Node, position: Mapping[Formula, int]
 ) -> tuple[tuple[ProofLine, ...], tuple[Node, ...]]:
     """The lines of root and the nodes they cite, in the order of their
-    first citation; a Lemma line's index is a position in that list."""
+    first citation; a Lemma line's index is a position in that list.
+    Each binding is read-only: a generic's lines are shared by every
+    proof that cites it (see linearize)."""
     index: dict[Node, int] = {}
     cited: dict[Node, int] = {}
     lines: list[ProofLine] = []
@@ -677,10 +680,12 @@ def _number(
                 continue
             line = ProofLine(node.formula, MP(i, j))
         elif node.schema is not None:
-            line = ProofLine(node.formula, Axiom(node.schema, dict(node.subst)))
+            subst = MappingProxyType(dict(node.subst))
+            line = ProofLine(node.formula, Axiom(node.schema, subst))
         elif node.lemma is not None:
             at = cited.setdefault(node.lemma, len(cited))
-            line = ProofLine(node.formula, Lemma(at, dict(node.subst)))
+            bind = MappingProxyType(dict(node.subst))
+            line = ProofLine(node.formula, Lemma(at, bind))
         else:
             at = position.get(node.formula)
             if at is None:

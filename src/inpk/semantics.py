@@ -258,8 +258,15 @@ def decision_size(params: LogicParams, formulas: list[Formula]) -> tuple[int, in
 
 
 def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
-            names: list[str]) -> Verdict:
-    """First valuation (canonical order) designating hyps but not goal."""
+            names: list[str], everywhere: Optional[set] = None) -> Verdict:
+    """First valuation (canonical order) designating hyps but not goal.
+
+    When everywhere is a set, the subformulas designated at every
+    valuation visited are added to it. A valid verdict visits them all,
+    so these are then the subformulas that are tautologies, read off the
+    same pass. For that, no subformula's bits are freed before the end
+    of its block, where they are compared with a full block.
+    """
     roots = list(dict.fromkeys(hyps + [goal]))
     order, chains, grades = _collapse(params, roots, names)
     radix = [len(g) for g in grades]
@@ -308,12 +315,14 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
         elif type(g) is Imp:
             last_use[g.ant] = pos
             last_use[g.cons] = pos
-    keep = set(roots)
+    keep = set(order) if everywhere is not None else set(roots)
     expiry: dict[int, list[Formula]] = {}
     for g, pos in last_use.items():
         if g not in keep:
             expiry.setdefault(pos, []).append(g)
 
+    if everywhere is not None:
+        everywhere.update(order)
     for block in range(math.prod(radix[:split])):
         value: dict[Formula, int] = {}
         for pos, g in enumerate(order):
@@ -328,6 +337,9 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
                 value[g] = (full ^ value[g.ant]) | value[g.cons]
             for dead in expiry.get(pos, ()):
                 del value[dead]
+        if everywhere is not None:
+            everywhere.difference_update(
+                [g for g, bits in value.items() if bits != full])
         bad = full ^ value[goal]
         for h in hyps:
             bad &= value[h]

@@ -5,8 +5,10 @@ digest is the SHA-256 of the compact JSON text of ``proof_to_json`` of a
 flat proof: every template's generic at (1,1), and the expansion of
 ``complete_prove`` on the 21 goal shapes of the benchmark's ``prove``
 workload, with its atoms x and y named p and q. A synthesized proof
-cites its lemmas; expanding every citation in place gives the proof
-that was synthesized before lemmas were cited, byte for byte. The cited
+cites its lemmas; for a goal with no tautological proper subformula,
+expanding every citation in place gives the proof that was synthesized
+before lemmas were cited, byte for byte. A goal with one proves that
+subformula once and cites it, and may need no lemma at all. The cited
 documents themselves, lemma table and all, are pinned too, so a
 reordered or renumbered table shows even where its expansion does not.
 """
@@ -79,20 +81,20 @@ PROVE_DIGESTS = [
     (1, 0, "!!!p -> !p", "c103ad5ffe9e11376c9f6cf2dda179beee083d87ef6348a8e5323382aafc46b3"),
     (1, 0, "p -> (q -> p)", "bb21e8edeb44feadb41aff4059cd120068d28343435c37f33d7b889810f68712"),
     (1, 0, "(p -> q) -> (p -> q)", "76a1421283111d9761f173001e829099edba33efc13b0b11bb2455f40b55b151"),
-    (1, 0, "!!(p -> p)", "4f5a87f4c017baf15198905825f9f194d30dd87a175ae39468361ea90e40a49c"),
+    (1, 0, "!!(p -> p)", "8b269890c5e61989fdc604e41eb318d465d57c6e639097e5afc38979d8cd54f9"),
     (0, 0, "p -> (q -> p)", "e841b2f97a8bfaf4928128e6bdbb739818ef9775e99a55e6ecd171046a6a4819"),
     (0, 0, "(p -> q) -> (p -> q)", "81f4660cc8bbe2bca2e528dfcea3008d70efe5267d62fdc75a873133ddc6c43f"),
     (0, 0, "!!!p -> !p", "97e2e82fd1ffe1976b0ef1a69a04fbfbeccd8b16b4a7e38766963c9039a490e5"),
-    (0, 0, "p -> (p -> p)", "f7f09d34683ffad84a330f4c10e0b56d1f9df104380f46837b3e6ee3a7b917d8"),
+    (0, 0, "p -> (p -> p)", "74afa4a76b74a792d6ec95d8dfb73201b643096926fe14de2cf23c840cbb5a48"),
     (0, 1, "!!!p -> !p", "41bc9861322cf493417c19eddc2b624b62f5c10bf3d8bb3507f1f04ca46d0107"),
     (0, 1, "p -> (q -> p)", "574248ec3d09a22f34ca856f56e3c06e2dee8e7fb77c9f288dcd885395b64ab5"),
-    (0, 1, "!!(p -> p)", "554b47833c3482fb0772d5d19c9c13ecdcc8b0d575dcc1af8bd99624df0c9a2d"),
+    (0, 1, "!!(p -> p)", "e0bb7db776ef274ebfea5abc4943d8f79972dd6affdb0c8ea30107748e8412ad"),
     (1, 1, "!!!p -> !p", "c1e35911caef05c90136ce93b86168fc10d062dcf6f8c791fad2eef759488078"),
-    (1, 1, "p -> (p -> p)", "7c22eba40081d4a6c31363d9b43f64eb1d95886b260b248deb951937106ec09b"),
-    (1, 1, "!!(p -> p)", "42d559085e8f6b0250386d0b432c1dc2e12563261aa3071b78afc1a868dbf0f5"),
-    (3, 3, "!!(p -> p)", "0e2c8108b0d829657ba2c5399a8fcbcdb1c70d91d642087c53a26e6ab9a705d4"),
-    (3, 3, "p -> (p -> p)", "b6150032d966c6f41c27dfc4c2735d3e911adf69311355ffacbf8300d359a9a3"),
-    (0, 0, "p -> (q -> q)", "9836f8619a5e8cb12406d2785a02cbecb5e27b3f386f61e430575a58270e7071"),
+    (1, 1, "p -> (p -> p)", "d627b4d78298c36d686126d89c86e62908f29b60deb2b405012999f0b2ef391d"),
+    (1, 1, "!!(p -> p)", "a0b52859864a1435100036237b208208cae9eedad7ca57b1f4739468b3177f41"),
+    (3, 3, "!!(p -> p)", "59ff6a04f19d3a548b40c6a5a38d4fa4bf85cca8e12fc4ec390d2f2658ee8cb0"),
+    (3, 3, "p -> (p -> p)", "d043eb8bc6546c0c507d3bd1509c0eedcb9720fb95823b99d4283e24635555c2"),
+    (0, 0, "p -> (q -> q)", "b52e060c4b1b12884bde7b6fd5c50144f610a4f53e38b05d2f3ff38a4a274eaf"),
     (1, 0, "q -> (p -> q)", "4e6f54a66da5420b0f01e0bdef1a912179795e37ce524c93c562c4a2d15eacc2"),
     (3, 3, "p -> p", "c30491aa4a93c917e8b92fdc1dc9fda5ad5d56836ffdf8a91a6f0df50f9670bf"),
     (0, 0, "q -> (p -> q)", "49949b8d4409e52c0447ac3aa2af8c5c4d9ec65d283cea2c09474f4469ba1bf3"),
@@ -107,7 +109,6 @@ PROVE_DIGESTS = [
 )
 def test_prove_goal_is_pinned(n, k, text, want):
     pf = complete_prove(LogicParams(n, k), parse(text))
-    assert pf.lemmas
     flat = expand(pf)
     assert not flat.lemmas and check(flat)
     assert digest(flat) == want
@@ -119,20 +120,20 @@ CITED_DIGESTS = [
     "d4af0f831942a853e7e5ed9f62789b782537d490c6d5b6c8943429413647f2f7",
     "6ce3dd806cdcb3094538491c95703d9e4bad6750906529f156f23b9af139a4f7",
     "6bd6598e118b005585ca40cab8f8e9ff2149b6a96d8fe8e351a3859af863d768",
-    "b15b5f9c7e7cc0cbf6b40b59f8d27eabb36f1a1766c8bd2c8e659c91b563a4de",
+    "8b269890c5e61989fdc604e41eb318d465d57c6e639097e5afc38979d8cd54f9",
     "6d0b806a7fd82b92fe0784a24b9cd617fa74f8b4686c8d175e50354e5f97812e",
     "abd6bedd7596e1cc71dd28720c774d6acbc4cd5253e2daf63f77f8115c7e02c3",
     "e168705f43be6eab31b7f192c2e45d97f8b0ed65973ff8b80f6f18108831ada7",
-    "8eea11de80fa5aca87ac17930d56dd8c571ee5f6c8fbf521b76aeb31c68406b6",
+    "74afa4a76b74a792d6ec95d8dfb73201b643096926fe14de2cf23c840cbb5a48",
     "845c6deeb2c74cdb9fd1d0640ea9434fe03ece35019b88b7b05f0619e66ae22a",
     "70400ca0530cbacdee148dba98d64130ceeba37c9d83690a53cb44289c0b1881",
-    "fa562e670992b322c904c58e74ff4421784ee2b47900b50ce6bdbc52dce5c2c0",
+    "e0bb7db776ef274ebfea5abc4943d8f79972dd6affdb0c8ea30107748e8412ad",
     "d1fe1fea6d6e6dff719f97ea4eef3ebc071bbb233b04f41803619245bd5656ad",
-    "1ac549d7e3f4ab63870ae3797076fd5badc7d0099bd0b9fe49219c257b175a4c",
-    "59046087d899481f4141036334ff7fd0d3e8f1e22d04b39a699b3ec05091d659",
-    "08814681c30bd03b5a335b6efb78c517028b4d92abada20b5103220170dd014f",
-    "a4aa540d141b2ff40a9f1c73adcec53581a31bef0226fda4fd7d1070a553171a",
-    "a1dc443685580394eb3ed22da4e721ccc5a72665a876bbe6d9ed98366c6b61fe",
+    "d627b4d78298c36d686126d89c86e62908f29b60deb2b405012999f0b2ef391d",
+    "a0b52859864a1435100036237b208208cae9eedad7ca57b1f4739468b3177f41",
+    "59ff6a04f19d3a548b40c6a5a38d4fa4bf85cca8e12fc4ec390d2f2658ee8cb0",
+    "d043eb8bc6546c0c507d3bd1509c0eedcb9720fb95823b99d4283e24635555c2",
+    "b52e060c4b1b12884bde7b6fd5c50144f610a4f53e38b05d2f3ff38a4a274eaf",
     "e822edbaf5ea1ef56ee4d4ac7310f90738545f2dfa9b9359e7ee954cf1f5ef35",
     "56cfa9ef64192103f420e3d57cbc60328ddd076af66adf9cea7c41b5c6a56ae7",
     "9d3092207ee381d984e820aa1a7606975d75e8b38587e0e6380f1a518f6a09b8",

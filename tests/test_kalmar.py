@@ -1,12 +1,16 @@
 """Constructive completeness machinery."""
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
-from inpk import proofs
+from inpk import kalmar, proofs, semantics
 
 from inpk.formula import (
     Atom,
@@ -18,6 +22,7 @@ from inpk.formula import (
     classicalize,
     iter_neg,
     parse,
+    render,
     star,
     strong_neg,
 )
@@ -39,6 +44,7 @@ from inpk.proofs import (
     check,
     deduction_transform,
     expand,
+    proof_from_json,
     proof_to_json,
     prune,
     replace_hyp_with_theorem,
@@ -434,9 +440,153 @@ def test_complete_prove_on_a_deep_formula():
         f = Imp(p, f)
     pf = complete_prove(LogicParams(0, 0), f)
     assert pf.conclusion is f and not pf.hypotheses
-    assert (len(pf), len(pf.lemmas)) == (9064, 14)
-    assert len(expand(pf)) == 10352
+    assert (len(pf), len(pf.lemmas)) == (3003, 0)
+    assert len(expand(pf)) == 3003
     assert check(pf)
+
+
+# -- tautological subformulas -----------------------------------------------
+# A proper subformula that is a tautology is proved once, hypothesis-free:
+# x -> x by refl, a consequent with a theorem by Ax1, anything else by a
+# synthesis at canonical atom names that the proof cites.
+
+
+def _star16(name):
+    return star(iter_neg(16, Atom(name)))
+
+
+def test_a_subgoal_is_synthesized_once_and_cited_at_its_atoms():
+    a, b = Atom("a"), Atom("b")
+    f = Imp(Neg(Neg(Imp(a, a))), Neg(Neg(Imp(b, b))))
+    pf = complete_prove(LogicParams(1, 1), f)
+    assert check(pf) and pf.conclusion is f
+    # !!(a -> a) and !!(b -> b) share one lemma; f is Ax1 over the second
+    p1 = Atom("p1")
+    assert [entry[-1].formula for entry in pf.lemmas] == [Neg(Neg(Imp(p1, p1)))]
+    assert len(pf) == 3
+
+
+def test_every_subgoal_route_checks():
+    r = Atom("r")
+    # refl for p -> p, Ax1 for q -> (p -> p), synthesis for the double
+    # negation, and the goal itself by Ax1 over that synthesis
+    f = Imp(r, Neg(Neg(Imp(q, Imp(p, p)))))
+    for nk in [(0, 0), (1, 0), (0, 1), (2, 2)]:
+        pf = complete_prove(LogicParams(*nk), f)
+        assert check(pf) and check(expand(pf))
+        assert pf.lemmas[-1][-1].formula is parse("!!(p1 -> (p2 -> p2))")
+
+
+def test_complete_prove_decides_only_the_goal(monkeypatch):
+    calls = []
+    decide = semantics._decide
+
+    def counted(*args):
+        calls.append(args[2])
+        return decide(*args)
+
+    monkeypatch.setattr(kalmar, "_decide", counted)
+    monkeypatch.setattr(semantics, "_decide", counted)
+    f = parse("!!(p -> p) -> (q -> !!(q -> (p -> p)))")
+    assert check(complete_prove(LogicParams(1, 1), f))
+    assert calls == [f]
+
+
+def test_a_consequent_with_a_theorem_needs_one_leaf(monkeypatch):
+    # Ax1 over the consequent's theorem comes before the antecedent's F
+    # cases, so the first leaf rests on no context and ends the synthesis
+    built = []
+    leaf = kalmar._leaf
+
+    def counted(*args):
+        built.append(args[2])
+        return leaf(*args)
+
+    monkeypatch.setattr(kalmar, "_leaf", counted)
+    for nk in [(0, 0), (1, 1), (3, 3)]:
+        built.clear()
+        assert check(complete_prove(LogicParams(*nk), parse("p -> (p -> p)")))
+        assert len(built) == 1
+
+
+def test_a_subgoal_prints_no_trace_line():
+    f = Imp(Neg(Neg(Imp(p, p))), Imp(q, Neg(Neg(Imp(q, q)))))
+    lines = []
+    pf = complete_prove(LogicParams(1, 1), f, trace=lines.append)
+    assert [line.split(":")[0] for line in lines] == ["eliminated p"] * 4 + [
+        "eliminated q"
+    ]
+    assert lines[-1].endswith(f", {len(pf)} lines")
+
+
+def test_two_star_atoms_at_16_16_share_one_subgoal():
+    # 206 804 main lines and 1156 leaves before subgoals were cited
+    f = and_(_star16("a"), _star16("b"))
+    pf = complete_prove(LogicParams(16, 16), f)
+    assert len(pf) <= 12042
+    assert check(pf)
+    conclusions = [entry[-1].formula for entry in pf.lemmas]
+    assert conclusions.count(_star16("p1")) == 1
+
+
+_CAPPED_LIBRARY = """
+import sys
+from inpk.formula import parse
+from inpk.kalmar import complete_prove
+from inpk.proofs import check
+from inpk.semantics import LogicParams
+pf = complete_prove(LogicParams(16, 16), parse(sys.argv[1]))
+assert pf.conclusion is parse(sys.argv[1]) and check(pf)
+"""
+
+
+def _capped(argv, tmp_path):
+    """Run a fresh interpreter under a 1 GiB address-space cap."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(proofs.__file__))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap, timeout=120,
+    )
+
+
+def test_three_star_atoms_at_16_16_prove_under_a_memory_cap(tmp_path):
+    # a MemoryError under a 3 GB cap before subgoals were cited
+    text = render(and_(and_(_star16("a"), _star16("b")), _star16("c")))
+    done = _capped(["-c", _CAPPED_LIBRARY, text], tmp_path)
+    assert done.returncode == 0, done.stderr
+    done = _capped(
+        ["-m", "inpk.cli", "prove", "--n", "16", "--k", "16", text, "-o", "pf.json"],
+        tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    pf = proof_from_json((tmp_path / "pf.json").read_text())
+    assert pf.conclusion is parse(text) and check(pf)
+
+
+def test_a_returned_binding_is_read_only():
+    # a generic's numbered lines are shared by every proof that cites it
+    lp = LogicParams(1, 1)
+    pf = complete_prove(lp, Imp(p, p))
+    subst = next(
+        line.just.subst
+        for entry in pf.lemmas
+        for line in entry
+        if type(line.just) is proofs.Axiom
+    )
+    with pytest.raises(TypeError):
+        subst["phi"] = q
+    bind = next(line.just.bind for line in pf.lines if type(line.just) is proofs.Lemma)
+    with pytest.raises(TypeError):
+        bind["phi"] = q
+    r = Atom("r")
+    assert check(complete_prove(lp, Imp(r, r)))
+    # a binding from a plain dict still makes an axiom line
+    ax1 = ProofLine(Imp(p, Imp(q, p)), proofs.Axiom("Ax1", {"phi": p, "psi": q}))
+    assert check(Proof(lp, (), (ax1,)))
 
 
 # -- vacuous merges and lazy branches ----------------------------------------

@@ -14,7 +14,7 @@ from inpk.semantics import (
     render_valuation, neg_value, imp_value, eval_formula, eval_subformulas,
     is_designated,
     enumerate_valuations, is_tautology, entails, compare_logics,
-    separating_witness, truth_table,
+    separating_witness, truth_table, decision_size, _decide,
 )
 
 p = Atom("p")
@@ -412,6 +412,64 @@ def test_decide_agrees_with_brute_force_on_grid(chunk, monkeypatch):
             if not hyps:
                 assert is_tautology(lp, goal) == got
         assert entails(lp, *queries[0]).counterexample == dict.fromkeys("pqr", T(k))
+
+
+def _brute_tautologies(lp, f):
+    """The subformulas of f designated at every valuation of f's atoms,
+    by the scalar evaluator."""
+    valid = None
+    for v in enumerate_valuations(lp, atoms(f)):
+        values = eval_subformulas(lp, f, v)
+        here = {g for g, value in values.items() if value.designated}
+        valid = here if valid is None else valid & here
+    return valid
+
+
+def _reported_tautologies(lp, f):
+    valid: set = set()
+    assert _decide(lp, [], f, atoms(f), valid)
+    return valid
+
+
+def _grid_goals(rng, lp):
+    """The hypotheses and goals of the brute-force grid at lp, each under
+    a valid root that holds the tautologies g -> g and !!(g -> g)."""
+    n, k = lp.n, lp.k
+    for m in (1, 2, 3):
+        names = ["p", "q", "r"][:m]
+        for _ in range(10):
+            depth = max(n, k) + 2
+            found = [_chained_formula(rng, names, rng.randint(0, 3), depth)
+                     for _ in range(rng.randint(0, 2))]
+            found.append(_chained_formula(rng, names, rng.randint(1, 5), depth))
+            for g in found:
+                yield Imp(g, Neg(Neg(Imp(g, g))))
+
+
+def test_decision_reports_the_tautological_subformulas_of_a_valid_goal():
+    # every valuation is visited when the goal is valid, so the subformulas
+    # designated throughout that pass are exactly the tautological ones
+    rng = random.Random(4)
+    for n, k in itertools.product(range(4), repeat=2):
+        lp = LogicParams(n, k)
+        for f in _grid_goals(rng, lp):
+            assert _reported_tautologies(lp, f) == _brute_tautologies(lp, f), f
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7])
+def test_reported_tautological_subformulas_span_blocks(chunk, monkeypatch):
+    monkeypatch.setattr("inpk.semantics._CHUNK", chunk)
+    lp = LogicParams(2, 2)
+    r = Atom("r")
+    goals = [
+        Imp(iter_neg(2, r), Neg(Neg(Imp(Imp(iter_neg(2, p), q), Imp(iter_neg(2, p), q))))),
+        Imp(and_(star(iter_neg(2, p)), circ(iter_neg(2, q))), Imp(r, Imp(q, q))),
+        Imp(Imp(p, Imp(q, p)), Imp(Neg(r), Neg(Neg(Imp(r, r))))),
+    ]
+    for f in goals:
+        valuations, _ = decision_size(lp, [f])
+        assert valuations > chunk  # more than one block
+        assert _reported_tautologies(lp, f) == _brute_tautologies(lp, f), f
 
 
 def _chain_depths(f):
