@@ -17,12 +17,17 @@ Numbered lines exist only at the boundary. ``linearize`` is the one
 place a node becomes a ``Proof``: a finite sequence of lines over a
 fixed logic and hypothesis list, in postorder from the conclusion,
 major premise first. A citation is one line, and the node it cites is
-numbered once into the Proof's lemma table. A generic lemma (see
-``generic``) is numbered once per process and the numbering is kept; a
-proof that cites it only rewrites the lemma indices of the citation
-lines, so the line objects of a Proof may be shared with other proofs;
-their bindings are read-only mappings. ``check`` is the trusted kernel
-for proofs that come from outside: every line carries its own justification, so
+numbered once into the Proof's lemma table. ``linearize`` is also where
+lines are verified, by the kernel's own line predicate (``_fault``), so
+every Proof it returns has passed the checker: its main lines and every
+lemma that is not a generic in each call. A generic lemma (see
+``generic``) is numbered and verified once per process, when its
+numbering is stored, as an LCF kernel checks a theorem once, when it is
+made (Gordon, Milner & Wadsworth, *Edinburgh LCF*, 1979); a proof that
+cites it only rewrites the lemma indices of the citation lines, so the
+line objects of a Proof may be shared with other proofs; their bindings
+are read-only mappings. ``check`` is the entry point for proofs that
+come from outside: every line carries its own justification, so
 checking never searches; it applies the declared substitution and
 compares, and checks each lemma once, however often it is cited.
 ``expand`` gives the flat proof, every citation replaced by its
@@ -359,6 +364,11 @@ def check(proof: Proof) -> CheckVerdict:
     return _ACCEPTED
 
 
+# the justification classes, in the order _fault matches a subclass
+# against them
+_KINDS = (Axiom, Hyp, MP, Lemma)
+
+
 def _fault(
     lines: Sequence[ProofLine],
     hyps: Optional[tuple[Formula, ...]],
@@ -367,46 +377,49 @@ def _fault(
 ) -> Optional[tuple[int, str]]:
     """The first bad line of a line list, as (0-based index, reason), or
     None. hyps is None in a lemma, which may cite no hypothesis;
-    conclusions are those of the lemmas the lines may cite."""
+    conclusions are those of the lemmas the lines may cite.
+
+    The kernel's one line predicate: check runs it on proofs from
+    outside, linearize on the lines it makes."""
     for i, line in enumerate(lines):
         just = line.just
-        if isinstance(just, Axiom):
-            needed = _METAVARS.get(just.schema)
+        kind = type(just)
+        if kind not in _KINDS:
+            kind = next((k for k in _KINDS if isinstance(just, k)), kind)
+        if kind is MP:
+            major, minor = just.major, just.minor
+            if not 0 <= major < i:
+                return i, f"reference to line {major + 1} is not an earlier line"
+            if not 0 <= minor < i:
+                return i, f"reference to line {minor + 1} is not an earlier line"
+            f = lines[major].formula
+            if not isinstance(f, Imp):
+                return i, "major premise is not an implication"
+            if f.ant is not lines[minor].formula:
+                return i, "minor premise does not match the major's antecedent"
+            if f.cons is not line.formula:
+                return i, "formula is not the major's consequent"
+        elif kind is Axiom:
+            schema, subst = just.schema, just.subst
+            needed = _METAVARS.get(schema)
             if needed is None:
-                return i, f"unknown axiom schema {just.schema!r}"
+                return i, f"unknown axiom schema {schema!r}"
             for name in needed:
-                if name not in just.subst:
-                    return i, f"substitution does not bind {name!r} for {just.schema}"
-            for name in just.subst:
-                if name not in needed:
-                    return i, f"substitution binds {name!r}, unused by {just.schema}"
-            items = tuple(sorted(just.subst.items()))
-            node = _NODES.get((just.schema, items, params.n, params.k))
+                if name not in subst:
+                    return i, f"substitution does not bind {name!r} for {schema}"
+            if len(subst) != len(needed):
+                for name in subst:
+                    if name not in needed:
+                        return i, f"substitution binds {name!r}, unused by {schema}"
+            items = tuple(sorted(subst.items()))
+            node = _NODES.get((schema, items, params.n, params.k))
             if node is None:
-                instance = substitute(axiom_pattern(just.schema, params), just.subst)
+                instance = substitute(axiom_pattern(schema, params), subst)
             else:
                 instance = node.formula
             if instance is not line.formula:
-                return i, f"formula is not the declared {just.schema} instance"
-        elif isinstance(just, Hyp):
-            if hyps is None:
-                return i, "a lemma may not cite a hypothesis"
-            if not 0 <= just.index < len(hyps):
-                return i, f"hypothesis index {just.index} out of range"
-            if hyps[just.index] is not line.formula:
-                return i, f"formula does not match hypothesis {just.index}"
-        elif isinstance(just, MP):
-            dangling = [r for r in (just.major, just.minor) if not 0 <= r < i]
-            if dangling:
-                return i, f"reference to line {dangling[0] + 1} is not an earlier line"
-            major = lines[just.major].formula
-            if not isinstance(major, Imp):
-                return i, "major premise is not an implication"
-            if major.ant is not lines[just.minor].formula:
-                return i, "minor premise does not match the major's antecedent"
-            if major.cons is not line.formula:
-                return i, "formula is not the major's consequent"
-        elif isinstance(just, Lemma):
+                return i, f"formula is not the declared {schema} instance"
+        elif kind is Lemma:
             at = just.index
             if not 0 <= at < len(conclusions):
                 if hyps is None and at >= 0:
@@ -414,6 +427,13 @@ def _fault(
                 return i, f"lemma index {at + 1} out of range"
             if substitute(conclusions[at], just.bind) is not line.formula:
                 return i, f"formula is not lemma {at + 1} under its binding"
+        elif kind is Hyp:
+            if hyps is None:
+                return i, "a lemma may not cite a hypothesis"
+            if not 0 <= just.index < len(hyps):
+                return i, f"hypothesis index {just.index} out of range"
+            if hyps[just.index] is not line.formula:
+                return i, f"formula does not match hypothesis {just.index}"
         else:
             return i, f"unknown justification {type(just).__name__}"
     return None
@@ -457,9 +477,12 @@ _NODES: dict[object, Node] = {}
 # (build, params) -> the hypothesis-free node build(params) proves over
 # phi, psi and theta; built once per logic and never dropped
 _GENERICS: dict[tuple, Node] = {}
-# generic node -> its numbering (see _number), filled in by linearize
-# the first time it numbers the generic; None until then. A generic is
-# entered by generic() and, like it, never dropped.
+# generic node -> its numbering (see _number) and the logic it was
+# verified at, filled in by linearize the first time it numbers the
+# generic; None until then. A stored numbering never changes: its lines
+# are frozen, its bindings read-only and its formulas interned, so it
+# is verified once. A generic is entered by generic() and, like it,
+# never dropped.
 _NUMBERED: dict[Node, Optional[tuple]] = {}
 _NO_HYPS: frozenset = frozenset()
 
@@ -609,7 +632,9 @@ def _ax2(params: LogicParams, a: Formula, b: Formula, c: Formula) -> Node:
 def linearize(
     root: Node, params: LogicParams, hypotheses: Sequence[Formula] = ()
 ) -> Proof:
-    """Number the lines of the proof of root: the one place lines are made.
+    """Number the lines of the proof of root: the one place lines are
+    made, and every line it returns has passed the kernel's line
+    predicate (_fault, as check runs it).
 
     Lines come in postorder from root, major premise first, each node
     once. A Hyp line cites the first position of its formula in
@@ -617,10 +642,15 @@ def linearize(
     citation node is one Lemma line: the node it cites is numbered on
     its own, once, into the lemma table, after the lemmas it cites.
 
-    A generic is numbered once per process (see _NUMBERED); a proof
-    only rewrites the lemma index of its citation lines. So the line
-    objects of a Proof may be shared with other proofs; their bindings
-    are read-only, and assigning into one raises TypeError.
+    A generic is numbered and verified once per process, when its
+    numbering is stored (see _NUMBERED); a proof only rewrites the
+    lemma index of its citation lines, which keeps them valid, since the
+    index still names the lemma of the same conclusion. The main lines
+    and every other lemma are verified in each call. So the line objects
+    of a Proof may be shared with other proofs; their bindings are
+    read-only, and assigning into one raises TypeError. A line that
+    fails the predicate raises AssertionError: root holds a node built
+    at another logic, or the node constructors are at fault.
     """
     hypotheses = tuple(hypotheses)
     position: dict[Formula, int] = {}
@@ -628,15 +658,22 @@ def linearize(
         position.setdefault(h, i)
     lines, cited = _number(root, position)
     numbered: dict[Node, tuple] = {}
+    fresh: set[Node] = set()
 
     def kids(node: Node) -> tuple[Node, ...]:
         # a cited node rests on no hypothesis; a generic's numbering is
-        # stored, any other node's is made afresh
+        # verified and stored the first time, any other node's (or a
+        # generic's stored for another logic) is made and verified afresh
         got = _NUMBERED.get(node)
-        if got is None:
-            got = _number(node, {})
-            if node in _NUMBERED:
+        if got is None or got[2] != params:
+            store = got is None and node in _NUMBERED
+            got = (*_number(node, {}), params)
+            if store:
+                cites = [c.formula for c in got[1]]
+                _verify(got[0], None, params, cites, "generic lemma")
                 _NUMBERED[node] = got
+            else:
+                fresh.add(node)
         numbered[node] = got
         return got[1]
 
@@ -644,11 +681,35 @@ def linearize(
     # explicit stack, since tables nest thousands deep
     table: dict[Node, int] = {}
     lemmas: list[tuple[ProofLine, ...]] = []
+    conclusions: list[Formula] = []
     for c in cited:
         for node in postorder(c, kids, table):
+            entry = _renumber(*numbered[node][:2], table)
+            if node in fresh:
+                _verify(entry, None, params, conclusions, f"lemma {len(lemmas) + 1}")
+            else:
+                # a stored numbering: only its lemma indices were rewritten
+                assert entry[-1].formula is node.formula
             table[node] = len(lemmas)
-            lemmas.append(_renumber(*numbered[node], table))
-    return Proof(params, hypotheses, _renumber(lines, cited, table), tuple(lemmas))
+            lemmas.append(entry)
+            conclusions.append(node.formula)
+    lines = _renumber(lines, cited, table)
+    _verify(lines, hypotheses, params, conclusions, "proof")
+    return Proof(params, hypotheses, lines, tuple(lemmas))
+
+
+def _verify(
+    lines: Sequence[ProofLine],
+    hyps: Optional[tuple[Formula, ...]],
+    params: LogicParams,
+    conclusions: Sequence[Formula],
+    where: str,
+) -> None:
+    """Raise AssertionError at the first line that fails _fault."""
+    fault = _fault(lines, hyps, params, conclusions)
+    if fault is not None:
+        i, reason = fault
+        raise AssertionError(f"{where} line {i + 1} failed the checker: {reason}")
 
 
 def _number(

@@ -24,7 +24,7 @@ from inpk.formula import (
     parse,
     render,
 )
-from inpk.kalmar import complete_prove, lemma1_derive
+from inpk.kalmar import complete_prove, lemma1_derive, lemma2_combine
 from inpk.proofs import (
     AXIOM_IDS,
     Proof,
@@ -33,13 +33,16 @@ from inpk.proofs import (
     axiom_proof,
     check,
     deduction_transform,
+    expand,
     rule_perm,
     rule_red,
     rule_trans,
     substitute,
 )
 from inpk.semantics import (
+    F,
     LogicParams,
+    T,
     OrderVerdict,
     compare_logics,
     entails,
@@ -322,6 +325,33 @@ def test_corner_logic_classifications():
     weakly_intuitionistic = LogicParams(1, 0)
     assert not is_tautology(weakly_intuitionistic, mep)
     assert is_tautology(weakly_intuitionistic, ncp)
+
+
+# ----------------------------------------------------------------------
+# 10. What the proof layer builds, the public checker accepts: linearize
+#     verifies every proof it numbers, and check confirms it from outside.
+# ----------------------------------------------------------------------
+
+
+def test_every_built_proof_passes_the_public_checker():
+    rng = random.Random(1010)
+    names = ["p", "q", "r"]
+    theta = Imp(P, P)
+    for params in (LogicParams(0, 0), LogicParams(1, 1), LogicParams(2, 1)):
+        for tid in template_ids():
+            subst = random_subst(rng, TEMPLATES[tid].metavariables, names, 2)
+            assert check(derive_template(tid, subst, params)), (params, tid)
+        # lemma2's branch order: F_1..F_n, T_1..T_k, F_0, T_0
+        order = [F(r) for r in range(1, params.n + 1)]
+        order += [T(i) for i in range(1, params.k + 1)] + [F(0), T(0)]
+        branches = [lemma1_derive(params, theta, {"p": w}) for w in order]
+        assert all(map(check, branches))
+        sides = [axiom_proof(params, ax, {"phi": P, "psi": P}) for ax in ("Ax3", "Ax4")]
+        assert check(lemma2_combine(params, [], P, theta, branches, *sides))
+        for f in one_atom_formulas(3):
+            if is_tautology(params, f):
+                pf = complete_prove(params, f)
+                assert check(pf) and check(expand(pf)), render(f)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 import inpk.proofs as proofs_module
 from inpk.cli import _format_proof, main
-from inpk.formula import Atom, Imp
+from inpk.formula import Atom, Imp, parse
+from inpk.kalmar import complete_prove
 from inpk.proofs import (
     Axiom,
     CheckVerdict,
@@ -21,6 +22,7 @@ from inpk.proofs import (
     Proof,
     ProofFormatError,
     ProofLine,
+    axiom_node,
     axiom_pattern,
     check,
     expand,
@@ -39,6 +41,7 @@ from inpk.proofs import (
 from inpk.semantics import LogicParams
 
 P00 = LogicParams(0, 0)
+P10, P11 = LogicParams(1, 0), LogicParams(1, 1)
 phi, p, q = Atom("phi"), Atom("p"), Atom("q")
 
 
@@ -235,6 +238,97 @@ def test_the_numbering_table_holds_only_generics():
     assert cited.lemmas == (refl_entry(),)
     generics = set(proofs_module._GENERICS.values())
     assert all(node in generics for node in proofs_module._NUMBERED)
+
+
+# -- verification at numbering ----------------------------------------------
+# linearize runs the kernel's line predicate on what it numbers: a
+# generic's numbering once, when it is stored, and the main lines and
+# every other lemma in each call.
+
+
+def _cold(monkeypatch):
+    """Forget every stored numbering for the test."""
+    monkeypatch.setattr(
+        proofs_module, "_NUMBERED", dict.fromkeys(proofs_module._NUMBERED)
+    )
+
+
+def _wrong_minor(lines):
+    """lines with the first modus ponens line citing its major premise as
+    its minor too (no formula is its own antecedent), or None."""
+    for i, line in enumerate(lines):
+        if type(line.just) is MP:
+            wrong = ProofLine(line.formula, MP(line.just.major, line.just.major))
+            return lines[:i] + (wrong,) + lines[i + 1 :]
+    return None
+
+
+def test_a_planted_fault_in_a_generic_is_never_stored(monkeypatch):
+    _cold(monkeypatch)
+    real = proofs_module._number
+    target = []
+
+    def planted(root, position):
+        lines, cited = real(root, position)
+        # the first generic numbered that has a modus ponens line
+        if root in proofs_module._NUMBERED and root in (target or [root]):
+            wrong = _wrong_minor(lines)
+            if wrong is not None:
+                target[:] = [root]
+                lines = wrong
+        return lines, cited
+
+    monkeypatch.setattr(proofs_module, "_number", planted)
+    goal = parse("!!p || !p")
+    for _ in range(2):
+        with pytest.raises(
+            AssertionError,
+            match=r"generic lemma line \d+ failed the checker: minor premise",
+        ):
+            complete_prove(P10, goal)
+        assert proofs_module._NUMBERED[target[0]] is None
+    monkeypatch.setattr(proofs_module, "_number", real)
+    assert check(complete_prove(P10, goal))
+    assert proofs_module._NUMBERED[target[0]] is not None
+
+
+def test_a_generic_is_verified_once_per_process(monkeypatch):
+    _cold(monkeypatch)
+    real = proofs_module._fault
+    seen = []
+
+    def counting(lines, hyps, params, conclusions):
+        seen.append(lines)
+        return real(lines, hyps, params, conclusions)
+
+    monkeypatch.setattr(proofs_module, "_fault", counting)
+    first = complete_prove(P11, parse("(!!(p -> p) -> q) -> q"))
+    # cold: each lemma verified once (a generic as it is stored), then
+    # the main lines
+    assert len(seen) == len(first.lemmas) + 1
+    assert sum(map(len, seen)) == len(first) + sum(map(len, first.lemmas))
+    seen.clear()
+    second = complete_prove(P11, parse("(!!(r -> r) -> s) -> s"))
+    # the generics are over phi, psi and theta; the one synthesized
+    # subgoal, over p1, is numbered and verified afresh
+    fresh = [e for e in second.lemmas if "p1" in e[-1].formula.atom_names]
+    assert len(fresh) == 1 and len(second.lemmas) > 1
+    assert seen == [*fresh, second.lines]
+    assert check(second)
+
+
+def _ax5(params):
+    return axiom_node(params, "Ax5", {"phi": phi})
+
+
+def test_a_generic_cited_at_another_logic_is_verified_there():
+    g = generic(_ax5, P00)
+    assert check(linearize(lemma_node(g, {"phi": p}), P00))
+    stored = proofs_module._NUMBERED[g]
+    # Ax5 at (0,0) is phi^*; at (1,1) the instance is (!phi)^*
+    with pytest.raises(AssertionError, match="lemma 1 line 1 failed the checker"):
+        linearize(lemma_node(g, {"phi": p}), P11)
+    assert proofs_module._NUMBERED[g] is stored
 
 
 # -- nodes -----------------------------------------------------------------

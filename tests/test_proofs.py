@@ -214,6 +214,19 @@ def test_check_rejects_mp_shape_faults():
     assert "consequent" in check(bad_conclusion).reason
 
 
+def test_check_judges_a_subclassed_justification_as_its_base():
+    class Step(MP):
+        pass
+
+    hyps = (Imp(p, q), p)
+    lines = (ProofLine(Imp(p, q), Hyp(0)), ProofLine(p, Hyp(1)))
+    assert check(Proof(P00, hyps, lines + (ProofLine(q, Step(0, 1)),)))
+    swapped = check(Proof(P00, hyps, lines + (ProofLine(q, Step(1, 0)),)))
+    assert swapped.reason == "major premise is not an implication"
+    unknown = check(Proof(P00, hyps, lines + (ProofLine(q, object()),)))
+    assert unknown.reason == "unknown justification object"
+
+
 def test_ax5_instance_checks_per_params():
     pf = axiom_proof(P10, "Ax5", {"phi": p})
     assert pf.conclusion is star(Neg(p))
