@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from itertools import islice
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Iterator, Sequence, TypeVar
 
 __all__ = [
     "Formula", "Atom", "Neg", "Imp", "FormulaSyntaxError",
@@ -127,15 +127,17 @@ def children(g: Formula) -> tuple[Formula, ...]:
 
 
 _READY = object()
+_T = TypeVar("_T")
 
 
 def postorder(
-    root: Formula,
-    kids: Callable[[Formula], Sequence[Formula]],
-    memo: Container[Formula],
-) -> Iterator[Formula]:
+    root: _T,
+    kids: Callable[[_T], Sequence[_T]],
+    memo: Container[_T],
+) -> Iterator[_T]:
     """Yield every node under root that is not in memo, each after the
-    nodes kids(node) returns for it: depth first, left to right.
+    nodes kids(node) returns for it: depth first, left to right.  The
+    nodes are formulas, or the proof nodes of ``inpk.proofs``.
 
     memo is the caller's table of results, and also the visited set: the
     caller enters each node it is given, and a node found in memo is

@@ -25,9 +25,11 @@ lemma that is not a generic in each call. A generic lemma (see
 numbering is stored, as an LCF kernel checks a theorem once, when it is
 made (Gordon, Milner & Wadsworth, *Edinburgh LCF*, 1979); a proof that
 cites it only rewrites the lemma indices of the citation lines, so the
-line objects of a Proof may be shared with other proofs; their bindings
-are read-only mappings. ``check`` is the entry point for proofs that
-come from outside: every line carries its own justification, so
+line objects of a Proof may be shared with other proofs. A substitution
+is one immutable ``Binding``, made with its node and shared, never
+copied, by every line numbered from it. The folds over the nodes are
+loops over ``formula.postorder``. ``check`` is the entry point for
+proofs from outside: every line carries its own justification, so
 checking never searches; it applies the declared substitution and
 compares, and checks each lemma once, however often it is cited.
 ``expand`` gives the flat proof, every citation replaced by its
@@ -45,8 +47,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formula import (
     Atom,
@@ -68,6 +69,7 @@ from .semantics import LogicParams
 
 __all__ = [
     "AXIOM_IDS",
+    "Binding",
     "Axiom",
     "Hyp",
     "MP",
@@ -242,9 +244,50 @@ def match_axiom(
 # Proof objects
 
 
+class Binding(dict):
+    """A read-only map of names to formulas, its names sorted: an axiom
+    step's substitution or a citation's binding. It is hashable, equals
+    the plain dict of its pairs and is a dict, so that substitute looks
+    atoms up with dict.get; each mutator raises TypeError."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, pairs: Iterable = ()) -> None:
+        items = sorted(dict(pairs).items())
+        for name, f in items:
+            if not isinstance(f, Formula):
+                kind = type(f).__name__
+                raise TypeError(f"{name!r} is bound to a {kind}, not a formula")
+        dict.__init__(self, items)
+        self._hash = hash(tuple(items))
+
+    @classmethod
+    def of(cls, m: Mapping[str, Formula]) -> Binding:
+        """m itself if it is a Binding, else the Binding of its pairs."""
+        return m if type(m) is cls else cls(m)
+
+    @classmethod
+    def _sorted(cls, items: tuple) -> Binding:
+        """The Binding of pairs already sorted by name, binding formulas."""
+        b = dict.__new__(cls)
+        dict.update(b, items)
+        b._hash = hash(items)
+        return b
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Binding is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class Axiom:
-    """Cites an axiom schema with an explicit metavariable substitution."""
+    """Cites an axiom schema with an explicit metavariable substitution:
+    a Binding in a line the library makes, any mapping in one by hand."""
 
     schema: str
     subst: Mapping[str, Formula]
@@ -266,7 +309,7 @@ class MP:
 @dataclass(frozen=True)
 class Lemma:
     """Cites an entry of the proof's lemma table: this line is the
-    entry's conclusion with bind applied."""
+    entry's conclusion with bind applied (a Binding, as in Axiom)."""
 
     index: int
     bind: Mapping[str, Formula]
@@ -333,12 +376,12 @@ def check(proof: Proof) -> CheckVerdict:
 
     Accepts iff each line is the declared axiom instance, a verbatim
     hypothesis, modus ponens over two strictly earlier lines whose
-    shapes agree, or the conclusion of a lemma under the line's binding.
-    Each lemma is checked once, in table order, before the lines: it
-    must have lines, cite no hypothesis and cite only earlier lemmas.
-    Rejection reports the first offending line (1-based); a fault in
-    the lemma table has line None and a reason naming the lemma and its
-    line.
+    shapes agree, or the conclusion of a lemma under the line's binding,
+    every binding mapping names to formulas. Each lemma is checked once,
+    in table order, before the lines: it must have lines, cite no
+    hypothesis and cite only earlier lemmas. Rejection reports the first
+    offending line (1-based); a fault in the lemma table has line None
+    and a reason naming the lemma and its line.
 
     check adds nothing to the node table. It looks axiom instances up
     there and builds the ones it misses; proof_from_json leaves in the
@@ -411,8 +454,11 @@ def _fault(
                 for name in subst:
                     if name not in needed:
                         return i, f"substitution binds {name!r}, unused by {schema}"
-            items = tuple(sorted(subst.items()))
-            node = _NODES.get((schema, items, params.n, params.k))
+            try:
+                subst = Binding.of(subst)
+            except TypeError as e:
+                return i, f"substitution: {e}"
+            node = _NODES.get((schema, subst, params.n, params.k))
             if node is None:
                 instance = substitute(axiom_pattern(schema, params), subst)
             else:
@@ -425,7 +471,11 @@ def _fault(
                 if hyps is None and at >= 0:
                     return i, f"lemma {at + 1} is not an earlier lemma"
                 return i, f"lemma index {at + 1} out of range"
-            if substitute(conclusions[at], just.bind) is not line.formula:
+            try:
+                bind = Binding.of(just.bind)
+            except TypeError as e:
+                return i, f"binding: {e}"
+            if substitute(conclusions[at], bind) is not line.formula:
                 return i, f"formula is not lemma {at + 1} under its binding"
         elif kind is Hyp:
             if hyps is None:
@@ -447,10 +497,10 @@ class Node:
     """One interned proof step; made only by axiom_node, hyp_node,
     mp_node and lemma_node, which validate it.
 
-    An axiom node has ``schema`` and ``subst`` (its binding as sorted
-    (name, formula) pairs); a citation node has ``lemma`` (the
-    hypothesis-free node it cites) and ``subst``; a modus ponens node
-    has ``major`` and ``minor``; a hypothesis node has none of these.
+    An axiom node has ``schema`` and ``subst`` (its Binding); a citation
+    node has ``lemma`` (the hypothesis-free node it cites) and ``subst``;
+    a modus ponens node has ``major`` and ``minor``; a hypothesis node
+    has none of these.
     ``hyps`` is the set of hypothesis formulas the step rests on.
     """
 
@@ -466,9 +516,9 @@ class Node:
         self.lemma = lemma
 
 
-# The node table. Keys: (schema, sorted binding, n, k) for an axiom
-# node, the formula itself for a hypothesis node, (major, minor) for a
-# modus ponens node, (lemma, sorted binding) for a citation node. An
+# The node table. Keys: (schema, Binding, n, k) for an axiom node, the
+# formula itself for a hypothesis node, (major, minor) for a modus
+# ponens node, (lemma, Binding) for a citation node. An
 # axiom node carries its instance formula, so the table is also the
 # memo of axiom instances. A node must be unique only among the live
 # ones: a scope drops the nodes made inside it but those under the
@@ -488,28 +538,26 @@ _NO_HYPS: frozenset = frozenset()
 
 
 def _axiom(
-    params: LogicParams, schema: str, items: tuple, formula: Optional[Formula] = None
+    params: LogicParams, schema: str, subst: Binding, formula: Optional[Formula] = None
 ) -> Node:
-    """The axiom node of a binding given as sorted (name, formula) pairs.
+    """The axiom node of a binding.
 
     formula may pass the instance when it is already known: instantiate
     passes s(f) for an instance f of the same schema under the binding
-    b, where items is s applied to b, and pattern[b][s] is pattern[s(b)]
+    b, where subst is s applied to b, and pattern[b][s] is pattern[s(b)]
     because every atom of a pattern is one of its metavariables.
     """
-    key = (schema, items, params.n, params.k)
+    key = (schema, subst, params.n, params.k)
     node = _NODES.get(key)
     if node is None:
         if formula is None:
             needed = _METAVARS.get(schema)
             if needed is None:
                 raise ValueError(f"unknown axiom schema {schema!r}")
-            if tuple(name for name, _ in items) != needed:
-                raise ValueError(
-                    f"{schema} binds exactly {', '.join(_METAVARS[schema])}"
-                )
-            formula = substitute(axiom_pattern(schema, params), dict(items))
-        node = _NODES[key] = Node(formula, schema, items, None, None, _NO_HYPS)
+            if tuple(subst) != needed:
+                raise ValueError(f"{schema} binds exactly {', '.join(needed)}")
+            formula = substitute(axiom_pattern(schema, params), subst)
+        node = _NODES[key] = Node(formula, schema, subst, None, None, _NO_HYPS)
     return node
 
 
@@ -517,7 +565,7 @@ def axiom_node(
     params: LogicParams, schema: str, subst: Mapping[str, Formula]
 ) -> Node:
     """The instance of an axiom schema under a binding of its metavariables."""
-    return _axiom(params, schema, tuple(sorted(subst.items())))
+    return _axiom(params, schema, Binding.of(subst))
 
 
 def hyp_node(f: Formula) -> Node:
@@ -556,20 +604,20 @@ def lemma_node(generic: Node, bind: Mapping[str, Formula]) -> Node:
     of an axiom pattern is one of its metavariables; the citation stands
     for that instance without copying its proof.
     """
-    return _cite(generic, tuple(sorted(bind.items())))
+    return _cite(generic, Binding.of(bind))
 
 
-def _cite(generic: Node, items: tuple, formula: Optional[Formula] = None) -> Node:
-    """The citation of generic under a binding given as sorted (name,
-    formula) pairs; formula may pass its instance when it is known."""
-    key = (generic, items)
+def _cite(generic: Node, bind: Binding, formula: Optional[Formula] = None) -> Node:
+    """The citation of generic under bind; formula may pass its instance
+    when it is known."""
+    key = (generic, bind)
     node = _NODES.get(key)
     if node is None:
         if generic.hyps:
             raise ValueError("a cited lemma must rest on no hypothesis")
         if formula is None:
-            formula = substitute(generic.formula, dict(items))
-        node = _NODES[key] = Node(formula, None, items, None, None, _NO_HYPS, generic)
+            formula = substitute(generic.formula, bind)
+        node = _NODES[key] = Node(formula, None, bind, None, None, _NO_HYPS, generic)
     return node
 
 
@@ -612,21 +660,29 @@ def scope() -> Iterator[None]:
             node = stack.pop()
             if node in fresh and node not in keep:
                 keep.add(node)
-                if node.major is not None:
-                    stack += (node.major, node.minor)
-                elif node.lemma is not None:
-                    stack.append(node.lemma)
+                stack += _below(node)
         for key, node in made:
             if node not in keep:
                 del _NODES[key]
 
 
+def _premises(node: Node) -> tuple[Node, ...]:
+    """The premises of a modus ponens node, major first; () otherwise."""
+    return () if node.major is None else (node.major, node.minor)
+
+
+def _below(node: Node) -> tuple[Node, ...]:
+    """The nodes a node is made from: its premises or the lemma it cites."""
+    return _premises(node) if node.lemma is None else (node.lemma,)
+
+
 def _ax1(params: LogicParams, a: Formula, b: Formula) -> Node:
-    return _axiom(params, "Ax1", (("phi", a), ("psi", b)))
+    return _axiom(params, "Ax1", Binding._sorted((("phi", a), ("psi", b))))
 
 
 def _ax2(params: LogicParams, a: Formula, b: Formula, c: Formula) -> Node:
-    return _axiom(params, "Ax2", (("phi", a), ("psi", b), ("theta", c)))
+    bind = Binding._sorted((("phi", a), ("psi", b), ("theta", c)))
+    return _axiom(params, "Ax2", bind)
 
 
 def linearize(
@@ -647,10 +703,10 @@ def linearize(
     lemma index of its citation lines, which keeps them valid, since the
     index still names the lemma of the same conclusion. The main lines
     and every other lemma are verified in each call. So the line objects
-    of a Proof may be shared with other proofs; their bindings are
-    read-only, and assigning into one raises TypeError. A line that
-    fails the predicate raises AssertionError: root holds a node built
-    at another logic, or the node constructors are at fault.
+    of a Proof may be shared with other proofs; an Axiom or Lemma line
+    holds its node's read-only Binding. A line that fails the predicate
+    raises AssertionError: root holds a node built at another logic, or
+    the node constructors are at fault.
     """
     hypotheses = tuple(hypotheses)
     position: dict[Formula, int] = {}
@@ -717,44 +773,25 @@ def _number(
 ) -> tuple[tuple[ProofLine, ...], tuple[Node, ...]]:
     """The lines of root and the nodes they cite, in the order of their
     first citation; a Lemma line's index is a position in that list.
-    Each binding is read-only: a generic's lines are shared by every
-    proof that cites it (see linearize)."""
+    An Axiom or Lemma line holds the node's Binding itself: a generic's
+    lines are shared by every proof that cites it (see linearize)."""
     index: dict[Node, int] = {}
     cited: dict[Node, int] = {}
     lines: list[ProofLine] = []
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in index:
-            stack.pop()
-            continue
-        major = node.major
-        if major is not None:
-            minor = node.minor
-            i = index.get(major)
-            j = index.get(minor)
-            if i is None or j is None:
-                if j is None:
-                    stack.append(minor)
-                if i is None:
-                    stack.append(major)
-                continue
-            line = ProofLine(node.formula, MP(i, j))
+    for node in postorder(root, _premises, index):
+        if node.major is not None:
+            just = MP(index[node.major], index[node.minor])
         elif node.schema is not None:
-            subst = MappingProxyType(dict(node.subst))
-            line = ProofLine(node.formula, Axiom(node.schema, subst))
+            just = Axiom(node.schema, node.subst)
         elif node.lemma is not None:
-            at = cited.setdefault(node.lemma, len(cited))
-            bind = MappingProxyType(dict(node.subst))
-            line = ProofLine(node.formula, Lemma(at, bind))
+            just = Lemma(cited.setdefault(node.lemma, len(cited)), node.subst)
         else:
             at = position.get(node.formula)
             if at is None:
                 raise ValueError("proof rests on a hypothesis outside the list")
-            line = ProofLine(node.formula, Hyp(at))
-        stack.pop()
+            just = Hyp(at)
         index[node] = len(lines)
-        lines.append(line)
+        lines.append(ProofLine(node.formula, just))
     return tuple(lines), tuple(cited)
 
 
@@ -801,8 +838,7 @@ def _rebuild(
         elif isinstance(just, Hyp):
             node = hyp_node(hyps[just.index])
         elif isinstance(just, Lemma):
-            items = tuple(sorted(just.bind.items()))
-            node = _cite(cited[just.index], items, line.formula)
+            node = _cite(cited[just.index], Binding.of(just.bind), line.formula)
         else:
             node = mp_node(nodes[just.major], nodes[just.minor])
         nodes.append(node)
@@ -824,27 +860,18 @@ def _rewrite(root: Node, h: Formula, at_hyp: Node, step) -> Node:
 
     The hypothesis h becomes at_hyp; a modus ponens node becomes
     step(node, new_major, new_minor), where a premise that does not rest
-    on h is passed as None. One memo per call; an explicit stack, since
-    proofs are thousands of steps deep.
+    on h is passed as None. One memo per call.
     """
     done: dict[Node, Node] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        major = node.major
-        if major is None:
+
+    def kids(node: Node) -> list[Node]:
+        return [c for c in _premises(node) if h in c.hyps]
+
+    for node in postorder(root, kids, done):
+        if node.major is None:
             done[node] = at_hyp
         else:
-            minor = node.minor
-            waiting = [c for c in (minor, major) if h in c.hyps and c not in done]
-            if waiting:
-                stack.extend(waiting)
-                continue
-            done[node] = step(node, done.get(major), done.get(minor))
-        stack.pop()
+            done[node] = step(node, done.get(node.major), done.get(node.minor))
     return done[root]
 
 
@@ -906,49 +933,35 @@ def instantiate(
         return _substitute(g, subst, cache) if got is None else got
 
     done: dict[Node, Node] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        major = node.major
-        if major is not None:
-            minor = node.minor
-            if major not in done or minor not in done:
-                stack.append(minor)
-                stack.append(major)
-                continue
-            new = mp_node(done[major], done[minor])
+    for node in postorder(root, _premises, done):
+        if node.major is not None:
+            new = mp_node(done[node.major], done[node.minor])
         elif node.schema is not None:
-            items = tuple((name, sub(g)) for name, g in node.subst)
-            new = _NODES.get((node.schema, items, params.n, params.k))
-            if new is None:
-                new = _axiom(params, node.schema, items, sub(node.formula))
+            bind = Binding._sorted(tuple((v, sub(g)) for v, g in node.subst.items()))
+            new = _axiom(params, node.schema, bind, sub(node.formula))
         elif node.lemma is not None:
             names = node.lemma.formula.atom_names
-            items = _compose(node.subst, names, sub, subst)
-            new = _cite(node.lemma, items, sub(node.formula))
+            bind = _compose(node.subst, names, sub, subst)
+            new = _cite(node.lemma, bind, sub(node.formula))
         else:
             new = hyp_node(sub(node.formula))
         done[node] = new
-        stack.pop()
     return done[root]
 
 
 def _compose(
-    items: Sequence[tuple[str, Formula]],
+    bind: Mapping[str, Formula],
     names: Sequence[str],
     sub: Callable[[Formula], Formula],
     subst: Mapping[str, Formula],
-) -> tuple:
-    """The binding, as sorted pairs, that applies the binding items and
-    then subst to a formula over the atoms names: sub applies subst."""
-    out = {name: sub(g) for name, g in items}
+) -> Binding:
+    """The binding that applies bind and then subst to a formula over
+    the atoms names: sub applies subst."""
+    out = {name: sub(g) for name, g in bind.items()}
     for name in names:
         if name not in out and name in subst:
             out[name] = subst[name]
-    return tuple(sorted(out.items()))
+    return Binding(out)
 
 
 def expand_node(root: Node, params: LogicParams) -> Node:
@@ -956,30 +969,14 @@ def expand_node(root: Node, params: LogicParams) -> Node:
     it cites (see instantiate), that lemma expanded first: the same
     proof with no citation left, which can be far larger."""
     done: dict[Node, Node] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        major = node.major
-        if major is not None:
-            minor = node.minor
-            if major not in done or minor not in done:
-                stack.append(minor)
-                stack.append(major)
-                continue
-            new = mp_node(done[major], done[minor])
+    for node in postorder(root, _below, done):
+        if node.major is not None:
+            new = mp_node(done[node.major], done[node.minor])
         elif node.lemma is not None:
-            generic = done.get(node.lemma)
-            if generic is None:
-                stack.append(node.lemma)
-                continue
-            new = instantiate(generic, dict(node.subst), params)
+            new = instantiate(done[node.lemma], node.subst, params)
         else:
             new = node  # an axiom or a hypothesis cites nothing
         done[node] = new
-        stack.pop()
     return done[root]
 
 
@@ -1161,13 +1158,12 @@ def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
     for line in proof.lines:
         just = line.just
         if isinstance(just, Axiom):
-            just = Axiom(just.schema, {v: sub(f) for v, f in just.subst.items()})
+            just = Axiom(just.schema, _compose(just.subst, (), sub, subst))
         elif isinstance(just, Lemma):
             at = just.index
             cited = lemmas[at] if 0 <= at < len(lemmas) else ()
             names = cited[-1].formula.atom_names if cited else tuple(subst)
-            items = _compose(just.bind.items(), names, sub, subst)
-            just = Lemma(at, dict(items))
+            just = Lemma(at, _compose(just.bind, names, sub, subst))
         out.append(ProofLine(sub(line.formula), just))
     return Proof(proof.params, hyps, tuple(out), lemmas)
 
@@ -1177,12 +1173,7 @@ def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
 
 
 def _merge_hypotheses(*proofs: Proof) -> tuple[Formula, ...]:
-    seen: list[Formula] = []
-    for p in proofs:
-        for h in p.hypotheses:
-            if h not in seen:
-                seen.append(h)
-    return tuple(seen)
+    return tuple(dict.fromkeys(h for p in proofs for h in p.hypotheses))
 
 
 def rule_trans(p1: Proof, p2: Proof) -> Proof:
@@ -1285,9 +1276,11 @@ def _parse_formula_field(text: object, where: str) -> Formula:
 
 def _read_binding(
     j: dict, field: str, where: str, known: dict[str, Formula]
-) -> dict[str, Formula]:
+) -> Mapping[str, Formula]:
     """The object j[field] of formula texts; a text found in known
-    (texts of this document already rendered) is not parsed."""
+    (texts of this document already rendered) is not parsed. It is a
+    Binding when its names come sorted, as proof_to_json writes them,
+    and otherwise a dict in the document's order."""
     raw = j.get(field, {})
     if not isinstance(raw, dict):
         raise ProofFormatError(f'{where}: "{field}" must be an object')
@@ -1297,7 +1290,7 @@ def _read_binding(
         if f is None:
             f = _parse_formula_field(t, f"{where} {field} {v!r}")
         out[str(v)] = f
-    return out
+    return Binding._sorted(tuple(out.items())) if list(out) == sorted(out) else out
 
 
 def _read_index(j: dict, field: str, where: str) -> int:
@@ -1355,9 +1348,9 @@ def _predict(
         # an Ax5 (Ax6) instance has n (k) negations: no pattern is built
         # that the text is too short to spell
         depth = params.n if schema == "Ax5" else params.k if schema == "Ax6" else 0
-        items = tuple(sorted(just.subst.items()))
-        if depth < size and tuple(v for v, _ in items) == _METAVARS.get(schema):
-            f = _axiom(params, schema, items).formula
+        # only a Binding, which the reader makes of sorted names, matches
+        if depth < size and tuple(just.subst) == _METAVARS.get(schema):
+            f = _axiom(params, schema, just.subst).formula
     elif type(just) is Lemma:
         # an instance is no smaller than the conclusion substituted
         if 0 <= just.index < len(conclusions):

@@ -577,11 +577,37 @@ def test_a_returned_binding_is_read_only():
         for line in entry
         if type(line.just) is proofs.Axiom
     )
+    mutators = [
+        lambda b: b.__delitem__("phi"),
+        lambda b: b.update(phi=q),
+        lambda b: b.pop("phi"),
+        lambda b: b.popitem(),
+        lambda b: b.setdefault("chi", q),
+        lambda b: b.clear(),
+    ]
+    before = dict(subst)
+    for mutate in mutators:
+        with pytest.raises(TypeError):
+            mutate(subst)
     with pytest.raises(TypeError):
         subst["phi"] = q
+    with pytest.raises(TypeError):
+        subst |= {"phi": q}
     bind = next(line.just.bind for line in pf.lines if type(line.just) is proofs.Lemma)
     with pytest.raises(TypeError):
         bind["phi"] = q
+    with pytest.raises(TypeError):
+        del bind["phi"]
+    assert subst == before
+    # a line holds its node's binding: numbering twice copies nothing
+    node = proofs.refl_node(lp, p)
+    first, second = proofs.linearize(node, lp), proofs.linearize(node, lp)
+    assert first.lines[0].just.subst is second.lines[0].just.subst
+    # equal to the plain dict of its pairs, whatever order that was built in
+    b = proofs.Binding({"psi": q, "phi": p})
+    assert b == {"phi": p, "psi": q} == b and b == {"psi": q, "phi": p}
+    assert hash(b) == hash(proofs.Binding({"phi": p, "psi": q}))
+    assert list(b) == ["phi", "psi"] and proofs.Binding.of(b) is b
     r = Atom("r")
     assert check(complete_prove(lp, Imp(r, r)))
     # a binding from a plain dict still makes an axiom line

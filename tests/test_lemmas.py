@@ -181,6 +181,31 @@ def test_a_lemma_table_nested_thousands_deep_is_numbered(tmp_path, capsys):
     assert len(discharged.lemmas) == 3000
 
 
+def test_a_modus_ponens_chain_20000_deep_goes_through_every_fold():
+    # p -> p from the hypothesis p -> p, through 20 000 modus ponens
+    # steps whose major premise cites the refl lemma at p -> p
+    pp = Imp(p, p)
+    builder = proofs_module.ProofBuilder(P00, (pp,))
+    major = builder.splice(refl_citing(f=pp))
+    step = builder.hyp(0)
+    for _ in range(20_000):
+        step = builder.mp(major, step)
+    pf = builder.build()
+    assert len(pf) == 20_002 and check(pf)
+    discharged = proofs_module.deduction_transform(pf, 0)
+    assert discharged.conclusion is Imp(pp, pp) and check(discharged)
+    cut = proofs_module.replace_hyp_with_theorem(pf, 0, refl_citing())
+    assert cut.conclusion is pp and not cut.hypotheses and check(cut)
+    qq = Imp(q, q)
+    with proofs_module.scope():
+        root = proofs_module.instantiate(node_of(pf), {"p": q}, P00)
+        renamed = linearize(root, P00, (qq,))
+    assert renamed.conclusion is qq and check(renamed)
+    flat = expand(pf)
+    assert not flat.lemmas and len(flat) > 20_000 and check(flat)
+    assert substitute_proof(pf, {"p": q}) == renamed
+
+
 def test_check_adds_no_node():
     # an axiom instance and a citation over atoms no other test uses
     a, b = Atom("fresh_check_a"), Atom("fresh_check_b")
@@ -353,6 +378,14 @@ def test_substitute_proof_composes_the_binding():
     pf = substitute_proof(refl_citing(), {"p": Imp(q, q)})
     assert pf.lines[0].just == Lemma(0, {"phi": Imp(q, q)})
     assert check(pf) and pf.lemmas == refl_citing().lemmas
+    # its bindings are read-only, like every other builder's
+    with pytest.raises(TypeError):
+        pf.lines[0].just.bind["phi"] = p
+    ax1 = ProofLine(Imp(p, Imp(q, p)), Axiom("Ax1", {"phi": p, "psi": q}))
+    got = substitute_proof(Proof(P00, (), (ax1,)), {"p": q})
+    assert got.lines[0].just.subst == {"phi": q, "psi": q} and check(got)
+    with pytest.raises(TypeError):
+        got.lines[0].just.subst["psi"] = p
 
 
 # -- the JSON document -----------------------------------------------------

@@ -11,6 +11,7 @@ from inpk.proofs import (
     Axiom,
     CheckVerdict,
     Hyp,
+    Lemma,
     MP,
     Proof,
     ProofBuilder,
@@ -171,6 +172,19 @@ def test_check_rejects_missing_and_unused_bindings():
         (ProofLine(f, Axiom("Ax1", {"phi": p, "psi": q, "theta": r})),),
     )
     assert "unused" in check(extra).reason
+
+
+@pytest.mark.parametrize("bad", ["p", None])
+def test_check_rejects_a_binding_to_a_non_formula(bad):
+    # a hand-built line is judged, not crashed on
+    f = Imp(p, Imp(q, p))
+    axiom = Proof(P11, (), (ProofLine(f, Axiom("Ax1", {"phi": bad, "psi": q})),))
+    v = check(axiom)
+    assert not v and v.line == 1 and "not a formula" in v.reason
+    entry = (ProofLine(f, Axiom("Ax1", {"phi": p, "psi": q})),)
+    cited = ProofLine(Imp(r, Imp(q, r)), Lemma(0, {"p": bad}))
+    v = check(Proof(P11, (), (cited,), (entry,)))
+    assert not v and v.line == 1 and "not a formula" in v.reason
 
 
 def test_check_rejects_unknown_schema():
