@@ -173,10 +173,9 @@ def _format_proof(pf: Proof) -> str:
 
 
 def _emit_proof(args: argparse.Namespace, pf: Proof) -> None:
-    doc = proof_to_json(pf)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(proof_to_json(pf), fh, indent=2)
             fh.write("\n")
         _emit(
             args,
@@ -184,7 +183,7 @@ def _emit_proof(args: argparse.Namespace, pf: Proof) -> None:
             {"lines": len(pf), "output": args.output},
         )
     elif args.json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(proof_to_json(pf), indent=2))
     else:
         print(_format_proof(pf))
 

@@ -324,32 +324,36 @@ _ROOM_PER_CHAR = 8
 
 
 class _TextCache:
-    """render for the fields of one document, through a cache of
-    subformula texts kept within _ROOM_PER_CHAR characters per character
-    of the fields it adds texts for. A field is counted as comp + 1
-    characters, which no text of it undercuts; one whose new subformula
-    texts would not fit is rendered from the texts already kept, to the
-    same text."""
+    """The texts of one document's fields, through a cache of subformula
+    texts (texts, and formulas the other way) kept within _ROOM_PER_CHAR
+    characters per character of the fields spelled."""
 
-    __slots__ = ("texts", "room")
+    __slots__ = ("texts", "formulas", "room")
 
     def __init__(self) -> None:
         self.texts: dict[Formula, str] = {}
+        self.formulas: dict[str, Formula] = {}
         self.room = 0
 
-    def render(self, f: Formula) -> str:
+    def spell(self, f: Formula, chars: int) -> str | None:
+        """render(f) for a field counted as chars characters, or None
+        when the texts of its subformulas not yet kept would not fit."""
+        self.room += _ROOM_PER_CHAR * chars
         texts = self.texts
         text = texts.get(f)
         if text is None:
-            room = self.room + _ROOM_PER_CHAR * (f.comp + 1)
             before = len(texts)
-            text = _render_cached(f, texts, room)
-            for t in islice(reversed(texts.values()), len(texts) - before):
-                room -= len(t)
-            self.room = room
-            if text is None:
-                text = _render_plain(f, texts)
+            text = _render_cached(f, texts, self.room)
+            for g, t in islice(reversed(texts.items()), len(texts) - before):
+                self.formulas[t] = g
+                self.room -= len(t)
         return text
+
+    def render(self, f: Formula) -> str:
+        """render(f) for a field counted as comp + 1 characters, which
+        no text of it undercuts, from the kept texts if it does not fit."""
+        text = self.spell(f, f.comp + 1)
+        return _render_plain(f, self.texts) if text is None else text
 
 
 class FormulaSyntaxError(ValueError):

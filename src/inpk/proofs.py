@@ -31,7 +31,10 @@ copied, by every line numbered from it. The folds over the nodes are
 loops over ``formula.postorder``. ``check`` is the entry point for
 proofs from outside: every line carries its own justification, so
 checking never searches; it applies the declared substitution and
-compares, and checks each lemma once, however often it is cited.
+compares, and checks each lemma once, however often it is cited. One
+rule (``_given``) says what formula a justification gives its line:
+``check`` and ``linearize`` compare it with the line, building nothing
+larger, and ``proof_from_json`` predicts the line's text with it.
 ``expand`` gives the flat proof, every citation replaced by its
 instance. ``ProofBuilder`` and the public transformers on ``Proof``
 objects are thin layers over the nodes; a transformer runs in a
@@ -55,9 +58,7 @@ from .formula import (
     FormulaSyntaxError,
     Imp,
     Neg,
-    _ROOM_PER_CHAR,
     _TextCache,
-    _render_cached,
     children,
     circ,
     iter_neg,
@@ -187,16 +188,21 @@ def substitute(f: Formula, subst: Mapping[str, Formula]) -> Formula:
 
 
 def _substitute(
-    f: Formula, subst: Mapping[str, Formula], cache: dict[Formula, Formula]
-) -> Formula:
+    f: Formula, subst: Mapping[str, Formula], cache: dict, size: Optional[int] = None
+) -> Optional[Formula]:
     """substitute with a caller-owned cache, shared by every formula
-    that the same substitution is applied to."""
+    that the same substitution is applied to. With size, None rather
+    than build a formula whose comp is size or more."""
     for g in postorder(f, children, cache):
         if type(g) is Atom:
             cache[g] = subst.get(g.name, g)
         elif type(g) is Neg:
+            if size is not None and cache[g.body].comp + 1 >= size:
+                return None
             cache[g] = Neg(cache[g.body])
         else:
+            if size is not None and cache[g.ant].comp + cache[g.cons].comp + 1 >= size:
+                return None
             cache[g] = Imp(cache[g.ant], cache[g.cons])
     return cache[f]
 
@@ -384,9 +390,9 @@ def check(proof: Proof) -> CheckVerdict:
     and a reason naming the lemma and its line.
 
     check adds nothing to the node table. It looks axiom instances up
-    there and builds the ones it misses; proof_from_json leaves in the
-    table every instance it predicts, so a document just read is
-    checked without building any.
+    there and builds the ones it misses, none larger than its line (see
+    _given); proof_from_json leaves in the table every instance it
+    predicts, so a document just read is checked without building any.
     """
     if not proof.lines:
         return CheckVerdict(False, None, "proof has no lines")
@@ -407,11 +413,6 @@ def check(proof: Proof) -> CheckVerdict:
     return _ACCEPTED
 
 
-# the justification classes, in the order _fault matches a subclass
-# against them
-_KINDS = (Axiom, Hyp, MP, Lemma)
-
-
 def _fault(
     lines: Sequence[ProofLine],
     hyps: Optional[tuple[Formula, ...]],
@@ -422,71 +423,105 @@ def _fault(
     None. hyps is None in a lemma, which may cite no hypothesis;
     conclusions are those of the lemmas the lines may cite.
 
-    The kernel's one line predicate: check runs it on proofs from
-    outside, linearize on the lines it makes."""
+    The kernel's one line predicate, run by check on proofs from outside
+    and by linearize on the lines it makes: a line is bad when its
+    justification gives it no formula or another (see _given)."""
     for i, line in enumerate(lines):
-        just = line.just
-        kind = type(just)
-        if kind not in _KINDS:
-            kind = next((k for k in _KINDS if isinstance(just, k)), kind)
-        if kind is MP:
-            major, minor = just.major, just.minor
-            if not 0 <= major < i:
-                return i, f"reference to line {major + 1} is not an earlier line"
-            if not 0 <= minor < i:
-                return i, f"reference to line {minor + 1} is not an earlier line"
-            f = lines[major].formula
-            if not isinstance(f, Imp):
-                return i, "major premise is not an implication"
-            if f.ant is not lines[minor].formula:
-                return i, "minor premise does not match the major's antecedent"
-            if f.cons is not line.formula:
-                return i, "formula is not the major's consequent"
-        elif kind is Axiom:
+        # a line made by hand may hold no formula, which has no comp
+        size = getattr(line.formula, "comp", 0) + 1
+        f = _given(line.just, lines, i, hyps, params, conclusions, size)
+        if f is not line.formula:
+            # at size 0 no formula is given, only the reason
+            return i, _given(line.just, lines, i, hyps, params, conclusions, 0)
+    return None
+
+
+def _given(
+    just: Justification,
+    lines: Sequence[ProofLine],
+    i: int,
+    hyps: Optional[tuple[Formula, ...]],
+    params: LogicParams,
+    conclusions: Sequence[Formula],
+    size: int,
+    keep: bool = False,
+) -> Union[Formula, str]:
+    """The formula just gives line i of lines, or the reason (a str) it
+    gives none; hyps and conclusions are as in _fault, and a field of
+    the wrong type is a reason. It builds no formula whose comp is size
+    or more, and gives none at size 0: the reason is then the one a
+    line of another formula has. With keep, an axiom node it builds is
+    entered into the node table."""
+    try:
+        if isinstance(just, Axiom):
             schema, subst = just.schema, just.subst
             needed = _METAVARS.get(schema)
             if needed is None:
-                return i, f"unknown axiom schema {schema!r}"
+                return f"unknown axiom schema {schema!r}"
             for name in needed:
                 if name not in subst:
-                    return i, f"substitution does not bind {name!r} for {schema}"
+                    return f"substitution does not bind {name!r} for {schema}"
             if len(subst) != len(needed):
                 for name in subst:
                     if name not in needed:
-                        return i, f"substitution binds {name!r}, unused by {schema}"
+                        return f"substitution binds {name!r}, unused by {schema}"
             try:
                 subst = Binding.of(subst)
             except TypeError as e:
-                return i, f"substitution: {e}"
-            node = _NODES.get((schema, subst, params.n, params.k))
-            if node is None:
-                instance = substitute(axiom_pattern(schema, params), subst)
-            else:
-                instance = node.formula
-            if instance is not line.formula:
-                return i, f"formula is not the declared {schema} instance"
-        elif kind is Lemma:
+                return f"substitution: {e}"
+            key = (schema, subst, params.n, params.k)
+            node = _NODES.get(key)
+            if node is not None and size:
+                return node.formula
+            # an Ax5 (Ax6) instance has n (k) negations
+            depth = params.n if schema == "Ax5" else params.k if schema == "Ax6" else 0
+            f = None
+            if depth < size:
+                f = _substitute(axiom_pattern(schema, params), subst, {}, size)
+            if f is None:
+                return f"formula is not the declared {schema} instance"
+            if keep:
+                _NODES[key] = Node(f, schema, subst, None, None, _NO_HYPS)
+            return f
+        if isinstance(just, Hyp):
+            at = just.index
+            if hyps is None:
+                return "a lemma may not cite a hypothesis"
+            if not 0 <= at < len(hyps):
+                return f"hypothesis index {at} out of range"
+            f = hyps[at]
+            return f if size else f"formula does not match hypothesis {at}"
+        if isinstance(just, MP):
+            major, minor = just.major, just.minor
+            if not 0 <= major < i:
+                return f"reference to line {major + 1} is not an earlier line"
+            if not 0 <= minor < i:
+                return f"reference to line {minor + 1} is not an earlier line"
+            f = lines[major].formula
+            if not isinstance(f, Imp):
+                return "major premise is not an implication"
+            if f.ant is not lines[minor].formula:
+                return "minor premise does not match the major's antecedent"
+            return f.cons if size else "formula is not the major's consequent"
+        if isinstance(just, Lemma):
             at = just.index
             if not 0 <= at < len(conclusions):
                 if hyps is None and at >= 0:
-                    return i, f"lemma {at + 1} is not an earlier lemma"
-                return i, f"lemma index {at + 1} out of range"
+                    return f"lemma {at + 1} is not an earlier lemma"
+                return f"lemma index {at + 1} out of range"
             try:
                 bind = Binding.of(just.bind)
             except TypeError as e:
-                return i, f"binding: {e}"
-            if substitute(conclusions[at], bind) is not line.formula:
-                return i, f"formula is not lemma {at + 1} under its binding"
-        elif kind is Hyp:
-            if hyps is None:
-                return i, "a lemma may not cite a hypothesis"
-            if not 0 <= just.index < len(hyps):
-                return i, f"hypothesis index {just.index} out of range"
-            if hyps[just.index] is not line.formula:
-                return i, f"formula does not match hypothesis {just.index}"
-        else:
-            return i, f"unknown justification {type(just).__name__}"
-    return None
+                return f"binding: {e}"
+            # an instance has no fewer connectives than the conclusion
+            cited = conclusions[at]
+            f = _substitute(cited, bind, {}, size) if cited.comp < size else None
+            if f is not None:
+                return f
+            return f"formula is not lemma {at + 1} under its binding"
+    except TypeError:
+        return f"{type(just).__name__} justification has a field of the wrong type"
+    return f"unknown justification {type(just).__name__}"
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +761,7 @@ def linearize(
             got = (*_number(node, {}), params)
             if store:
                 cites = [c.formula for c in got[1]]
-                _verify(got[0], None, params, cites, "generic lemma")
+                _verify("generic lemma", got[0], None, params, cites)
                 _NUMBERED[node] = got
             else:
                 fresh.add(node)
@@ -742,7 +777,7 @@ def linearize(
         for node in postorder(c, kids, table):
             entry = _renumber(*numbered[node][:2], table)
             if node in fresh:
-                _verify(entry, None, params, conclusions, f"lemma {len(lemmas) + 1}")
+                _verify(f"lemma {len(lemmas) + 1}", entry, None, params, conclusions)
             else:
                 # a stored numbering: only its lemma indices were rewritten
                 assert entry[-1].formula is node.formula
@@ -750,19 +785,13 @@ def linearize(
             lemmas.append(entry)
             conclusions.append(node.formula)
     lines = _renumber(lines, cited, table)
-    _verify(lines, hypotheses, params, conclusions, "proof")
+    _verify("proof", lines, hypotheses, params, conclusions)
     return Proof(params, hypotheses, lines, tuple(lemmas))
 
 
-def _verify(
-    lines: Sequence[ProofLine],
-    hyps: Optional[tuple[Formula, ...]],
-    params: LogicParams,
-    conclusions: Sequence[Formula],
-    where: str,
-) -> None:
-    """Raise AssertionError at the first line that fails _fault."""
-    fault = _fault(lines, hyps, params, conclusions)
+def _verify(where: str, *args) -> None:
+    """Raise AssertionError at the first line that fails _fault(*args)."""
+    fault = _fault(*args)
     if fault is not None:
         i, reason = fault
         raise AssertionError(f"{where} line {i + 1} failed the checker: {reason}")
@@ -1321,45 +1350,6 @@ def _read_just(j: object, where: str, known: dict[str, Formula]) -> Justificatio
     raise ProofFormatError(f"{where}: unknown justification kind {kind!r}")
 
 
-def _predict(
-    just: Optional[Justification],
-    params: LogicParams,
-    hyps: tuple[Formula, ...],
-    lines: list[ProofLine],
-    conclusions: list[Formula],
-    size: int,
-) -> Optional[Formula]:
-    """The formula just gives its line (the cited hypothesis, the major
-    premise's consequent, the axiom instance or the cited lemma's
-    conclusion under the binding), or None when it names none that a
-    text of size characters can spell: a text spells at least one
-    character per connective and atom."""
-    f = None
-    if type(just) is MP:
-        if 0 <= just.major < len(lines):
-            major = lines[just.major].formula
-            if type(major) is Imp:
-                f = major.cons
-    elif type(just) is Hyp:
-        if 0 <= just.index < len(hyps):
-            f = hyps[just.index]
-    elif type(just) is Axiom:
-        schema = just.schema
-        # an Ax5 (Ax6) instance has n (k) negations: no pattern is built
-        # that the text is too short to spell
-        depth = params.n if schema == "Ax5" else params.k if schema == "Ax6" else 0
-        # only a Binding, which the reader makes of sorted names, matches
-        if depth < size and tuple(just.subst) == _METAVARS.get(schema):
-            f = _axiom(params, schema, just.subst).formula
-    elif type(just) is Lemma:
-        # an instance is no smaller than the conclusion substituted
-        if 0 <= just.index < len(conclusions):
-            cited = conclusions[just.index]
-            if cited.comp < size:
-                f = substitute(cited, just.bind)
-    return f if f is not None and f.comp < size else None
-
-
 def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     """Read the JSON proof document format.
 
@@ -1367,15 +1357,15 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     whether the proof is correct is check's business. The lemma table,
     if there is one, is read before the lines.
 
-    A line's justification predicts its formula (see _predict). The
-    prediction is rendered and compared with the line's text, which is
-    parsed only when there is no prediction or the two differ; as
-    parse(render(f)) is f, the Proof and the errors are the ones that
-    parsing every field gives. The text of every subformula rendered is
-    kept for the document, within _ROOM_PER_CHAR characters per
-    character of the line formulas, and a substitution value found
-    among those texts is not parsed. The 2.87 MB, 1785-line flat proof
-    of a -> b -> a at (16,16) reads in about 0.09 s.
+    A line's justification predicts its formula by the kernel's rule
+    (_given), within as many connectives as the text has characters,
+    and leaves an axiom node it builds in the node table for check. The
+    prediction is spelled through a _TextCache and compared with the
+    text, which is parsed only when there is no prediction or the two
+    differ: as parse(render(f)) is f, the Proof and the errors are the
+    ones parsing every field gives. A substitution value found among the
+    texts kept is not parsed. The 2.87 MB, 1785-line flat proof of
+    a -> b -> a at (16,16) reads in about 0.09 s.
     """
     if isinstance(data, (str, bytes)):
         try:
@@ -1411,13 +1401,10 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a nonempty list')
-    text_of: dict[Formula, str] = {}
-    formula_of: dict[str, Formula] = {}
-    room = 0
+    cache = _TextCache()
     conclusions: list[Formula] = []
 
-    def read(raw_lines: list, hyps: tuple[Formula, ...], prefix: str) -> tuple:
-        nonlocal room
+    def read(raw_lines: list, hyps: Optional[tuple], prefix: str) -> tuple:
         lines: list[ProofLine] = []
         for num, raw in enumerate(raw_lines, start=1):
             where = f"{prefix}line {num}"
@@ -1426,35 +1413,25 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
             text = raw.get("formula")
             if not isinstance(text, str):
                 raise ProofFormatError(f"{where}: expected a formula string")
-            # a fault in the formula is reported before one in "just"
             try:
-                just = _read_just(raw.get("just"), where, formula_of)
-                fault = None
-            except ProofFormatError as e:
-                just, fault = None, e
-            formula = _predict(just, params, hyps, lines, conclusions, len(text))
-            if formula is not None:
-                room += _ROOM_PER_CHAR * len(text)
-                before = len(text_of)
-                spelled = _render_cached(formula, text_of, room)
-                for f, t in islice(reversed(text_of.items()), len(text_of) - before):
-                    formula_of[t] = f
-                    room -= len(t)
-                if spelled != text:
-                    formula = None
-            if formula is None:
-                formula = _parse_formula_field(text, where)
-            if fault is not None:
-                raise fault
-            lines.append(ProofLine(formula, just))
+                just = _read_just(raw.get("just"), where, cache.formulas)
+            except ProofFormatError:
+                # a fault in the formula is reported before one in "just"
+                _parse_formula_field(text, where)
+                raise
+            size = len(text)
+            f = _given(just, lines, len(lines), hyps, params, conclusions, size, True)
+            # a text spells at least one character per connective and atom
+            if type(f) is str or f.comp >= size or cache.spell(f, size) != text:
+                f = _parse_formula_field(text, where)
+            lines.append(ProofLine(f, just))
         return tuple(lines)
 
     lemmas = []
     for e, raw_entry in enumerate(raw_lemmas, start=1):
         if not isinstance(raw_entry, list) or not raw_entry:
             raise ProofFormatError(f"lemma {e}: expected a nonempty list of lines")
-        # a lemma cites no hypothesis and only earlier lemmas
-        entry = read(raw_entry, (), f"lemma {e} ")
+        entry = read(raw_entry, None, f"lemma {e} ")
         lemmas.append(entry)
         conclusions.append(entry[-1].formula)
     return Proof(params, hyps, read(raw_lines, hyps, ""), tuple(lemmas))

@@ -338,6 +338,20 @@ def test_prove_text_listing_without_output_file(capsys):
     )
 
 
+def test_prove_builds_the_json_document_only_for_json_output(capsys, monkeypatch):
+    built = []
+
+    def spy(pf):
+        built.append(pf)
+        return proof_to_json(pf)
+
+    monkeypatch.setattr(cli, "proof_to_json", spy)
+    rc, out, _ = run(capsys, "prove", "--n", "0", "--k", "0", "p -> p")
+    assert rc == 0 and out.startswith("logic: (0,0)") and not built
+    rc, out, _ = run(capsys, "--json", "prove", "--n", "0", "--k", "0", "p -> p")
+    assert rc == 0 and json.loads(out) == proof_to_json(built[0])
+
+
 def test_check_tampered_proof_rejected(tmp_path, capsys):
     path = tmp_path / "proof.json"
     rc, _, _ = run(

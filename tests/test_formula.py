@@ -79,6 +79,7 @@ def test_render():
     assert render(Imp(Imp(p, q), r)) == "(p -> q) -> r"
     assert render(Imp(p, Imp(q, r))) == "p -> q -> r"
     assert render(Neg(Imp(p, q))) == "!(p -> q)"
+    assert str(Imp(Neg(p), q)) == "!p -> q"
 
 
 def test_expand():

@@ -566,6 +566,11 @@ def test_a_large_axiom_family_is_not_built_for_a_short_text():
     got = []
     assert _peak_mb(lambda: got.append(proof_from_json(doc))) < 5
     assert got[0].params.n == 10**6 and got[0].conclusion is p
+    # nor by check, which builds no formula larger than the line's
+    start = time.perf_counter()
+    assert _peak_mb(lambda: got.append(check(got[0]))) < 5
+    assert time.perf_counter() - start < 0.5
+    assert got[1].reason == "formula is not the declared Ax5 instance"
 
 
 NOT_JSON = [

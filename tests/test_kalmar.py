@@ -269,6 +269,16 @@ def test_combine_rejects_wrong_conclusion():
         )
 
 
+def test_combine_rejects_a_branch_for_another_logic():
+    lp = LogicParams(0, 0)
+    theta = parse("p -> p")
+    ts, tc = _star_circ(lp, theta)
+    branches = [lemma1_derive(lp, theta, {"p": F(0)})]
+    branches.append(lemma1_derive(LogicParams(1, 0), theta, {"p": T(0)}))
+    with pytest.raises(ValueError, match="branch 1 built for a different logic"):
+        lemma2_combine(lp, [], p, theta, branches, ts, tc)
+
+
 def test_combine_verify_catches_broken_branch():
     lp = LogicParams(0, 0)
     theta = parse("p -> p")

@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 
 import pytest
 
-from inpk.formula import Atom, Imp, Neg, circ, parse, star
+import inpk.formula as formula_module
+from inpk.formula import Atom, Imp, Neg, circ, iter_neg, parse, star
 from inpk.proofs import (
     AXIOM_IDS,
     Axiom,
@@ -27,6 +29,7 @@ from inpk.proofs import (
     discharge,
     hyp_node,
     instantiate,
+    lemma_node,
     linearize,
     match_axiom,
     mp_node,
@@ -97,6 +100,10 @@ def test_match_ax5_example():
 
 def test_match_rejects_inconsistent_slots():
     assert match_axiom(parse("p -> p"), "Ax1", P00) is None
+    # phi bound to p, then met as q
+    assert match_axiom(parse("p -> q -> q"), "Ax1", P00) is None
+    # Ax10 ends in !!phi, which r is not
+    assert match_axiom(parse("p -> q -> r"), "Ax10", P00) is None
 
 
 def test_match_is_left_inverse_of_substitution():
@@ -187,6 +194,51 @@ def test_check_rejects_a_binding_to_a_non_formula(bad):
     assert not v and v.line == 1 and "not a formula" in v.reason
 
 
+@pytest.mark.parametrize(
+    "just",
+    [
+        Axiom("Ax1", None),
+        Axiom(["Ax1"], {}),
+        MP("a", 0),
+        Hyp("0"),
+        Lemma("0", {}),
+        Hyp(0.0),  # in range, so only the lookup fails
+    ],
+    ids=repr,
+)
+def test_check_rejects_a_field_of_the_wrong_type(just):
+    # a hand-built line is judged, not crashed on
+    entry = (ProofLine(Imp(p, Imp(q, p)), Axiom("Ax1", {"phi": p, "psi": q})),)
+    lines = (ProofLine(p, Hyp(0)), ProofLine(p, just))
+    v = check(Proof(P00, (p,), lines, (entry,)))
+    assert not v and v.line == 2
+    assert v.reason == f"{type(just).__name__} justification has a field of the wrong type"
+
+
+def test_check_reads_a_bool_index_as_an_int():
+    hyps = (Imp(p, q), p)
+    lines = (ProofLine(Imp(p, q), Hyp(False)), ProofLine(p, Hyp(True)))
+    assert check(Proof(P00, hyps, lines + (ProofLine(q, MP(False, True)),)))
+    forward = check(Proof(P00, hyps, (lines[0], ProofLine(q, MP(True, 0)))))
+    assert forward.line == 2
+    assert forward.reason == "reference to line 2 is not an earlier line"
+
+
+def test_check_builds_no_instance_larger_than_its_line():
+    # a one-atom line citing a lemma 300 000 negations deep is rejected
+    # without substituting the lemma's conclusion
+    a = Atom("deep_lemma_atom")
+    deep = iter_neg(300_000, a)
+    entry = (ProofLine(Imp(deep, Imp(a, deep)), Axiom("Ax1", {"phi": deep, "psi": a})),)
+    pf = Proof(P00, (), (ProofLine(p, Lemma(0, {"deep_lemma_atom": p})),), (entry,))
+    negations = len(formula_module._NEGS)
+    start = time.perf_counter()
+    v = check(pf)
+    assert time.perf_counter() - start < 0.1
+    assert v.line == 1 and v.reason == "formula is not lemma 1 under its binding"
+    assert len(formula_module._NEGS) == negations
+
+
 def test_check_rejects_unknown_schema():
     pf = Proof(P00, (), (ProofLine(p, Axiom("Ax99", {"phi": p})),))
     assert "unknown axiom schema" in check(pf).reason
@@ -259,6 +311,10 @@ def test_builder_deduplicates_splices():
     second = b.splice(inner)
     assert first == second
     assert len(b) == len(inner)
+    with pytest.raises(ValueError, match="different logic params"):
+        ProofBuilder(P10).splice(inner)
+    with pytest.raises(ValueError, match="absent from the target"):
+        b.splice(hyp_proof(P00, p))
 
 
 def test_builder_rejects_bad_mp():
@@ -267,6 +323,8 @@ def test_builder_rejects_bad_mp():
     j = b.hyp(1)
     with pytest.raises(ValueError):
         b.mp(i, j)
+    with pytest.raises(IndexError, match="hypothesis index 2 out of range"):
+        b.hyp(2)
 
 
 def test_builder_requires_a_line():
@@ -395,6 +453,10 @@ def test_replace_hyp_validations():
         replace_hyp_with_theorem(
             Proof(P00, (q,), (ProofLine(q, Hyp(0)),)), 0, hyp_proof
         )
+    ff = Imp(p, p)
+    host = Proof(P00, (ff,), (ProofLine(ff, Hyp(0)),))
+    with pytest.raises(ValueError, match="different logic params"):
+        replace_hyp_with_theorem(host, 0, refl_proof(P10, p))
 
 
 def test_substitute_proof():
@@ -436,6 +498,8 @@ def test_rule_red():
 def test_rule_shape_validation():
     with pytest.raises(ValueError):
         rule_trans(hyp_proof(P00, Imp(p, q)), hyp_proof(P00, Imp(r, p)))
+    with pytest.raises(ValueError, match="mismatched logic params"):
+        rule_trans(hyp_proof(P00, Imp(p, q)), hyp_proof(P10, Imp(q, r)))
     with pytest.raises(ValueError):
         rule_perm(hyp_proof(P00, p))
     with pytest.raises(ValueError):
@@ -475,6 +539,8 @@ def test_json_hyp_index_is_zero_based():
 def test_json_format_errors():
     with pytest.raises(ProofFormatError):
         proof_from_json("not json at all {")
+    with pytest.raises(ProofFormatError, match="top level must be a JSON object"):
+        proof_from_json("[]")
     with pytest.raises(ProofFormatError):
         proof_from_json({"logic": {"n": 0}, "lines": []})
     with pytest.raises(ProofFormatError):
@@ -552,6 +618,8 @@ def test_node_constructors_validate():
         axiom_node(P00, "Ax1", {"phi": p, "psi": q, "theta": r})
     with pytest.raises(ValueError, match="unknown axiom schema"):
         axiom_node(P00, "Ax99", {"phi": p})
+    with pytest.raises(TypeError, match="hypothesis must be a formula, not str"):
+        hyp_node("p")
 
 
 def test_linearize_is_postorder_major_first():
@@ -616,6 +684,12 @@ def test_cut_and_instantiate_on_nodes():
     assert sorted(map(repr, pf.lines)) == sorted(
         map(repr, prune(substitute_proof(linearize(out, P00), {"p": Imp(q, r)})).lines)
     )
+    # an atom the citation's binding leaves free is bound by instantiate
+    generic = axiom_node(P00, "Ax1", {"phi": Atom("phi"), "psi": Atom("psi")})
+    cited = lemma_node(generic, {"phi": p})
+    inst = instantiate(cited, {"psi": q}, P00)
+    assert inst.lemma is cited.lemma and inst.subst == {"phi": p, "psi": q}
+    assert inst.formula is Imp(p, Imp(q, p)) and check(linearize(inst, P00))
 
 
 def test_deduction_transform_with_a_repeated_hypothesis():

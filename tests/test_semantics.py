@@ -26,6 +26,7 @@ CL = LogicParams(0, 0)
 def test_truth_value_basics():
     assert str(T(0)) == "T0"
     assert str(F(2)) == "F2"
+    assert repr(T(1)) == "T1"
     assert parse_value("T1") == T(1)
     assert parse_value("F0") == F(0)
     with pytest.raises(ValueError):
@@ -37,6 +38,8 @@ def test_params_carrier():
     lp = LogicParams(2, 1)
     assert lp.size == 5
     assert lp.values() == [F(0), F(1), F(2), T(0), T(1)]
+    assert [lp.code(v) for v in lp.values()] == [0, 1, 2, 3, 4]
+    assert [lp.value_of_code(c) for c in range(5)] == lp.values()
     with pytest.raises(ValueError):
         LogicParams(-1, 0)
     with pytest.raises(ValueError):
