@@ -21,7 +21,6 @@ from .formula import (
     CONNECTIVES,
     Formula,
     FormulaSyntaxError,
-    _TextCache,
     atoms,
     parse,
     render,
@@ -33,6 +32,7 @@ from .proofs import (
     Lemma,
     Proof,
     ProofFormatError,
+    _text_cache,
     check,
     deduction_transform,
     proof_from_json,
@@ -142,7 +142,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, Any]) -> None:
 
 
 def _format_proof(pf: Proof) -> str:
-    text = _TextCache().render
+    text = _text_cache(pf).render
 
     def binding(subst) -> str:
         return ", ".join(f"{name} := {text(g)}" for name, g in sorted(subst.items()))

@@ -18,8 +18,8 @@ Nodes are hash-consed: building the same shape twice returns the same
 object.  Equality is therefore identity and never walks the tree, which
 the proof checker and the evaluators lean on heavily.
 
-Every bottom-up fold over a formula (evaluation, substitution, rendering,
-the translations of the classical fragment and the witnesses of the
+Every bottom-up fold over a formula (evaluation, substitution, the
+translations of the classical fragment and the witnesses of the
 completeness proof) is a loop over ``postorder``: the distinct nodes
 below a root, children first, from an explicit stack.
 """
@@ -247,7 +247,7 @@ def render(f: Formula, cache: dict[Formula, str] | None = None) -> str:
     once each.  Without one nothing is kept.
     """
     if cache is not None:
-        return _render_cached(f, cache)
+        return _TextCache(cache).spell(f, sys.maxsize)
     return _render_plain(f)
 
 
@@ -285,39 +285,6 @@ def _render_plain(f: Formula, known: dict[Formula, str] | None = None,
     return "".join(parts)
 
 
-def _render_cached(
-    f: Formula, cache: dict[Formula, str], room: int | None = None
-) -> str | None:
-    """render(f) through a cache of every subformula's text.
-
-    With room, returns None rather than add more than room characters
-    to the cache: the texts of a formula's subformulas can total the
-    square of its own length (a deep chain) or far more (a tree of
-    shared subformulas).
-    """
-    for g in postorder(f, children, cache):
-        if type(g) is Atom:
-            text = g.name
-        elif type(g) is Neg:
-            body = cache[g.body]
-            if room is not None:
-                room -= len(body) + 3
-                if room < 0:
-                    return None
-            text = "!(" + body + ")" if type(g.body) is Imp else "!" + body
-        else:
-            ant, cons = cache[g.ant], cache[g.cons]
-            if room is not None:
-                room -= len(ant) + len(cons) + 6
-                if room < 0:
-                    return None
-            if type(g.ant) is Imp:
-                ant = "(" + ant + ")"
-            text = ant + " -> " + cons
-        cache[g] = text
-    return cache[f]
-
-
 # Characters of subformula text a document may keep per character of
 # the formulas it spells; past that it renders (or parses) uncached.
 _ROOM_PER_CHAR = 8
@@ -325,34 +292,93 @@ _ROOM_PER_CHAR = 8
 
 class _TextCache:
     """The texts of one document's fields, through a cache of subformula
-    texts (texts, and formulas the other way) kept within _ROOM_PER_CHAR
-    characters per character of the fields spelled."""
+    texts kept within room: credited _ROOM_PER_CHAR characters per
+    character of the fields spelled, as the texts of a formula's
+    subformulas can total the square of its own length (a deep chain) or
+    far more (a tree of shared subformulas).  A reader passes formulas,
+    a dict that gets the formula of each text kept or parsed."""
 
     __slots__ = ("texts", "formulas", "room")
 
-    def __init__(self) -> None:
-        self.texts: dict[Formula, str] = {}
-        self.formulas: dict[str, Formula] = {}
-        self.room = 0
+    def __init__(self, texts: dict[Formula, str] | None = None, chars: int = 0,
+                 formulas: dict[str, Formula] | None = None) -> None:
+        self.texts: dict[Formula, str] = {} if texts is None else texts
+        self.formulas = formulas
+        self.room = _ROOM_PER_CHAR * chars
 
     def spell(self, f: Formula, chars: int) -> str | None:
-        """render(f) for a field counted as chars characters, or None
-        when the texts of its subformulas not yet kept would not fit."""
-        self.room += _ROOM_PER_CHAR * chars
-        texts = self.texts
-        text = texts.get(f)
-        if text is None:
-            before = len(texts)
-            text = _render_cached(f, texts, self.room)
-            for g, t in islice(reversed(texts.items()), len(texts) - before):
-                self.formulas[t] = g
-                self.room -= len(t)
-        return text
+        """render(f) for fields counted as chars characters, or None
+        when the texts of its subformulas not yet kept would not fit;
+        those that fit are kept.  A node goes back on the stack under
+        its children until their texts are kept."""
+        texts, formulas = self.texts, self.formulas
+        room = self.room + _ROOM_PER_CHAR * chars
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in texts:
+                continue
+            if type(g) is Imp:
+                ant, cons = texts.get(g.ant), texts.get(g.cons)
+                if ant is None or cons is None:
+                    stack += (g, g.cons, g.ant)
+                    continue
+                text = ("(" + ant + ")" if type(g.ant) is Imp else ant) + " -> " + cons
+            elif type(g) is Neg:
+                body = texts.get(g.body)
+                if body is None:
+                    stack += (g, g.body)
+                    continue
+                text = "!(" + body + ")" if type(g.body) is Imp else "!" + body
+            else:
+                text = g.name
+            # built before the check, it is at most twice its parts' room
+            room -= len(text)
+            if room < 0:
+                break
+            texts[g] = text
+            if formulas is not None:
+                formulas[text] = g
+        self.room = room
+        return texts.get(f)
+
+    def parse(self, text: str) -> Formula:
+        """parse(text) through formulas, which gets the texts parsed: the
+        arrows outside parentheses cut text into its right spine ("->" is
+        loosest and groups to the right), and a piece found in formulas,
+        bare or in its parentheses, is not parsed.  A text is valid just
+        when its pieces are: one that fails makes text parse, and raise."""
+        formulas = self.formulas
+        spine: list[Formula] = []
+        piece, depth = "", 0
+        for cut in text.split("->"):
+            piece += cut
+            depth += cut.count("(") - cut.count(")")
+            if depth:
+                piece += "->"
+                continue
+            piece = piece.strip(_BLANKS)
+            f = formulas.get(piece)
+            if f is None and piece[:1] == "(" and piece[-1:] == ")":
+                f = formulas.get(piece[1:-1])
+            if f is None:
+                try:
+                    f = formulas[piece] = parse(piece)
+                except FormulaSyntaxError:
+                    return parse(text)
+            spine.append(f)
+            piece = ""
+        if depth:
+            return parse(text)
+        f = spine.pop()
+        while spine:
+            f = Imp(spine.pop(), f)
+        formulas[text] = f
+        return f
 
     def render(self, f: Formula) -> str:
-        """render(f) for a field counted as comp + 1 characters, which
-        no text of it undercuts, from the kept texts if it does not fit."""
-        text = self.spell(f, f.comp + 1)
+        """render(f), from the kept texts alone if it does not fit the room."""
+        text = self.spell(f, 0)
         return _render_plain(f, self.texts) if text is None else text
 
 
@@ -370,8 +396,8 @@ class FormulaSyntaxError(ValueError):
 # Blanks before a token are skipped; the last alternative takes any other
 # single character, so every other character lands in some token and a
 # lexical error is a one-character token outside _VALID.
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(->|\|\||&&|\^\*|\^o|[!~@|&()]|[a-z][a-z0-9_]*|[^ \t\r\n])")
+_BLANKS = " \t\r\n"
+_TOKEN = re.compile(rf"[{_BLANKS}]*(->|\|\||&&|\^\*|\^o|[!~@|&()]|[a-z][a-z0-9_]*|[^{_BLANKS}])")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 _VALID = _LETTERS | set("!~@|&()")
 
@@ -383,6 +409,7 @@ _POSTFIX = {"^*": star, "^o": circ}
 # Token after an operand -> (reduce pending operators of at least this
 # power, entry to push).  "->" groups to the right, "|" and "&" and their
 # classical forms to the left; ")" and the end of input push nothing.
+# _TextCache.parse cuts a text at its top-level "->" as the loosest, right-grouping one.
 _AFTER = {
     "->": (2, (1, Imp)),
     "|": (2, (2, or_)), "||": (2, (2, or_cl)),

@@ -62,7 +62,6 @@ from .formula import (
     children,
     circ,
     iter_neg,
-    parse,
     postorder,
     star,
 )
@@ -455,22 +454,26 @@ def _given(
     try:
         if isinstance(just, Axiom):
             schema, subst = just.schema, just.subst
-            needed = _METAVARS.get(schema)
-            if needed is None:
-                return f"unknown axiom schema {schema!r}"
-            for name in needed:
-                if name not in subst:
-                    return f"substitution does not bind {name!r} for {schema}"
-            if len(subst) != len(needed):
-                for name in subst:
-                    if name not in needed:
-                        return f"substitution binds {name!r}, unused by {schema}"
-            try:
-                subst = Binding.of(subst)
-            except TypeError as e:
-                return f"substitution: {e}"
-            key = (schema, subst, params.n, params.k)
+            # a node is entered only under a Binding that passes these checks
+            key = (schema, subst, params.n, params.k) if type(subst) is Binding else None
             node = _NODES.get(key)
+            if node is None:
+                needed = _METAVARS.get(schema)
+                if needed is None:
+                    return f"unknown axiom schema {schema!r}"
+                for name in needed:
+                    if name not in subst:
+                        return f"substitution does not bind {name!r} for {schema}"
+                if len(subst) != len(needed):
+                    for name in subst:
+                        if name not in needed:
+                            return f"substitution binds {name!r}, unused by {schema}"
+                try:
+                    subst = Binding.of(subst)
+                except TypeError as e:
+                    return f"substitution: {e}"
+                key = (schema, subst, params.n, params.k)
+                node = _NODES.get(key)
             if node is not None and size:
                 return node.formula
             # an Ax5 (Ax6) instance has n (k) negations
@@ -1253,6 +1256,12 @@ class ProofFormatError(ValueError):
     """
 
 
+def _text_cache(proof: Proof) -> _TextCache:
+    """A text cache with the room of proof's line texts, comp + 1 characters each."""
+    lines = (line for part in (*proof.lemmas, proof.lines) for line in part)
+    return _TextCache(chars=sum(line.formula.comp + 1 for line in lines))
+
+
 def proof_to_json(proof: Proof) -> dict:
     """Plain-dict form of a proof; line and lemma references become
     1-based. The "lemmas" list is written only when the table is not
@@ -1261,32 +1270,32 @@ def proof_to_json(proof: Proof) -> dict:
     The fields share the texts of their common subformulas, within a
     budget linear in the document's size (see _TextCache).
     """
-    text = _TextCache().render
+    cache = _text_cache(proof)
+    # a field whose text is kept is not spelled; a text is never empty
+    known, render = cache.texts.get, cache.render
 
     def binding(subst: Mapping[str, Formula]) -> dict:
-        return {v: text(f) for v, f in sorted(subst.items())}
+        return {v: known(f) or render(f) for v, f in sorted(subst.items())}
 
     def lines_of(lines: Sequence[ProofLine]) -> list:
         out = []
         for line in lines:
-            just = line.just
-            if isinstance(just, Axiom):
-                subst = binding(just.subst)
-                j = {"kind": "axiom", "schema": just.schema, "subst": subst}
+            f, just = line.formula, line.just
+            if isinstance(just, MP):
+                j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
+            elif isinstance(just, Axiom):
+                j = {"kind": "axiom", "schema": just.schema, "subst": binding(just.subst)}
             elif isinstance(just, Hyp):
                 j = {"kind": "hyp", "index": just.index}
-            elif isinstance(just, Lemma):
-                bind = binding(just.bind)
-                j = {"kind": "lemma", "lemma": just.index + 1, "bind": bind}
             else:
-                assert isinstance(just, MP)
-                j = {"kind": "mp", "major": just.major + 1, "minor": just.minor + 1}
-            out.append({"formula": text(line.formula), "just": j})
+                assert isinstance(just, Lemma)
+                j = {"kind": "lemma", "lemma": just.index + 1, "bind": binding(just.bind)}
+            out.append({"formula": known(f) or render(f), "just": j})
         return out
 
     doc = {
         "logic": {"n": proof.params.n, "k": proof.params.k},
-        "hypotheses": [text(h) for h in proof.hypotheses],
+        "hypotheses": [render(h) for h in proof.hypotheses],
     }
     if proof.lemmas:
         doc["lemmas"] = [lines_of(entry) for entry in proof.lemmas]
@@ -1294,60 +1303,59 @@ def proof_to_json(proof: Proof) -> dict:
     return doc
 
 
-def _parse_formula_field(text: object, where: str) -> Formula:
+def _parse_formula_field(text: object, where: str, cache: _TextCache) -> Formula:
+    """parse(text) for a field, through the document's text cache."""
     if not isinstance(text, str):
         raise ProofFormatError(f"{where}: expected a formula string")
     try:
-        return parse(text)
+        return cache.parse(text)
     except FormulaSyntaxError as e:
         raise ProofFormatError(f"{where}: {e}") from None
 
 
-def _read_binding(
-    j: dict, field: str, where: str, known: dict[str, Formula]
-) -> Mapping[str, Formula]:
-    """The object j[field] of formula texts; a text found in known
-    (texts of this document already rendered) is not parsed. It is a
-    Binding when its names come sorted, as proof_to_json writes them,
-    and otherwise a dict in the document's order."""
+def _read_binding(j: dict, field: str, cache: _TextCache) -> Mapping[str, Formula]:
+    """The object j[field] of formula texts, read through cache: a Binding
+    when its names come sorted, as proof_to_json writes them, and
+    otherwise a dict in the document's order."""
     raw = j.get(field, {})
     if not isinstance(raw, dict):
-        raise ProofFormatError(f'{where}: "{field}" must be an object')
+        raise ProofFormatError(f': "{field}" must be an object')
     out = {}
     for v, t in raw.items():
-        f = known.get(t) if isinstance(t, str) else None
+        # looked up here, so that no where is built for a text read before
+        f = cache.formulas.get(t) if isinstance(t, str) else None
         if f is None:
-            f = _parse_formula_field(t, f"{where} {field} {v!r}")
+            f = _parse_formula_field(t, f" {field} {v!r}", cache)
         out[str(v)] = f
     return Binding._sorted(tuple(out.items())) if list(out) == sorted(out) else out
 
 
-def _read_index(j: dict, field: str, where: str) -> int:
+def _read_index(j: dict, field: str) -> int:
     r = j.get(field)
     if not isinstance(r, int) or isinstance(r, bool):
-        raise ProofFormatError(f'{where}: "{field}" must be an integer')
+        raise ProofFormatError(f': "{field}" must be an integer')
     return r
 
 
-def _read_just(j: object, where: str, known: dict[str, Formula]) -> Justification:
-    """A line's justification; see _read_binding for known."""
+def _read_just(j: object, cache: _TextCache) -> Justification:
+    """A line's justification, read through cache; a fault raises the
+    ProofFormatError text that follows the line's place."""
     if not isinstance(j, dict):
-        raise ProofFormatError(f'{where}: "just" must be an object')
+        raise ProofFormatError(': "just" must be an object')
     kind = j.get("kind")
+    if kind == "mp":
+        return MP(_read_index(j, "major") - 1, _read_index(j, "minor") - 1)
     if kind == "axiom":
         schema = j.get("schema")
         if not isinstance(schema, str):
-            raise ProofFormatError(f'{where}: "schema" must be a string')
-        return Axiom(schema, _read_binding(j, "subst", where, known))
+            raise ProofFormatError(': "schema" must be a string')
+        return Axiom(schema, _read_binding(j, "subst", cache))
     if kind == "hyp":
-        return Hyp(_read_index(j, "index", where))
-    if kind == "mp":
-        major = _read_index(j, "major", where)
-        return MP(major - 1, _read_index(j, "minor", where) - 1)
+        return Hyp(_read_index(j, "index"))
     if kind == "lemma":
-        at = _read_index(j, "lemma", where)
-        return Lemma(at - 1, _read_binding(j, "bind", where, known))
-    raise ProofFormatError(f"{where}: unknown justification kind {kind!r}")
+        at = _read_index(j, "lemma")
+        return Lemma(at - 1, _read_binding(j, "bind", cache))
+    raise ProofFormatError(f": unknown justification kind {kind!r}")
 
 
 def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
@@ -1357,15 +1365,16 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     whether the proof is correct is check's business. The lemma table,
     if there is one, is read before the lines.
 
-    A line's justification predicts its formula by the kernel's rule
-    (_given), within as many connectives as the text has characters,
-    and leaves an axiom node it builds in the node table for check. The
-    prediction is spelled through a _TextCache and compared with the
-    text, which is parsed only when there is no prediction or the two
-    differ: as parse(render(f)) is f, the Proof and the errors are the
-    ones parsing every field gives. A substitution value found among the
-    texts kept is not parsed. The 2.87 MB, 1785-line flat proof of
-    a -> b -> a at (16,16) reads in about 0.09 s.
+    The texts go through one _TextCache, which parses a text at most
+    once and maps every text it parses or spells to its formula. A line
+    whose text is mapped takes that formula; the justification of any
+    other line predicts its formula by the kernel's rule (_given),
+    within as many connectives as the text has characters, and the
+    prediction is spelled and compared with the text, which is parsed
+    only when the two differ: as parse(render(f)) is f, the Proof and the
+    errors are the ones parsing every field gives. An axiom line leaves
+    its predicted node in the node table for check. The 2.87 MB,
+    1785-line flat proof of a -> b -> a at (16,16) reads in about 0.03 s.
     """
     if isinstance(data, (str, bytes)):
         try:
@@ -1392,8 +1401,9 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     raw_hyps = data.get("hypotheses", [])
     if not isinstance(raw_hyps, list):
         raise ProofFormatError('"hypotheses" must be a list')
+    cache = _TextCache(formulas={})
     hyps = tuple(
-        _parse_formula_field(h, f"hypothesis {i}") for i, h in enumerate(raw_hyps)
+        _parse_formula_field(h, f"hypothesis {i}", cache) for i, h in enumerate(raw_hyps)
     )
     raw_lemmas = data.get("lemmas", [])
     if not isinstance(raw_lemmas, list):
@@ -1401,29 +1411,32 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a nonempty list')
-    cache = _TextCache()
     conclusions: list[Formula] = []
 
     def read(raw_lines: list, hyps: Optional[tuple], prefix: str) -> tuple:
         lines: list[ProofLine] = []
         for num, raw in enumerate(raw_lines, start=1):
-            where = f"{prefix}line {num}"
             if not isinstance(raw, dict):
-                raise ProofFormatError(f"{where}: expected an object")
+                raise ProofFormatError(f"{prefix}line {num}: expected an object")
             text = raw.get("formula")
             if not isinstance(text, str):
-                raise ProofFormatError(f"{where}: expected a formula string")
+                raise ProofFormatError(f"{prefix}line {num}: expected a formula string")
             try:
-                just = _read_just(raw.get("just"), where, cache.formulas)
-            except ProofFormatError:
+                just = _read_just(raw.get("just"), cache)
+            except ProofFormatError as e:
                 # a fault in the formula is reported before one in "just"
-                _parse_formula_field(text, where)
-                raise
-            size = len(text)
-            f = _given(just, lines, len(lines), hyps, params, conclusions, size, True)
-            # a text spells at least one character per connective and atom
-            if type(f) is str or f.comp >= size or cache.spell(f, size) != text:
-                f = _parse_formula_field(text, where)
+                where = f"{prefix}line {num}"
+                _parse_formula_field(text, where, cache)
+                raise ProofFormatError(f"{where}{e}") from None
+            f = cache.formulas.get(text)
+            # a known text needs no prediction, but an axiom's node is kept
+            if f is None or type(just) is Axiom:
+                g = _given(just, lines, len(lines), hyps, params, conclusions, len(text), True)
+                # a text spells at least one character per connective and atom
+                if f is None and type(g) is not str and g.comp < len(text):
+                    f = g if cache.spell(g, len(text)) == text else None
+                if f is None:
+                    f = _parse_formula_field(text, f"{prefix}line {num}", cache)
             lines.append(ProofLine(f, just))
         return tuple(lines)
 

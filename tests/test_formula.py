@@ -3,12 +3,14 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import inpk.formula as formula_module
+
 from inpk.classical import untranslate
 from inpk.formula import (
     Atom, Neg, Imp, FormulaSyntaxError,
     parse, render, expand, atoms, complexity,
     classicalize, strong_neg, or_, and_, or_cl, and_cl, star, circ, iter_neg,
-    children, postorder,
+    children, postorder, _TextCache,
 )
 from inpk.proofs import substitute
 from inpk.semantics import LogicParams, T, eval_formula
@@ -426,3 +428,58 @@ sugared = st.recursive(
 def test_parenthesised_sugar_parses_to_builders(pair):
     text, f = pair
     assert parse(text) is f
+
+
+# A reader's text cache parses a text through the pieces between its
+# top-level arrows, each looked up among the texts it has spelled or
+# parsed: the result, or the error, is parse's.
+
+
+def _text_cache(*spelled):
+    cache = _TextCache(formulas={})
+    for f in spelled:
+        cache.spell(f, 10**6)
+    return cache
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except FormulaSyntaxError as e:
+        return str(e), e.offset, e.expected
+
+
+# blanks other than the tokenizer's at the ends of a piece
+_ODD_BLANKS = ["p ->\fq", "p\x0b-> q", "p -> q\u00a0", "\u2003p -> q"]
+
+
+@pytest.mark.parametrize("text", [row[0] for row in SYNTAX_ERRORS] + _ODD_BLANKS)
+def test_text_cache_fails_as_parse(text):
+    cache = _text_cache(p, Imp(p, q), Neg(Imp(p, q)))
+    for whole in (text, f"p -> {text}", f"(p -> q) -> {text}", f"{text} -> p",
+                  f"!(p -> q) -> {text} -> q"):
+        assert _outcome(cache.parse, whole) == _outcome(parse, whole)
+
+
+@given(sugared, sugared, st.booleans())
+def test_text_cache_parses_as_parse(a, b, spelled):
+    (ta, fa), (tb, fb) = a, b
+    cache = _text_cache(fa, Imp(fb, fa)) if spelled else _text_cache()
+    for text in (ta, f"{ta} -> {tb}", f"{tb}->{ta}  ->\t{ta}", f"({ta} -> {tb}) -> {tb}",
+                 render(Imp(fa, Imp(fb, fa))), render(Imp(Imp(fb, fa), fb))):
+        assert cache.parse(text) is parse(text)
+
+
+def test_text_cache_parses_only_the_pieces_it_has_not_spelled(monkeypatch):
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(formula_module, "parse", counting)
+    a, b = strong_neg(Imp(p, q)), Imp(Neg(r), p)
+    cache = _text_cache(a, b, Imp(b, a))
+    for f in (Imp(a, Imp(b, a)), Imp(Imp(b, a), Imp(r, b)), Imp(Atom("s"), b)):
+        assert cache.parse(render(f)) is f
+    assert seen == ["s"]

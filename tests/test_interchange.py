@@ -15,11 +15,15 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import inpk.formula as formula_module
 import inpk.proofs as proofs_module
 from inpk.classical import classical_prove
 from inpk.cli import _format_proof, main
-from inpk.formula import Atom, FormulaSyntaxError, Imp, Neg, parse, render
+from inpk.formula import (
+    Atom, FormulaSyntaxError, Imp, Neg, children, parse, postorder, render,
+)
 from inpk.kalmar import complete_prove, lemma1_derive
 from inpk.proofs import (
     AXIOM_IDS,
@@ -31,6 +35,7 @@ from inpk.proofs import (
     ProofFormatError,
     ProofLine,
     axiom_metavariables,
+    axiom_pattern,
     axiom_proof,
     check,
     deduction_transform,
@@ -309,33 +314,75 @@ def test_reader_matches_the_parsing_reference_on_every_corpus_proof(corpus):
     assert_reads_as_reference(doc.encode())
 
 
+def _top_level_pieces(text):
+    """text cut at its arrows outside parentheses, each piece stripped."""
+    pieces, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        depth += (c == "(") - (c == ")")
+        if not depth and text.startswith("->", i):
+            pieces.append(text[start:i].strip())
+            start = i + 2
+    return pieces + [text[start:].strip()]
+
+
 def test_canonical_documents_parse_no_line_formula(corpus, monkeypatch):
     # every line is confirmed by its prediction: parse sees only
-    # hypotheses and substitution values
+    # hypotheses and substitution values, whole or as the pieces between
+    # their top-level arrows that the document has not spelled already
     seen = []
 
     def counting(text):
         seen.append(text)
         return parse(text)
 
-    monkeypatch.setattr(proofs_module, "parse", counting)
-    cited = 0
+    monkeypatch.setattr(formula_module, "parse", counting)
+    cited = parsed = 0
     for pf in corpus:
         doc = proof_to_json(pf)
         seen.clear()
         proof_from_json(doc)
-        allowed = set(doc["hypotheses"])
+        fields = list(doc["hypotheses"])
         raw_lines = [raw for entry in doc.get("lemmas", []) for raw in entry]
         raw_lines += doc["lines"]
         bindings = [
             raw["just"].get("subst", raw["just"].get("bind", {})) for raw in raw_lines
         ]
         for binding in bindings:
-            allowed.update(binding.values())
-        assert set(seen) <= allowed
-        assert len(seen) <= len(doc["hypotheses"]) + sum(map(len, bindings))
+            fields += binding.values()
+        pieces = [piece for text in fields for piece in _top_level_pieces(text)]
+        assert set(seen) <= set(fields) | set(pieces)
+        assert len(seen) <= len(pieces)
+        assert sum(map(len, seen)) <= sum(map(len, set(fields)))
+        # each distinct text is parsed at most once per document
+        assert len(seen) == len(set(seen))
+        parsed += len(seen)
         cited += sum(raw["just"]["kind"] == "lemma" for raw in raw_lines)
-    assert cited
+    assert cited and parsed
+
+
+def test_a_read_leaves_every_axiom_node_that_check_needs(corpus, monkeypatch):
+    # the reader enters each axiom instance it predicts into the node
+    # table: check of the Proof just read builds none, and reading the
+    # document again adds no node
+    built = []
+    substitute = proofs_module._substitute
+
+    def counting(f, subst, cache, size=None):
+        built.append(f)
+        return substitute(f, subst, cache, size)
+
+    for pf in corpus:
+        doc = proof_to_json(pf)
+        got = proof_from_json(doc)
+        patterns = {axiom_pattern(s, pf.params) for s in AXIOM_IDS}
+        built.clear()
+        monkeypatch.setattr(proofs_module, "_substitute", counting)
+        assert check(got)
+        monkeypatch.undo()
+        assert not patterns.intersection(built)
+        nodes = len(proofs_module._NODES)
+        proof_from_json(doc)
+        assert len(proofs_module._NODES) == nodes
 
 
 def _tampered(doc):
@@ -407,6 +454,78 @@ def test_sugar_in_line_formulas_reads_as_its_expansion():
     }
     got = assert_reads_as_reference(doc)
     assert check(got)
+
+
+# ----------------------------------------------------------------------
+# Differential: one random fault or rewrite in a corpus document.
+# ----------------------------------------------------------------------
+
+
+def _sugared(text):
+    """text written with sugar where its formula allows: (a -> a) -> a
+    as @a and !a -> b as a || b, every compound in parentheses."""
+    out = {}
+    f = parse(text)
+    for g in postorder(f, children, out):
+        match g:
+            case Atom(name):
+                out[g] = name
+            case Imp(Imp(a, b), c) if a is b is c:
+                out[g] = f"@({out[a]})"
+            case Imp(Neg(a), b):
+                out[g] = f"({out[a]}) || ({out[b]})"
+            case Imp(a, b):
+                out[g] = f"({out[a]}) -> ({out[b]})"
+            case Neg(b):
+                out[g] = f"!({out[b]})"
+    return out[f]
+
+
+WRONG_TYPES = [3, -1, 1.5, None, True, "p ->", "q", ["p"], {"p": 1}]
+
+
+def _mutate(doc, data):
+    """Apply one drawn mutation to a line of doc (its lemma table too)."""
+    raws = [raw for entry in doc.get("lemmas", []) for raw in entry] + doc["lines"]
+    raw = data.draw(st.sampled_from(raws))
+    just = raw["just"]
+    texts = [(raw, "formula")] + [
+        (b, v) for b in (just.get("subst"), just.get("bind")) if b for v in b
+    ]
+    fields = [(raw, k) for k in raw] + [(just, k) for k in just] + texts[1:]
+    kind = data.draw(st.sampled_from(["swap", "respace", "sugar", "shift", "drop", "type"]))
+    if kind == "swap":
+        other = data.draw(st.sampled_from(raws))
+        raw["formula"], other["formula"] = other["formula"], raw["formula"]
+    elif kind in ("respace", "sugar"):
+        holder, key = data.draw(st.sampled_from(texts))
+        holder[key] = (_respace if kind == "respace" else _sugared)(holder[key])
+    elif kind == "shift":
+        at = [k for k in ("major", "minor", "index", "lemma") if k in just]
+        if at:
+            just[data.draw(st.sampled_from(at))] += data.draw(st.sampled_from([-1, 1]))
+    else:
+        holder, key = data.draw(st.sampled_from(fields))
+        if kind == "drop":
+            del holder[key]
+        else:
+            holder[key] = data.draw(st.sampled_from(WRONG_TYPES))
+
+
+@pytest.fixture(scope="module")
+def small_corpus(corpus):
+    """The corpus documents under 20 kB, and the smallest with a lemma table."""
+    docs = sorted((proof_to_json(pf) for pf in corpus), key=lambda d: len(json.dumps(d)))
+    small = [d for d in docs if len(json.dumps(d)) < 20_000]
+    return small + [next(d for d in docs if "lemmas" in d)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_read_as_the_reference(small_corpus, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(small_corpus))))
+    _mutate(doc, data)
+    assert_reads_as_reference(doc)
 
 
 def _doc(lines, hyps=("p", "p -> q")):
