@@ -21,6 +21,8 @@ from .formula import (
     Atom, Formula, Imp, Neg, atoms, children, postorder, strong_neg,
 )
 from .proofs import (
+    _PHI as _A,
+    _PSI as _B,
     Node,
     Proof,
     _ax1,
@@ -49,9 +51,6 @@ __all__ = [
 # the two-valued matrix, which reads Neg and Imp classically
 _CL = LogicParams(0, 0)
 _T0, _F0 = T(0), F(0)
-
-_A = Atom("phi")
-_B = Atom("psi")
 
 
 class NotClassicalImage(ValueError):

@@ -174,9 +174,14 @@ def _format_proof(pf: Proof) -> str:
 
 def _emit_proof(args: argparse.Namespace, pf: Proof) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(proof_to_json(pf), fh, indent=2)
-            fh.write("\n")
+        # built before the file is opened, which truncates it
+        doc = proof_to_json(pf)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise _CliError(str(exc)) from None
         _emit(
             args,
             f"{len(pf)} lines -> {args.output}",

@@ -239,15 +239,13 @@ def complexity(f: Formula) -> int:
     return f.comp
 
 
-def render(f: Formula, cache: dict[Formula, str] | None = None) -> str:
+def render(f: Formula) -> str:
     """Primitive-only concrete syntax; parse(render(f)) is f.
 
-    A cache passed in keeps the text of every subformula rendered, so
-    that overlapping formulas (the lines of one proof) are spelled out
-    once each.  Without one nothing is kept.
+    Nothing is kept between calls.  The texts of one document, whose
+    formulas overlap, are spelled through a _TextCache instead, which
+    keeps each subformula's text within a room linear in the document.
     """
-    if cache is not None:
-        return _TextCache(cache).spell(f, sys.maxsize)
     return _render_plain(f)
 
 
@@ -300,9 +298,9 @@ class _TextCache:
 
     __slots__ = ("texts", "formulas", "room")
 
-    def __init__(self, texts: dict[Formula, str] | None = None, chars: int = 0,
+    def __init__(self, chars: int = 0,
                  formulas: dict[str, Formula] | None = None) -> None:
-        self.texts: dict[Formula, str] = {} if texts is None else texts
+        self.texts: dict[Formula, str] = {}
         self.formulas = formulas
         self.room = _ROOM_PER_CHAR * chars
 

@@ -380,15 +380,6 @@ class _Lemma1:
         return mp_node(s, self.nodes[cons])  # witness of cons is !cons
 
 
-def _leaf(
-    params: LogicParams,
-    f: Formula,
-    delta: DeltaContext,
-    theorems: Mapping[Formula, Node],
-) -> Node:
-    return _Lemma1(params, delta, f, theorems).derive(f)
-
-
 def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
     """Prove the witness form of f from the full context set of v.
 
@@ -398,7 +389,8 @@ def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
     """
     with scope():
         delta = build_delta(params, atoms(f), v)
-        return linearize(_leaf(params, f, delta, {}), params, delta.formulas)
+        node = _Lemma1(params, delta, f, {}).derive(f)
+        return linearize(node, params, delta.formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +630,7 @@ def _eliminate(
         if node is None:
             if j == 0:
                 delta = build_delta(params, names, dict(zip(names, tail)))
-                node = _leaf(params, f, delta, theorems)
+                node = _Lemma1(params, delta, f, theorems).derive(f)
             else:
                 node = _combine(
                     params,

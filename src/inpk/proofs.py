@@ -206,16 +206,14 @@ def _substitute(
     return cache[f]
 
 
-def match_pattern(
-    pattern: Formula, f: Formula, subst: Optional[Mapping[str, Formula]] = None
-) -> Optional[dict[str, Formula]]:
+def match_pattern(pattern: Formula, f: Formula) -> Optional[dict[str, Formula]]:
     """One-way match of a concrete formula against a pattern.
 
     Every atom occurring in the pattern is a metavariable slot; repeated
     slots must map to the identical subformula. Returns the binding or
-    None. An initial binding may be supplied and is extended.
+    None.
     """
-    binding: dict[str, Formula] = dict(subst) if subst else {}
+    binding: dict[str, Formula] = {}
     stack = [(pattern, f)]
     while stack:
         p, g = stack.pop()
@@ -484,7 +482,7 @@ def _given(
             if f is None:
                 return f"formula is not the declared {schema} instance"
             if keep:
-                _NODES[key] = Node(f, schema, subst, None, None, _NO_HYPS)
+                _axiom(params, schema, subst, f)
             return f
         if isinstance(just, Hyp):
             at = just.index
@@ -578,12 +576,13 @@ _NO_HYPS: frozenset = frozenset()
 def _axiom(
     params: LogicParams, schema: str, subst: Binding, formula: Optional[Formula] = None
 ) -> Node:
-    """The axiom node of a binding.
+    """The axiom node of a binding; the one maker of axiom nodes.
 
-    formula may pass the instance when it is already known: instantiate
-    passes s(f) for an instance f of the same schema under the binding
-    b, where subst is s applied to b, and pattern[b][s] is pattern[s(b)]
-    because every atom of a pattern is one of its metavariables.
+    formula may pass the instance when it is already known: _given
+    passes the one it has built and checked; instantiate passes s(f)
+    for an instance f of the same schema under the binding b, where
+    subst is s applied to b, and pattern[b][s] is pattern[s(b)] because
+    every atom of a pattern is one of its metavariables.
     """
     key = (schema, subst, params.n, params.k)
     node = _NODES.get(key)

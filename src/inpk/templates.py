@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .formula import (
-    Atom,
     Formula,
     Imp,
     Neg,
@@ -29,6 +28,9 @@ from .formula import (
     strong_neg,
 )
 from .proofs import (
+    _PHI as _A,
+    _PSI as _B,
+    _THETA as _C,
     Node,
     Proof,
     axiom_node,
@@ -47,10 +49,6 @@ from .proofs import (
 from .semantics import LogicParams
 
 __all__ = ["TemplateInfo", "TEMPLATES", "template_ids", "derive_template"]
-
-_A = Atom("phi")
-_B = Atom("psi")
-_C = Atom("theta")
 
 
 @dataclass(frozen=True)
@@ -313,30 +311,22 @@ def _g_negstar_explosion(params: LogicParams) -> Node:
 # Registry
 # ---------------------------------------------------------------------------
 
-_P = ("phi",)
-_PQ = ("phi", "psi")
-_PQR = ("phi", "psi", "theta")
-
-_REGISTRY: tuple[
-    tuple[str, tuple[str, ...], Formula, Callable[[LogicParams], Node]], ...
-] = (
-    ("refl", _P, Imp(_A, _A), _g_refl),
-    ("elim_classicalize", _P, Imp(classicalize(_A), _A), _g_elim_classicalize),
-    ("intro_classicalize", _P, Imp(_A, classicalize(_A)), _g_intro_classicalize),
-    ("star_of_star", _P, star(star(_A)), _g_star_of_star),
-    ("circ_of_star", _P, circ(star(_A)), _g_circ_of_star),
-    ("star_of_classicalize", _P, star(classicalize(_A)), _g_star_of_classicalize),
-    ("circ_of_classicalize", _P, circ(classicalize(_A)), _g_circ_of_classicalize),
-    ("star_intro", _P, Imp(_A, star(_A)), _g_star_intro),
+_REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
+    ("refl", Imp(_A, _A), _g_refl),
+    ("elim_classicalize", Imp(classicalize(_A), _A), _g_elim_classicalize),
+    ("intro_classicalize", Imp(_A, classicalize(_A)), _g_intro_classicalize),
+    ("star_of_star", star(star(_A)), _g_star_of_star),
+    ("circ_of_star", circ(star(_A)), _g_circ_of_star),
+    ("star_of_classicalize", star(classicalize(_A)), _g_star_of_classicalize),
+    ("circ_of_classicalize", circ(classicalize(_A)), _g_circ_of_classicalize),
+    ("star_intro", Imp(_A, star(_A)), _g_star_intro),
     (
         "star_strong_to_weak_neg",
-        _P,
         Imp(star(_A), Imp(strong_neg(_A), Neg(_A))),
         _g_star_strong_to_weak_neg,
     ),
     (
         "converse_contraposition",
-        _PQ,
         Imp(
             star(_A),
             Imp(circ(_B), Imp(Imp(Neg(_A), Neg(_B)), Imp(_B, _A))),
@@ -345,7 +335,6 @@ _REGISTRY: tuple[
     ),
     (
         "contraposition",
-        _PQ,
         Imp(
             star(_A),
             Imp(circ(_B), Imp(Imp(_A, _B), Imp(Neg(_B), Neg(_A)))),
@@ -354,7 +343,6 @@ _REGISTRY: tuple[
     ),
     (
         "strong_neg_cases_classicalize",
-        _PQ,
         Imp(
             Imp(strong_neg(_A), strong_neg(_B)),
             Imp(Imp(strong_neg(_A), classicalize(_B)), classicalize(_A)),
@@ -363,64 +351,60 @@ _REGISTRY: tuple[
     ),
     (
         "strong_neg_cases",
-        _PQ,
         Imp(
             Imp(strong_neg(_A), strong_neg(_B)),
             Imp(Imp(strong_neg(_A), _B), _A),
         ),
         _g_strong_neg_cases,
     ),
-    ("or_intro_left", _PQ, Imp(_A, or_(_A, _B)), _g_or_intro_left),
-    ("or_intro_right", _PQ, Imp(_B, or_(_A, _B)), _g_or_intro_right),
-    ("and_elim_left", _PQ, Imp(and_(_A, _B), _A), _g_and_elim_left),
-    ("and_elim_right", _PQ, Imp(and_(_A, _B), _B), _g_and_elim_right),
+    ("or_intro_left", Imp(_A, or_(_A, _B)), _g_or_intro_left),
+    ("or_intro_right", Imp(_B, or_(_A, _B)), _g_or_intro_right),
+    ("and_elim_left", Imp(and_(_A, _B), _A), _g_and_elim_left),
+    ("and_elim_right", Imp(and_(_A, _B), _B), _g_and_elim_right),
     (
         "or_elim",
-        _PQR,
         Imp(Imp(_A, _C), Imp(Imp(_B, _C), Imp(or_(_A, _B), _C))),
         _g_or_elim,
     ),
-    ("and_intro", _PQ, Imp(_A, Imp(_B, and_(_A, _B))), _g_and_intro),
-    ("and_to_or", _PQ, Imp(and_(_A, _B), or_(_A, _B)), _g_and_to_or),
+    ("and_intro", Imp(_A, Imp(_B, and_(_A, _B))), _g_and_intro),
+    ("and_to_or", Imp(and_(_A, _B), or_(_A, _B)), _g_and_to_or),
     (
         "circ_explosion",
-        _PQ,
         Imp(circ(_A), Imp(Neg(_A), Imp(_A, _B))),
         _g_circ_explosion,
     ),
-    ("circ_of_circ", _P, circ(circ(_A)), _g_circ_of_circ),
-    ("negstar_to_circ", _P, Imp(Neg(star(_A)), circ(_A)), _g_negstar_to_circ),
-    ("strongneg_to_circ", _P, Imp(strong_neg(_A), circ(_A)), _g_strongneg_to_circ),
+    ("circ_of_circ", circ(circ(_A)), _g_circ_of_circ),
+    ("negstar_to_circ", Imp(Neg(star(_A)), circ(_A)), _g_negstar_to_circ),
+    ("strongneg_to_circ", Imp(strong_neg(_A), circ(_A)), _g_strongneg_to_circ),
     (
         "star_neg_or_left",
-        _PQ,
         Imp(star(_A), Imp(Neg(or_(_A, _B)), Neg(_A))),
         _g_star_neg_or_left,
     ),
     (
         "circ_refute_imp",
-        _PQ,
         Imp(circ(_B), Imp(_A, Imp(Neg(_B), Neg(Imp(_A, _B))))),
         _g_circ_refute_imp,
     ),
-    ("star_of_neg_imp", _PQ, star(Neg(Imp(_A, _B))), _g_star_of_neg_imp),
-    ("circ_of_neg_imp", _PQ, circ(Neg(Imp(_A, _B))), _g_circ_of_neg_imp),
-    ("circ_of_negstar", _P, circ(Neg(star(_A))), _g_circ_of_negstar),
+    ("star_of_neg_imp", star(Neg(Imp(_A, _B))), _g_star_of_neg_imp),
+    ("circ_of_neg_imp", circ(Neg(Imp(_A, _B))), _g_circ_of_neg_imp),
+    ("circ_of_negstar", circ(Neg(star(_A))), _g_circ_of_negstar),
     (
         "negstar_explosion",
-        _PQ,
         Imp(Neg(star(_A)), Imp(_A, _B)),
         _g_negstar_explosion,
     ),
 )
 
+# A template's metavariables are its statement's atoms, sorted, as an
+# axiom's are its pattern's (see proofs.axiom_metavariables).
 TEMPLATES: dict[str, TemplateInfo] = {
-    tid: TemplateInfo(tid, metavars, statement)
-    for tid, metavars, statement, _ in _REGISTRY
+    tid: TemplateInfo(tid, tuple(sorted(statement.atom_names)), statement)
+    for tid, statement, _ in _REGISTRY
 }
 
 _BUILDERS: dict[str, Callable[[LogicParams], Node]] = {
-    tid: builder for tid, _, _, builder in _REGISTRY
+    tid: builder for tid, _, builder in _REGISTRY
 }
 
 

@@ -445,6 +445,46 @@ def test_dt_rejects_broken_input_proof(tmp_path, capsys):
     assert "does not check" in out
 
 
+# -- -o ----------------------------------------------------------------
+
+
+def _writing(tmp_path, command):
+    """argv of a prove or dt run, up to its -o value."""
+    if command == "prove":
+        return ["prove", "--n", "0", "--k", "0", "p -> p"]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_hyp_proof_doc()))
+    return ["dt", str(src), "--discharge", "0"]
+
+
+@pytest.mark.parametrize("command", ["prove", "dt"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, command, where):
+    target = tmp_path
+    if where == "missing directory":
+        target = tmp_path / "missing" / "x.json"
+    rc, out, err = run(capsys, *_writing(tmp_path, command), "-o", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["prove", "dt"])
+def test_a_failed_write_leaves_the_output_file_as_it_was(
+    tmp_path, capsys, monkeypatch, command
+):
+    def broken(pf):
+        raise RuntimeError("writer failed")
+
+    argv = _writing(tmp_path, command)
+    path = tmp_path / "out.json"
+    path.write_bytes(b'{"kept": true}\n')
+    monkeypatch.setattr(cli, "proof_to_json", broken)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        main([*argv, "-o", str(path)])
+    assert path.read_bytes() == b'{"kept": true}\n'
+
+
 def test_prove_two_atoms_at_the_top_of_the_hierarchy(tmp_path, capsys):
     path = tmp_path / "proof.json"
     start = time.perf_counter()

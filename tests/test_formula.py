@@ -379,9 +379,12 @@ def _substitute_deep(depth):
 
 def _render_deep(depth):
     f = _deep_chain(depth)
-    cache = {}
-    assert render(f, cache) == render(f)
-    assert len(cache) == depth + 2
+    text = render(f)
+    # room for every subformula's text: none is longer than text, and
+    # there are no more of them than its characters
+    cache = _TextCache()
+    assert cache.spell(f, len(text) ** 2) == text
+    assert len(cache.texts) == depth + 2
 
 
 def _untranslate_deep(depth):
@@ -391,7 +394,7 @@ def _untranslate_deep(depth):
 
 
 # A cache of every subformula's text is quadratic in the depth (some
-# 10^10 characters at 10^5), so the cached render takes a shorter chain,
+# 10^10 characters at 10^5), so the cached spelling takes a shorter chain,
 # still deeper than the default recursion limit.
 @pytest.mark.parametrize("walk, depth", [
     (_eval_deep, 10**5),

@@ -506,13 +506,13 @@ def test_a_consequent_with_a_theorem_needs_one_leaf(monkeypatch):
     # Ax1 over the consequent's theorem comes before the antecedent's F
     # cases, so the first leaf rests on no context and ends the synthesis
     built = []
-    leaf = kalmar._leaf
+    derive = kalmar._Lemma1.derive
 
-    def counted(*args):
-        built.append(args[2])
-        return leaf(*args)
+    def counted(self, f):
+        built.append(f)
+        return derive(self, f)
 
-    monkeypatch.setattr(kalmar, "_leaf", counted)
+    monkeypatch.setattr(kalmar._Lemma1, "derive", counted)
     for nk in [(0, 0), (1, 1), (3, 3)]:
         built.clear()
         assert check(complete_prove(LogicParams(*nk), parse("p -> (p -> p)")))

@@ -26,15 +26,54 @@ def ident(info):
     return {v: Atom(v) for v in info.metavariables}
 
 
+_P, _PQ, _PQR = ("phi",), ("phi", "psi"), ("phi", "psi", "theta")
+
+# every template's metavariables, in registry order
+_METAVARIABLES = {
+    "refl": _P,
+    "elim_classicalize": _P,
+    "intro_classicalize": _P,
+    "star_of_star": _P,
+    "circ_of_star": _P,
+    "star_of_classicalize": _P,
+    "circ_of_classicalize": _P,
+    "star_intro": _P,
+    "star_strong_to_weak_neg": _P,
+    "converse_contraposition": _PQ,
+    "contraposition": _PQ,
+    "strong_neg_cases_classicalize": _PQ,
+    "strong_neg_cases": _PQ,
+    "or_intro_left": _PQ,
+    "or_intro_right": _PQ,
+    "and_elim_left": _PQ,
+    "and_elim_right": _PQ,
+    "or_elim": _PQR,
+    "and_intro": _PQ,
+    "and_to_or": _PQ,
+    "circ_explosion": _PQ,
+    "circ_of_circ": _P,
+    "negstar_to_circ": _P,
+    "strongneg_to_circ": _P,
+    "star_neg_or_left": _PQ,
+    "circ_refute_imp": _PQ,
+    "star_of_neg_imp": _PQ,
+    "circ_of_neg_imp": _PQ,
+    "circ_of_negstar": _P,
+    "negstar_explosion": _PQ,
+}
+
+
 def test_registry_shape():
     ids = template_ids()
     assert len(ids) == 30
     assert len(set(ids)) == len(ids)
+    assert ids == tuple(_METAVARIABLES)
     for tid in ids:
         info = TEMPLATES[tid]
         assert info.id == tid
-        assert info.metavariables
-        assert set(info.metavariables) <= {"phi", "psi", "theta"}
+        assert info.metavariables == _METAVARIABLES[tid]
+        # templates.lemma binds phi, psi, theta by position
+        assert info.metavariables == _PQR[: len(info.metavariables)]
         assert set(info.statement.atom_names) == set(info.metavariables)
 
 
