@@ -6,8 +6,8 @@ strong negation therefore behave exactly like classical propositional
 formulas, and any classical tautology can be proved in the axiom system
 once its negations are read as strong negations.  This module carries
 out that synthesis with a two-valued Kalmar argument: prove the target
-under every assignment of "unit" formulas to truth values, then
-eliminate the case hypotheses pairwise.
+under every assignment of truth values to its atoms, then eliminate
+the case hypotheses pairwise.
 
 ``untranslate`` recovers the classical source of such a formula and
 ``classical_prove`` glues the two halves together.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .formula import (
-    Atom, Formula, Imp, Neg, atoms, children, postorder, strong_neg,
+    Atom, Formula, Imp, Neg, atoms, children, classicalize, postorder, strong_neg,
 )
 from .proofs import (
     _PHI as _A,
@@ -26,9 +26,12 @@ from .proofs import (
     Node,
     Proof,
     _ax1,
+    _derived,
+    axiom_node,
     chain_node,
     discharge,
     hyp_node,
+    lemma,
     linearize,
     mp_node,
     perm_node,
@@ -38,7 +41,6 @@ from .proofs import (
 from .semantics import (
     F, LogicParams, T, TruthValue, eval_subformulas, is_tautology,
 )
-from .templates import _derived, lemma, template_node
 
 __all__ = [
     "NotClassicalImage",
@@ -91,14 +93,13 @@ def _image_children(g: Formula) -> tuple[Formula, ...]:
     return (body.cons,)
 
 
-def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formula]:
+def _translate(g: Formula) -> dict[Formula, Formula]:
     """Map a classical formula into the fragment: Neg becomes strong
-    negation, atoms become their unit formulas.  Returns the image of
-    every subformula."""
+    negation.  Returns the image of every subformula."""
     image: dict[Formula, Formula] = {}
     for h in postorder(g, children, image):
         if type(h) is Atom:
-            image[h] = units[h.name]
+            image[h] = h
         elif type(h) is Imp:
             image[h] = Imp(image[h.ant], image[h.cons])
         else:
@@ -107,15 +108,35 @@ def _translate(g: Formula, units: Mapping[str, Formula]) -> dict[Formula, Formul
 
 
 # ---------------------------------------------------------------------------
-# Classical helper lemmas, derived from Ax1/Ax2 plus the case-split
-# template.  Each is built once per logic over placeholder atoms and
-# cited at each binding (see templates.lemma).
+# Classical helper lemmas, derived from Ax1/Ax2 plus the case split on a
+# strong negation.  Each is built once per logic over placeholder atoms
+# and cited at each binding (see proofs.lemma).  The case split and its
+# classicalized form are also the templates strong_neg_cases and
+# strong_neg_cases_classicalize, under the same generics.
 # ---------------------------------------------------------------------------
+
+
+def _build_cases_classicalize(params: LogicParams) -> Node:
+    """(~phi->~psi)->((~phi->@psi)->@phi); hypothesis-free."""
+    s_star = axiom_node(params, "Ax3", {"phi": Imp(_A, _A), "psi": _A})  # (@phi)^*
+    c_circ = axiom_node(params, "Ax4", {"phi": Imp(_B, _B), "psi": _B})  # (@psi)^o
+    ax7 = axiom_node(params, "Ax7", {"phi": classicalize(_A), "psi": classicalize(_B)})
+    return mp_node(mp_node(ax7, s_star), c_circ)
+
+
+def _build_cases(params: LogicParams) -> Node:
+    """(~phi->~psi)->((~phi->psi)->phi)."""
+    hyps = (Imp(strong_neg(_A), strong_neg(_B)), Imp(strong_neg(_A), _B))
+    intro = _ax1(params, _B, Imp(_B, _B))  # psi->@psi
+    to_c = chain_node(params, hyp_node(hyps[1]), intro)  # ~phi -> @psi
+    s = mp_node(_build_cases_classicalize(params), hyp_node(hyps[0]))
+    s = mp_node(s, to_c)  # @phi
+    return _derived(params, hyps, mp_node(s, refl_node(params, _A)))
 
 
 def _cases(params: LogicParams, a: Formula, b: Formula) -> Node:
     """(~a -> ~b) -> ((~a -> b) -> a), with ~ the strong negation."""
-    return template_node("strong_neg_cases", {"phi": a, "psi": b}, params)
+    return lemma(_build_cases, params, (a, b))
 
 
 def _build_nn_elim(params: LogicParams) -> Node:
@@ -240,19 +261,9 @@ def _derive_case(
     return nodes[skeleton]
 
 
-def classical_node(
-    params: LogicParams,
-    skeleton: Formula,
-    units: Mapping[str, Formula] | None = None,
-) -> Node:
+def classical_node(params: LogicParams, skeleton: Formula) -> Node:
     """classical_core as a proof node."""
     names = atoms(skeleton)
-    if units is None:
-        units = {nm: Atom(nm) for nm in names}
-    else:
-        missing = [nm for nm in names if nm not in units]
-        if missing:
-            raise ValueError(f"no unit formula for atom '{missing[0]}'")
     verdict = is_tautology(_CL, skeleton)
     if not verdict:
         bad = verdict.counterexample
@@ -260,7 +271,7 @@ def classical_node(
             "skeleton is not a classical tautology: fails under "
             + ", ".join(f"{nm}={bad[nm].designated}" for nm in names)
         )
-    image = _translate(skeleton, units)
+    image = _translate(skeleton)
     target = image[skeleton]
 
     # result(j, tail) proves the target from the literals of names[j:]
@@ -272,37 +283,34 @@ def classical_node(
     def result(j: int, tail: tuple[TruthValue, ...]) -> Node:
         if j == 0:
             return _derive_case(params, skeleton, image, dict(zip(names, tail)))
-        unit = units[names[j - 1]]
-        neg_unit = strong_neg(unit)
+        atom = Atom(names[j - 1])
+        neg_atom = strong_neg(atom)
         pos = result(j - 1, (_T0,) + tail)
-        if unit not in pos.hyps:
+        if atom not in pos.hyps:
             return pos
         neg = result(j - 1, (_F0,) + tail)
-        if neg_unit not in neg.hyps:
+        if neg_atom not in neg.hyps:
             return neg
-        mg = lemma(_build_merge, params, (unit, target))
-        pos = discharge(pos, unit, params)
-        neg = discharge(neg, neg_unit, params)
+        mg = lemma(_build_merge, params, (atom, target))
+        pos = discharge(pos, atom, params)
+        neg = discharge(neg, neg_atom, params)
         return mp_node(mp_node(mg, pos), neg)
 
     return result(len(names), ())
 
 
-def classical_core(
-    params: LogicParams,
-    skeleton: Formula,
-    units: Mapping[str, Formula] | None = None,
-) -> Proof:
+def classical_core(params: LogicParams, skeleton: Formula) -> Proof:
     """Prove the fragment reading of a classical tautology.
 
     ``skeleton`` is an ordinary formula whose Neg nodes are read
-    classically.  Each atom is replaced by ``units[name]`` (the atom
-    itself by default) and each negation by a strong negation; the
+    classically, so each negation becomes a strong negation; the
     returned proof concludes that translation and has no hypotheses.
-    The nodes the call makes are dropped on return (see proofs.scope).
+    Any other formula in an atom's place is an instance, by
+    proofs.substitute_proof. The nodes the call makes are dropped on
+    return (see proofs.scope).
     """
     with scope():
-        return linearize(classical_node(params, skeleton, units), params)
+        return linearize(classical_node(params, skeleton), params)
 
 
 def classical_prove(params: LogicParams, f: Formula) -> Proof:

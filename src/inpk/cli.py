@@ -40,7 +40,6 @@ from .proofs import (
 )
 from .semantics import (
     LogicParams,
-    OrderVerdict,
     compare_logics,
     decision_size,
     entails,

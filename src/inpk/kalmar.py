@@ -148,10 +148,12 @@ def _psi_block(params: LogicParams, psi: Formula, value: TruthValue) -> tuple[Fo
         return head + (star(iter_neg(r, psi)),)
     if r == 0:
         return (classicalize(psi), circ(psi))
-    head = tuple(
-        and_(iter_neg(j + 1, psi), iter_neg(j, psi)) for j in range(r)
-    )
-    return head + (circ(iter_neg(r, psi)),)
+    return tuple(_conj(psi, j) for j in range(r)) + (circ(iter_neg(r, psi)),)
+
+
+def _conj(psi: Formula, j: int) -> Formula:
+    """!^{j+1} psi && !^j psi, the j-th formula of a T block."""
+    return and_(iter_neg(j + 1, psi), iter_neg(j, psi))
 
 
 def build_q_set(params: LogicParams, atom: str, value: TruthValue) -> tuple[Formula, ...]:
@@ -167,6 +169,9 @@ def build_q_set(params: LogicParams, atom: str, value: TruthValue) -> tuple[Form
 def build_delta(
     params: LogicParams, names: Sequence[str], v: Valuation
 ) -> DeltaContext:
+    for nm in names:
+        if nm not in v:
+            raise ValueError(f"unbound atom {nm!r}")
     ctxs = tuple(
         AtomContext(nm, v[nm], build_q_set(params, nm, v[nm])) for nm in names
     )
@@ -432,12 +437,13 @@ def _combine(
     params: LogicParams,
     psi: Formula,
     theta: Formula,
-    branch: Callable[[int], Node],
+    branch: Callable[[TruthValue], Node],
     theta_star: Node,
     theta_circ: Node,
 ) -> Node:
-    """lemma2_combine on nodes: branch(j) rests on its block of psi (and
-    on any context shared by all), the result on the shared part.
+    """lemma2_combine on nodes: branch(w) rests on the block of psi at
+    the value w (and on any context shared by all), the result on the
+    shared part.
 
     The blocks are eliminated one case split at a time, each split
     resting on one branch and on the arm built from the splits above it.
@@ -471,12 +477,12 @@ def _combine(
         )
 
     def ladder(rungs, top: Callable[[], Node]) -> Node:
-        """Eliminate rungs, bottom first: (j, x, on_x, x_star) splits on x
-        with branch(j), which rests on x when on_x and on !x otherwise;
+        """Eliminate rungs, bottom first: (w, x, on_x, x_star) splits on x
+        with branch(w), which rests on x when on_x and on !x otherwise;
         top() builds the arm above the last rung."""
         below = []
-        for j, x, on_x, x_star in rungs:
-            own = branch(j)
+        for w, x, on_x, x_star in rungs:
+            own = branch(w)
             if (x if on_x else Neg(x)) not in own.hyps:
                 break
             below.append((own, x, on_x, x_star))
@@ -491,9 +497,6 @@ def _combine(
             "star_of_star", {"phi": iter_neg(j, psi)}, params
         )
 
-    def conj(j: int) -> Formula:
-        return and_(iter_neg(j + 1, psi), iter_neg(j, psi))
-
     def star_of_conj(j: int):
         # the conjunction !^{j+1} psi && !^j psi is ~u for
         # u = !^{j+1} psi -> ~!^j psi, and ~u is !((u -> u) -> u)
@@ -505,14 +508,10 @@ def _combine(
     # F side: the block of F_r ends with (!^r psi)^*, after the negated
     # stars of the blocks below it; Ax5 proves the top one, (!^n psi)^*.
     # The result rests on ~psi, from the F_0 block.
-    f_index = [n + k] + list(range(n))
     half_f = ladder(
-        [
-            (f_index[r], star(iter_neg(r, psi)), True, star_of_star(r))
-            for r in range(n)
-        ],
+        [(F(r), star(iter_neg(r, psi)), True, star_of_star(r)) for r in range(n)],
         lambda: cut(
-            branch(f_index[n]),
+            branch(F(n)),
             star(iter_neg(n, psi)),
             axiom_node(params, "Ax5", {"phi": psi}),
         ),
@@ -521,13 +520,11 @@ def _combine(
     # negation of the conjunction !^{i+1} psi && !^i psi that the blocks
     # above it hold; Ax6 proves the top one, (!^k psi)^o. The result
     # rests on @psi, from the T_0 block.
-    t_index = [n + k + 1] + list(range(n, n + k))
-
     def half_t() -> Node:
         return ladder(
-            [(t_index[i], conj(i), False, star_of_conj(i)) for i in range(k)],
+            [(T(i), _conj(psi, i), False, star_of_conj(i)) for i in range(k)],
             lambda: cut(
-                branch(t_index[k]),
+                branch(T(k)),
                 circ(iter_neg(k, psi)),
                 axiom_node(params, "Ax6", {"phi": psi}),
             ),
@@ -569,7 +566,6 @@ def lemma2_combine(
     if len(branch_proofs) != size:
         raise ValueError(f"expected {size} branch proofs, got {len(branch_proofs)}")
     delta = tuple(delta)
-    blocks = [_psi_block(params, psi, w) for w in _value_order(params)]
 
     def checked(name: str, pf: Proof) -> Node:
         try:
@@ -587,15 +583,15 @@ def lemma2_combine(
                 raise ValueError(f"{name} must prove the bare goal with no hypotheses")
             sides.append(checked(name, pf))
 
-        branches: list[Node] = []
-        for j, pf in enumerate(branch_proofs):
+        branches: dict[TruthValue, Node] = {}
+        for j, (w, pf) in enumerate(zip(_value_order(params), branch_proofs)):
             if pf.params != params:
                 raise ValueError(f"branch {j} built for a different logic")
             if pf.conclusion is not theta:
                 raise ValueError(f"branch {j} does not conclude the goal")
-            if set(pf.hypotheses) - set(delta + blocks[j]):
+            if set(pf.hypotheses) - set(delta + _psi_block(params, psi, w)):
                 raise ValueError(f"branch {j} uses hypotheses outside its block")
-            branches.append(checked(f"branch {j}", pf))
+            branches[w] = checked(f"branch {j}", pf)
 
         merged = _combine(params, psi, theta, branches.__getitem__, *sides)
         return linearize(merged, params, delta)
@@ -618,7 +614,6 @@ def _eliminate(
 
     theta_star = _ladder(params, f, "Ax3", "Ax11")
     theta_circ = _ladder(params, f, "Ax4", "Ax12")
-    order = _value_order(params)
 
     # result(j, tail) proves f from the contexts of names[j:] at the
     # values tail: a leaf when j = 0, else the elimination of names[j-1]
@@ -636,7 +631,7 @@ def _eliminate(
                     params,
                     Atom(names[j - 1]),
                     f,
-                    lambda i: result(j - 1, (order[i],) + tail),
+                    lambda w: result(j - 1, (w,) + tail),
                     theta_star,
                     theta_circ,
                 )

@@ -394,6 +394,8 @@ def check(proof: Proof) -> CheckVerdict:
     if not proof.lines:
         return CheckVerdict(False, None, "proof has no lines")
     params = proof.params
+    if not isinstance(params, LogicParams):
+        return CheckVerdict(False, None, "params is not a LogicParams")
     conclusions: list[Formula] = []
     for e, entry in enumerate(proof.lemmas, start=1):
         if not entry:
@@ -421,9 +423,12 @@ def _fault(
     conclusions are those of the lemmas the lines may cite.
 
     The kernel's one line predicate, run by check on proofs from outside
-    and by linearize on the lines it makes: a line is bad when its
-    justification gives it no formula or another (see _given)."""
+    and by linearize on the lines it makes: a line is bad when it is no
+    ProofLine or its justification gives it no formula or another (see
+    _given)."""
     for i, line in enumerate(lines):
+        if not isinstance(line, ProofLine):
+            return i, f"line is a {type(line).__name__}, not a ProofLine"
         # a line made by hand may hold no formula, which has no comp
         size = getattr(line.formula, "comp", 0) + 1
         f = _given(line.just, lines, i, hyps, params, conclusions, size)
@@ -671,6 +676,30 @@ def generic(build: Callable[[LogicParams], Node], params: LogicParams) -> Node:
     return node
 
 
+_PLACEHOLDERS = (_PHI, _PSI, _THETA)
+
+
+def lemma(
+    build: Callable[[LogicParams], Node],
+    params: LogicParams,
+    bind: tuple[Formula, ...],
+) -> Node:
+    """The lemma that build(params) proves over phi, psi, theta (a prefix
+    of them), with bind in their place, in that order: the generic
+    itself at the placeholders, any other binding a citation of it."""
+    node = generic(build, params)
+    if bind == _PLACEHOLDERS[: len(bind)]:
+        return node
+    return lemma_node(node, {a.name: f for a, f in zip(_PLACEHOLDERS, bind)})
+
+
+def _derived(params: LogicParams, hyps: tuple[Formula, ...], node: Node) -> Node:
+    """Discharge a script's hypotheses, the last one first."""
+    for h in reversed(hyps):
+        node = discharge(node, h, params)
+    return node
+
+
 @contextmanager
 def scope() -> Iterator[None]:
     """On exit, whether by return or raise, drop the nodes made inside,
@@ -687,17 +716,13 @@ def scope() -> Iterator[None]:
     finally:
         made = list(islice(reversed(_NODES.items()), len(_NODES) - nodes_mark))
         fresh = {node for _, node in made}
-        generics = islice(reversed(_GENERICS.values()), len(_GENERICS) - generics_mark)
         # a node is made after its premises and the lemma it cites, so a
         # node made before the scope reaches none made inside, and the
         # walk stops at it
         keep: set[Node] = set()
-        stack = list(generics)
-        while stack:
-            node = stack.pop()
-            if node in fresh and node not in keep:
+        for g in islice(reversed(_GENERICS.values()), len(_GENERICS) - generics_mark):
+            for node in postorder(g, lambda n: _below(n) if n in fresh else (), keep):
                 keep.add(node)
-                stack += _below(node)
         for key, node in made:
             if node not in keep:
                 del _NODES[key]

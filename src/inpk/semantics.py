@@ -88,6 +88,9 @@ class LogicParams:
     k: int
 
     def __post_init__(self):
+        for v in (self.n, self.k):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"n and k must be integers, not {type(v).__name__}")
         if self.n < 0 or self.k < 0:
             raise ValueError("n and k must be non-negative")
 

@@ -6,9 +6,10 @@ directions, case analysis through strong negation, and the lattice
 rules for the defined conjunction and disjunction.  Every entry pairs a
 statement over placeholder atoms with a derivation script; the generic
 proof node is built once per logic, and an instance is a citation of
-it (see ``proofs.lemma_node``), so a caller pays for each script at
-most once and a proof carries each generic once, in its lemma table.
-``lemma`` serves these and the classical helper lemmas alike.
+it (see ``proofs.lemma``), so a caller pays for each script at most
+once and a proof carries each generic once, in its lemma table.  A
+template that is one axiom instance states it once: its statement is
+read off the axiom.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from .classical import _build_cases, _build_cases_classicalize, classical_node
 from .formula import (
     Formula,
     Imp,
@@ -33,18 +35,19 @@ from .proofs import (
     _THETA as _C,
     Node,
     Proof,
+    _derived,
     axiom_node,
+    axiom_pattern,
     chain_node,
-    discharge,
     expand_node,
-    generic,
     hyp_node,
-    lemma_node,
+    lemma,
     linearize,
     mp_node,
     perm_node,
     refl_node,
     scope,
+    substitute,
 )
 from .semantics import LogicParams
 
@@ -60,41 +63,16 @@ class TemplateInfo:
     statement: Formula
 
 
-_PLACEHOLDERS = (_A, _B, _C)
-
-
-def lemma(
-    build: Callable[[LogicParams], Node],
-    params: LogicParams,
-    bind: tuple[Formula, ...],
-) -> Node:
-    """The lemma that build(params) proves over phi, psi, theta (a prefix
-    of them), with bind in their place, in that order.
-
-    At the placeholders themselves this is the generic (see
-    proofs.generic); any other binding is a citation of it.
-    """
-    node = generic(build, params)
-    if bind == _PLACEHOLDERS[: len(bind)]:
-        return node
-    return lemma_node(node, {a.name: f for a, f in zip(_PLACEHOLDERS, bind)})
-
-
 def _ax(params: LogicParams, schema: str, **subst: Formula) -> Node:
     return axiom_node(params, schema, subst)
 
 
-def _derived(params: LogicParams, hyps: tuple[Formula, ...], node: Node) -> Node:
-    """Discharge a script's hypotheses, the last one first."""
-    for h in reversed(hyps):
-        node = discharge(node, h, params)
-    return node
-
-
-def _classical(params: LogicParams, skeleton: Formula) -> Node:
-    from .classical import classical_node
-
-    return classical_node(params, skeleton)
+def _one_axiom(tid: str, schema: str, **subst: Formula) -> tuple:
+    """The registry row of a template that is one axiom instance: its
+    statement is the instance (of a schema whose pattern does not vary
+    with n and k), and its script is that axiom step."""
+    statement = substitute(axiom_pattern(schema, LogicParams(0, 0)), subst)
+    return tid, statement, lambda params: axiom_node(params, schema, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -109,35 +87,6 @@ def _g_refl(params: LogicParams) -> Node:
 def _g_elim_classicalize(params: LogicParams) -> Node:
     h = classicalize(_A)
     return _derived(params, (h,), mp_node(hyp_node(h), refl_node(params, _A)))
-
-
-def _g_intro_classicalize(params: LogicParams) -> Node:
-    return _ax(params, "Ax1", phi=_A, psi=Imp(_A, _A))
-
-
-def _g_star_of_star(params: LogicParams) -> Node:
-    return _ax(params, "Ax3", phi=strong_neg(Neg(_A)), psi=_A)
-
-
-def _g_circ_of_star(params: LogicParams) -> Node:
-    return _ax(params, "Ax4", phi=strong_neg(Neg(_A)), psi=_A)
-
-
-def _g_star_of_classicalize(params: LogicParams) -> Node:
-    return _ax(params, "Ax3", phi=Imp(_A, _A), psi=_A)
-
-
-def _g_circ_of_classicalize(params: LogicParams) -> Node:
-    return _ax(params, "Ax4", phi=Imp(_A, _A), psi=_A)
-
-
-def _g_star_intro(params: LogicParams) -> Node:
-    # phi* is ~!phi -> phi, so this is a one-line Ax1 instance
-    return _ax(params, "Ax1", phi=_A, psi=strong_neg(Neg(_A)))
-
-
-def _g_or_intro_right(params: LogicParams) -> Node:
-    return _ax(params, "Ax1", phi=_B, psi=strong_neg(_A))
 
 
 def _g_star_strong_to_weak_neg(params: LogicParams) -> Node:
@@ -172,48 +121,31 @@ def _g_contraposition(params: LogicParams) -> Node:
     return _derived(params, hyps, mp_node(s, h[2]))
 
 
-def _g_strong_neg_cases_classicalize(params: LogicParams) -> Node:
-    """(~phi->~psi)->((~phi->@psi)->@phi); hypothesis-free."""
-    s_star = _ax(params, "Ax3", phi=Imp(_A, _A), psi=_A)  # (@phi)^*
-    c_circ = _ax(params, "Ax4", phi=Imp(_B, _B), psi=_B)  # (@psi)^o
-    ax7 = _ax(params, "Ax7", phi=classicalize(_A), psi=classicalize(_B))
-    return mp_node(mp_node(ax7, s_star), c_circ)
-
-
-def _g_strong_neg_cases(params: LogicParams) -> Node:
-    hyps = (Imp(strong_neg(_A), strong_neg(_B)), Imp(strong_neg(_A), _B))
-    intro = _ax(params, "Ax1", phi=_B, psi=Imp(_B, _B))  # psi->@psi
-    to_c = chain_node(params, hyp_node(hyps[1]), intro)  # ~phi -> @psi
-    s = mp_node(_g_strong_neg_cases_classicalize(params), hyp_node(hyps[0]))
-    s = mp_node(s, to_c)  # @phi
-    return _derived(params, hyps, mp_node(s, refl_node(params, _A)))
-
-
 def _g_or_intro_left(params: LogicParams) -> Node:
-    return _classical(params, Imp(_A, Imp(Neg(_A), _B)))
+    return classical_node(params, Imp(_A, Imp(Neg(_A), _B)))
 
 
 def _g_and_elim_left(params: LogicParams) -> Node:
-    return _classical(params, Imp(Neg(Imp(_A, Neg(_B))), _A))
+    return classical_node(params, Imp(Neg(Imp(_A, Neg(_B))), _A))
 
 
 def _g_and_elim_right(params: LogicParams) -> Node:
-    return _classical(params, Imp(Neg(Imp(_A, Neg(_B))), _B))
+    return classical_node(params, Imp(Neg(Imp(_A, Neg(_B))), _B))
 
 
 def _g_or_elim(params: LogicParams) -> Node:
     skeleton = Imp(
         Imp(_A, _C), Imp(Imp(_B, _C), Imp(Imp(Neg(_A), _B), _C))
     )
-    return _classical(params, skeleton)
+    return classical_node(params, skeleton)
 
 
 def _g_and_intro(params: LogicParams) -> Node:
-    return _classical(params, Imp(_A, Imp(_B, Neg(Imp(_A, Neg(_B))))))
+    return classical_node(params, Imp(_A, Imp(_B, Neg(Imp(_A, Neg(_B))))))
 
 
 def _g_and_to_or(params: LogicParams) -> Node:
-    return _classical(params, Imp(Neg(Imp(_A, Neg(_B))), Imp(Neg(_A), _B)))
+    return classical_node(params, Imp(Neg(Imp(_A, Neg(_B))), Imp(Neg(_A), _B)))
 
 
 def _g_circ_explosion(params: LogicParams) -> Node:
@@ -314,12 +246,13 @@ def _g_negstar_explosion(params: LogicParams) -> Node:
 _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
     ("refl", Imp(_A, _A), _g_refl),
     ("elim_classicalize", Imp(classicalize(_A), _A), _g_elim_classicalize),
-    ("intro_classicalize", Imp(_A, classicalize(_A)), _g_intro_classicalize),
-    ("star_of_star", star(star(_A)), _g_star_of_star),
-    ("circ_of_star", circ(star(_A)), _g_circ_of_star),
-    ("star_of_classicalize", star(classicalize(_A)), _g_star_of_classicalize),
-    ("circ_of_classicalize", circ(classicalize(_A)), _g_circ_of_classicalize),
-    ("star_intro", Imp(_A, star(_A)), _g_star_intro),
+    _one_axiom("intro_classicalize", "Ax1", phi=_A, psi=Imp(_A, _A)),
+    _one_axiom("star_of_star", "Ax3", phi=strong_neg(Neg(_A)), psi=_A),
+    _one_axiom("circ_of_star", "Ax4", phi=strong_neg(Neg(_A)), psi=_A),
+    _one_axiom("star_of_classicalize", "Ax3", phi=Imp(_A, _A), psi=_A),
+    _one_axiom("circ_of_classicalize", "Ax4", phi=Imp(_A, _A), psi=_A),
+    # phi^* is ~!phi -> phi
+    _one_axiom("star_intro", "Ax1", phi=_A, psi=strong_neg(Neg(_A))),
     (
         "star_strong_to_weak_neg",
         Imp(star(_A), Imp(strong_neg(_A), Neg(_A))),
@@ -347,7 +280,7 @@ _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
             Imp(strong_neg(_A), strong_neg(_B)),
             Imp(Imp(strong_neg(_A), classicalize(_B)), classicalize(_A)),
         ),
-        _g_strong_neg_cases_classicalize,
+        _build_cases_classicalize,
     ),
     (
         "strong_neg_cases",
@@ -355,10 +288,10 @@ _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
             Imp(strong_neg(_A), strong_neg(_B)),
             Imp(Imp(strong_neg(_A), _B), _A),
         ),
-        _g_strong_neg_cases,
+        _build_cases,
     ),
     ("or_intro_left", Imp(_A, or_(_A, _B)), _g_or_intro_left),
-    ("or_intro_right", Imp(_B, or_(_A, _B)), _g_or_intro_right),
+    _one_axiom("or_intro_right", "Ax1", phi=_B, psi=strong_neg(_A)),
     ("and_elim_left", Imp(and_(_A, _B), _A), _g_and_elim_left),
     ("and_elim_right", Imp(and_(_A, _B), _B), _g_and_elim_right),
     (

@@ -1,5 +1,7 @@
 """The package's public names and what importing it loads."""
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -64,3 +66,46 @@ def test_import_loads_no_numpy():
         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     ).stdout
     assert out == "False\n"
+
+
+def _package_imports():
+    """module -> (the modules of the package it imports at top level,
+    the package imports made inside a function body), read with ast."""
+    found = {}
+    for path in glob.glob(os.path.join(os.path.dirname(inpk.__file__), "*.py")):
+        name = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        top, nested = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "inpk"
+            ):
+                # from .x import y, or from . import x, y
+                target = (node.module or "inpk").split(".")[-1]
+                mods = [a.name for a in node.names] if target == "inpk" else [target]
+                if node in tree.body:
+                    top.update(mods)
+                else:
+                    nested.append((node.lineno, mods))
+        found[name] = (top, nested)
+    return found
+
+
+def test_package_imports_are_acyclic_and_at_module_top():
+    found = _package_imports()
+    assert {name: nested for name, (_, nested) in found.items() if nested} == {}
+    # depth-first search for a back edge
+    state: dict[str, str] = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(found[name][0] & found.keys()):
+            assert state.get(dep) != "open", " -> ".join(path + [dep])
+            if dep not in state:
+                visit(dep, path + [dep])
+        state[name] = "done"
+
+    for name in sorted(found):
+        if name not in state:
+            visit(name, [name])

@@ -177,8 +177,10 @@ def test_lemma1_random_scope():
 
 
 def test_lemma1_unbound_atom():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unbound atom 'p'"):
         lemma1_derive(LogicParams(0, 0), p, {})
+    with pytest.raises(ValueError, match="unbound atom 'q'"):
+        lemma1_derive(LogicParams(1, 0), Imp(p, q), {"p": F(0)})
 
 
 # -- case elimination --------------------------------------------------------

@@ -215,6 +215,24 @@ def test_check_rejects_a_field_of_the_wrong_type(just):
     assert v.reason == f"{type(just).__name__} justification has a field of the wrong type"
 
 
+def test_check_rejects_a_line_that_is_not_a_proof_line():
+    v = check(Proof(P00, (), ("junk",)))
+    assert not v and v.line == 1
+    assert v.reason == "line is a str, not a ProofLine"
+    good = ProofLine(Imp(p, Imp(q, p)), Axiom("Ax1", {"phi": p, "psi": q}))
+    v = check(Proof(P00, (), (good,), ((good, None),)))
+    assert not v and v.line is None
+    assert v.reason == "lemma 1 line 2: line is a NoneType, not a ProofLine"
+
+
+def test_check_rejects_params_that_are_not_a_logic():
+    good = ProofLine(Imp(p, Imp(q, p)), Axiom("Ax1", {"phi": p, "psi": q}))
+    for params in (None, (0, 0)):
+        v = check(Proof(params, (), (good,)))
+        assert not v and v.line is None
+        assert v.reason == "params is not a LogicParams"
+
+
 def test_check_reads_a_bool_index_as_an_int():
     hyps = (Imp(p, q), p)
     lines = (ProofLine(Imp(p, q), Hyp(False)), ProofLine(p, Hyp(True)))

@@ -48,6 +48,14 @@ def test_params_carrier():
         lp.check_value(T(2))
 
 
+@pytest.mark.parametrize(
+    "n, k", [(1.5, 0), (0, 1.0), (True, 0), (0, False), ("1", 0), (None, 0)], ids=repr
+)
+def test_params_must_be_integers(n, k):
+    with pytest.raises(ValueError, match="integers"):
+        LogicParams(n, k)
+
+
 def test_valuation_serialization():
     v = parse_valuation("p=T1,q=F0")
     assert v == {"p": T(1), "q": F(0)}

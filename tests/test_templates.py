@@ -123,12 +123,14 @@ def test_random_instances_check_and_hold():
 
 def test_one_line_templates_are_bare_axioms():
     params = LogicParams(1, 1)
-    for tid in ("intro_classicalize", "star_intro", "or_intro_right",
-                "star_of_star", "circ_of_classicalize"):
+    for tid in ("intro_classicalize", "star_of_star", "circ_of_star",
+                "star_of_classicalize", "circ_of_classicalize", "star_intro",
+                "or_intro_right"):
         info = TEMPLATES[tid]
         pf = derive_template(tid, ident(info), params)
-        assert len(pf) == 1
-        assert isinstance(pf.lines[0].just, Axiom)
+        assert len(pf) == 1, tid
+        assert isinstance(pf.lines[0].just, Axiom), tid
+        assert pf.lines[0].formula is info.statement, tid
 
 
 def sizes():
