@@ -78,7 +78,7 @@ from .semantics import (
     eval_subformulas,
     render_valuation,
 )
-from .templates import template_node
+from .templates import _ladder, _star_of_neg_imp, _strip_negs, template_node
 
 __all__ = [
     "AtomContext",
@@ -178,28 +178,6 @@ def build_delta(
     return DeltaContext(params, dict(v), ctxs)
 
 
-def _strip_negs(f: Formula) -> tuple[int, Formula]:
-    q = 0
-    while isinstance(f, Neg):
-        q += 1
-        f = f.body
-    return q, f
-
-
-def _ladder(params: LogicParams, f: Formula, base: str, step: str) -> Node:
-    """Hypothesis-free proof of f^* (base Ax3, step Ax11) or f^o (Ax4,
-    Ax12) for f a negation chain over an implication (the shape of
-    every tautology): the base axiom at the implication, then one step
-    per negation."""
-    q, core = _strip_negs(f)
-    if not isinstance(core, Imp):
-        raise ValueError("ladder needs an implication under the negations")
-    node = axiom_node(params, base, {"phi": core.ant, "psi": core.cons})
-    for j in range(q):
-        node = mp_node(axiom_node(params, step, {"phi": iter_neg(j, core)}), node)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # Per-valuation derivation
 # ---------------------------------------------------------------------------
@@ -243,7 +221,7 @@ class _Lemma1:
             return hit
         q, core = _strip_negs(f)
         if isinstance(core, Imp):
-            node = _ladder(self.params, f, "Ax4", "Ax12")
+            node = _ladder(self.params, circ, f)
         else:
             name = core.name
             w = self.v[name]
@@ -497,13 +475,8 @@ def _combine(
             "star_of_star", {"phi": iter_neg(j, psi)}, params
         )
 
-    def star_of_conj(j: int):
-        # the conjunction !^{j+1} psi && !^j psi is ~u for
-        # u = !^{j+1} psi -> ~!^j psi, and ~u is !((u -> u) -> u)
-        u = Imp(iter_neg(j + 1, psi), strong_neg(iter_neg(j, psi)))
-        return lambda: template_node(
-            "star_of_neg_imp", {"phi": Imp(u, u), "psi": u}, params
-        )
+    def star_of_conj(i: int):
+        return lambda: _star_of_neg_imp(params, _conj(psi, i))
 
     # F side: the block of F_r ends with (!^r psi)^*, after the negated
     # stars of the blocks below it; Ax5 proves the top one, (!^n psi)^*.
@@ -612,8 +585,8 @@ def _eliminate(
     theorems for the subformulas it has one for (see complete_prove)."""
     names = atoms(f)
 
-    theta_star = _ladder(params, f, "Ax3", "Ax11")
-    theta_circ = _ladder(params, f, "Ax4", "Ax12")
+    theta_star = _ladder(params, star, f)
+    theta_circ = _ladder(params, circ, f)
 
     # result(j, tail) proves f from the contexts of names[j:] at the
     # values tail: a leaf when j = 0, else the elimination of names[j-1]

@@ -9,9 +9,10 @@ twice returns the same node, so a subproof used in many places is
 stored once. The constructors ``axiom_node``, ``hyp_node``, ``mp_node``
 and ``lemma_node`` are the only place a step is validated: every node
 is correct by construction, a citation because a substitution instance
-of a theorem is a theorem. The transformers (the deduction theorem
-``discharge``, the cut and substitution) are rewrites that visit only
-the nodes resting on the hypothesis in question and reuse the rest.
+of a theorem is a theorem. The deduction theorem ``discharge`` and the
+cut are rewrites that visit only the nodes resting on the hypothesis in
+question and reuse the rest; substitution (``instantiate``) rebuilds
+every node under its root, with one formula cache.
 
 Numbered lines exist only at the boundary. ``linearize`` is the one
 place a node becomes a ``Proof``: a finite sequence of lines over a
@@ -37,8 +38,11 @@ rule (``_given``) says what formula a justification gives its line:
 larger, and ``proof_from_json`` predicts the line's text with it.
 ``expand`` gives the flat proof, every citation replaced by its
 instance. ``ProofBuilder`` and the public transformers on ``Proof``
-objects are thin layers over the nodes; a transformer runs in a
-``scope``, so the nodes it makes are dropped when it returns.
+objects (``weaken``, ``substitute_proof`` and the rest) are thin layers
+over the nodes: each reads its input with ``node_of``, which raises
+ValueError unless the proof passes ``check``, and numbers its result
+with ``linearize``. A transformer runs in a ``scope``, so the nodes it
+makes are dropped when it returns.
 
 Line and lemma references are 0-based inside the library and 1-based
 in the JSON serialization. Hypothesis indices are 0-based in both.
@@ -996,28 +1000,17 @@ def instantiate(
             bind = Binding._sorted(tuple((v, sub(g)) for v, g in node.subst.items()))
             new = _axiom(params, node.schema, bind, sub(node.formula))
         elif node.lemma is not None:
-            names = node.lemma.formula.atom_names
-            bind = _compose(node.subst, names, sub, subst)
-            new = _cite(node.lemma, bind, sub(node.formula))
+            # bind, then subst: an atom of the lemma bind leaves free is
+            # bound by subst
+            bind = {name: sub(g) for name, g in node.subst.items()}
+            for name in node.lemma.formula.atom_names:
+                if name not in bind and name in subst:
+                    bind[name] = subst[name]
+            new = _cite(node.lemma, Binding(bind), sub(node.formula))
         else:
             new = hyp_node(sub(node.formula))
         done[node] = new
     return done[root]
-
-
-def _compose(
-    bind: Mapping[str, Formula],
-    names: Sequence[str],
-    sub: Callable[[Formula], Formula],
-    subst: Mapping[str, Formula],
-) -> Binding:
-    """The binding that applies bind and then subst to a formula over
-    the atoms names: sub applies subst."""
-    out = {name: sub(g) for name, g in bind.items()}
-    for name in names:
-        if name not in out and name in subst:
-            out[name] = subst[name]
-    return Binding(out)
 
 
 def expand_node(root: Node, params: LogicParams) -> Node:
@@ -1197,31 +1190,17 @@ def replace_hyp_with_theorem(proof: Proof, index: int, theorem: Proof) -> Proof:
 
 
 def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
-    """Apply an atom substitution to every formula of a proof.
+    """Apply an atom substitution to every formula of a proof (see
+    instantiate): axiom and citation bindings are composed with it, and
+    a cited lemma is kept as it is.
 
-    Justification structure is preserved line for line; axiom and
-    citation bindings are composed with the new one. The lemma table,
-    hypothesis-free, is kept as it is.
+    Raises ValueError unless the proof passes check. Lines the
+    substitution makes identical are one line in the result.
     """
-    cache: dict[Formula, Formula] = {}
-
-    def sub(f: Formula) -> Formula:
-        return _substitute(f, subst, cache)
-
-    hyps = tuple(map(sub, proof.hypotheses))
-    lemmas = proof.lemmas
-    out: list[ProofLine] = []
-    for line in proof.lines:
-        just = line.just
-        if isinstance(just, Axiom):
-            just = Axiom(just.schema, _compose(just.subst, (), sub, subst))
-        elif isinstance(just, Lemma):
-            at = just.index
-            cited = lemmas[at] if 0 <= at < len(lemmas) else ()
-            names = cited[-1].formula.atom_names if cited else tuple(subst)
-            just = Lemma(at, _compose(just.bind, names, sub, subst))
-        out.append(ProofLine(sub(line.formula), just))
-    return Proof(proof.params, hyps, tuple(out), lemmas)
+    hyps = tuple(substitute(h, subst) for h in proof.hypotheses)
+    with scope():
+        root = instantiate(node_of(proof), subst, proof.params)
+        return linearize(root, proof.params, hyps)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ class LogicParams:
         return [F(r) for r in range(self.n + 1)] + [T(i) for i in range(self.k + 1)]
 
     def check_value(self, a: TruthValue) -> TruthValue:
+        if a.kind not in ("F", "T") or type(a.index) is not int:
+            raise ValueError(f"{a!r} is not a truth value: F or T and an int index")
         limit = self.n if a.kind == "F" else self.k
         if not 0 <= a.index <= limit:
             raise ValueError(f"value {a} out of range for (n={self.n}, k={self.k})")

@@ -7,9 +7,10 @@ rules for the defined conjunction and disjunction.  Every entry pairs a
 statement over placeholder atoms with a derivation script; the generic
 proof node is built once per logic, and an instance is a citation of
 it (see ``proofs.lemma``), so a caller pays for each script at most
-once and a proof carries each generic once, in its lemma table.  A
-template that is one axiom instance states it once: its statement is
-read off the axiom.
+once and a proof carries each generic once, in its lemma table.  Most
+scripts are read off their statement: one axiom instance, the star or
+circle of a negation chain over an implication (``_ladder``), or the
+image of a classical tautology (``classical.classical_node``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .classical import _build_cases, _build_cases_classicalize, classical_node
+from .classical import (
+    _build_cases,
+    _build_cases_classicalize,
+    classical_node,
+    untranslate,
+)
 from .formula import (
     Formula,
     Imp,
@@ -25,6 +31,7 @@ from .formula import (
     and_,
     circ,
     classicalize,
+    iter_neg,
     or_,
     star,
     strong_neg,
@@ -75,6 +82,47 @@ def _one_axiom(tid: str, schema: str, **subst: Formula) -> tuple:
     return tid, statement, lambda params: axiom_node(params, schema, subst)
 
 
+def _strip_negs(f: Formula) -> tuple[int, Formula]:
+    q = 0
+    while isinstance(f, Neg):
+        q += 1
+        f = f.body
+    return q, f
+
+
+def _ladder(params: LogicParams, mark: Callable, f: Formula) -> Node:
+    """Hypothesis-free proof of mark(f), f^* (base Ax3, step Ax11) or
+    f^o (Ax4, Ax12), for f a negation chain over an implication (the
+    shape of every tautology): the base axiom at the implication, then
+    one step per negation."""
+    base, step = ("Ax3", "Ax11") if mark is star else ("Ax4", "Ax12")
+    q, core = _strip_negs(f)
+    if not isinstance(core, Imp):
+        raise ValueError("ladder needs an implication under the negations")
+    node = axiom_node(params, base, {"phi": core.ant, "psi": core.cons})
+    for j in range(q):
+        node = mp_node(axiom_node(params, step, {"phi": iter_neg(j, core)}), node)
+    return node
+
+
+def _mark(tid: str, mark: Callable, f: Formula) -> tuple:
+    """The registry row of the template mark(f): its script is _ladder."""
+    return tid, mark(f), lambda params: _ladder(params, mark, f)
+
+
+def _classical(tid: str, statement: Formula) -> tuple:
+    """The registry row of a template that is the strong-negation image
+    of a classical tautology: its script proves that source."""
+    skeleton = untranslate(statement)
+    return tid, statement, lambda params: classical_node(params, skeleton)
+
+
+def _star_of_neg_imp(params: LogicParams, f: Formula) -> Node:
+    """f^* for f = !(a -> b): star_of_neg_imp at (a, b)."""
+    bind = {"phi": f.body.ant, "psi": f.body.cons}
+    return template_node("star_of_neg_imp", bind, params)
+
+
 # ---------------------------------------------------------------------------
 # Derivation scripts
 # ---------------------------------------------------------------------------
@@ -121,33 +169,6 @@ def _g_contraposition(params: LogicParams) -> Node:
     return _derived(params, hyps, mp_node(s, h[2]))
 
 
-def _g_or_intro_left(params: LogicParams) -> Node:
-    return classical_node(params, Imp(_A, Imp(Neg(_A), _B)))
-
-
-def _g_and_elim_left(params: LogicParams) -> Node:
-    return classical_node(params, Imp(Neg(Imp(_A, Neg(_B))), _A))
-
-
-def _g_and_elim_right(params: LogicParams) -> Node:
-    return classical_node(params, Imp(Neg(Imp(_A, Neg(_B))), _B))
-
-
-def _g_or_elim(params: LogicParams) -> Node:
-    skeleton = Imp(
-        Imp(_A, _C), Imp(Imp(_B, _C), Imp(Imp(Neg(_A), _B), _C))
-    )
-    return classical_node(params, skeleton)
-
-
-def _g_and_intro(params: LogicParams) -> Node:
-    return classical_node(params, Imp(_A, Imp(_B, Neg(Imp(_A, Neg(_B))))))
-
-
-def _g_and_to_or(params: LogicParams) -> Node:
-    return classical_node(params, Imp(Neg(Imp(_A, Neg(_B))), Imp(Neg(_A), _B)))
-
-
 def _g_circ_explosion(params: LogicParams) -> Node:
     nb = Imp(Neg(_A), _B)
     hyps = (circ(_A), Neg(_A))
@@ -159,25 +180,10 @@ def _g_circ_explosion(params: LogicParams) -> Node:
     return _derived(params, hyps, mp_node(perm_node(params, s), hyp_node(hyps[1])))
 
 
-def _g_circ_of_circ(params: LogicParams) -> Node:
-    # phi^o is !(!phi && phi) and !phi && phi is ~((!phi)->(~phi)),
-    # so two Ax12 steps climb from (@u)^o to (phi^o)^o.
-    u = Imp(Neg(_A), strong_neg(_A))
-    s = _ax(params, "Ax4", phi=Imp(u, u), psi=u)
-    s = mp_node(_ax(params, "Ax12", phi=classicalize(u)), s)
-    return mp_node(_ax(params, "Ax12", phi=strong_neg(u)), s)
-
-
-def _star_negconj(params: LogicParams) -> Node:
-    """(!phi && phi)^*, which is star_of_neg_imp at (u -> u, u)."""
-    u = Imp(Neg(_A), strong_neg(_A))
-    return template_node("star_of_neg_imp", {"phi": Imp(u, u), "psi": u}, params)
-
-
 def _g_negstar_to_circ(params: LogicParams) -> Node:
     conj = and_(Neg(_A), _A)
     cp = template_node("contraposition", {"phi": conj, "psi": star(_A)}, params)
-    s = mp_node(cp, _star_negconj(params))
+    s = mp_node(cp, _star_of_neg_imp(params, conj))
     s = mp_node(s, _ax(params, "Ax4", phi=strong_neg(Neg(_A)), psi=_A))
     ao = template_node("and_to_or", {"phi": Neg(_A), "psi": _A}, params)
     return mp_node(s, ao)
@@ -186,7 +192,7 @@ def _g_negstar_to_circ(params: LogicParams) -> Node:
 def _g_strongneg_to_circ(params: LogicParams) -> Node:
     conj = and_(Neg(_A), _A)
     cp = template_node("contraposition", {"phi": conj, "psi": classicalize(_A)}, params)
-    s = mp_node(cp, _star_negconj(params))
+    s = mp_node(cp, _star_of_neg_imp(params, conj))
     s = mp_node(s, _ax(params, "Ax4", phi=Imp(_A, _A), psi=_A))
     ae = template_node("and_elim_right", {"phi": Neg(_A), "psi": _A}, params)
     intro = _ax(params, "Ax1", phi=_A, psi=Imp(_A, _A))
@@ -213,16 +219,6 @@ def _g_circ_refute_imp(params: LogicParams) -> Node:
     return _derived(params, (h,), chain_node(params, pm, s))
 
 
-def _g_star_of_neg_imp(params: LogicParams) -> Node:
-    ax3 = _ax(params, "Ax3", phi=_A, psi=_B)
-    return mp_node(_ax(params, "Ax11", phi=Imp(_A, _B)), ax3)
-
-
-def _g_circ_of_neg_imp(params: LogicParams) -> Node:
-    ax4 = _ax(params, "Ax4", phi=_A, psi=_B)
-    return mp_node(_ax(params, "Ax12", phi=Imp(_A, _B)), ax4)
-
-
 def _g_circ_of_negstar(params: LogicParams) -> Node:
     return template_node(
         "circ_of_neg_imp", {"phi": strong_neg(Neg(_A)), "psi": _A}, params
@@ -247,10 +243,10 @@ _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
     ("refl", Imp(_A, _A), _g_refl),
     ("elim_classicalize", Imp(classicalize(_A), _A), _g_elim_classicalize),
     _one_axiom("intro_classicalize", "Ax1", phi=_A, psi=Imp(_A, _A)),
-    _one_axiom("star_of_star", "Ax3", phi=strong_neg(Neg(_A)), psi=_A),
-    _one_axiom("circ_of_star", "Ax4", phi=strong_neg(Neg(_A)), psi=_A),
-    _one_axiom("star_of_classicalize", "Ax3", phi=Imp(_A, _A), psi=_A),
-    _one_axiom("circ_of_classicalize", "Ax4", phi=Imp(_A, _A), psi=_A),
+    _mark("star_of_star", star, star(_A)),
+    _mark("circ_of_star", circ, star(_A)),
+    _mark("star_of_classicalize", star, classicalize(_A)),
+    _mark("circ_of_classicalize", circ, classicalize(_A)),
     # phi^* is ~!phi -> phi
     _one_axiom("star_intro", "Ax1", phi=_A, psi=strong_neg(Neg(_A))),
     (
@@ -290,23 +286,19 @@ _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
         ),
         _build_cases,
     ),
-    ("or_intro_left", Imp(_A, or_(_A, _B)), _g_or_intro_left),
+    _classical("or_intro_left", Imp(_A, or_(_A, _B))),
     _one_axiom("or_intro_right", "Ax1", phi=_B, psi=strong_neg(_A)),
-    ("and_elim_left", Imp(and_(_A, _B), _A), _g_and_elim_left),
-    ("and_elim_right", Imp(and_(_A, _B), _B), _g_and_elim_right),
-    (
-        "or_elim",
-        Imp(Imp(_A, _C), Imp(Imp(_B, _C), Imp(or_(_A, _B), _C))),
-        _g_or_elim,
-    ),
-    ("and_intro", Imp(_A, Imp(_B, and_(_A, _B))), _g_and_intro),
-    ("and_to_or", Imp(and_(_A, _B), or_(_A, _B)), _g_and_to_or),
+    _classical("and_elim_left", Imp(and_(_A, _B), _A)),
+    _classical("and_elim_right", Imp(and_(_A, _B), _B)),
+    _classical("or_elim", Imp(Imp(_A, _C), Imp(Imp(_B, _C), Imp(or_(_A, _B), _C)))),
+    _classical("and_intro", Imp(_A, Imp(_B, and_(_A, _B)))),
+    _classical("and_to_or", Imp(and_(_A, _B), or_(_A, _B))),
     (
         "circ_explosion",
         Imp(circ(_A), Imp(Neg(_A), Imp(_A, _B))),
         _g_circ_explosion,
     ),
-    ("circ_of_circ", circ(circ(_A)), _g_circ_of_circ),
+    _mark("circ_of_circ", circ, circ(_A)),
     ("negstar_to_circ", Imp(Neg(star(_A)), circ(_A)), _g_negstar_to_circ),
     ("strongneg_to_circ", Imp(strong_neg(_A), circ(_A)), _g_strongneg_to_circ),
     (
@@ -319,8 +311,8 @@ _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
         Imp(circ(_B), Imp(_A, Imp(Neg(_B), Neg(Imp(_A, _B))))),
         _g_circ_refute_imp,
     ),
-    ("star_of_neg_imp", star(Neg(Imp(_A, _B))), _g_star_of_neg_imp),
-    ("circ_of_neg_imp", circ(Neg(Imp(_A, _B))), _g_circ_of_neg_imp),
+    _mark("star_of_neg_imp", star, Neg(Imp(_A, _B))),
+    _mark("circ_of_neg_imp", circ, Neg(Imp(_A, _B))),
     ("circ_of_negstar", circ(Neg(star(_A))), _g_circ_of_negstar),
     (
         "negstar_explosion",

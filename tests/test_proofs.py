@@ -5,6 +5,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import inpk.formula as formula_module
 from inpk.formula import Atom, Imp, Neg, circ, iter_neg, parse, star
@@ -255,6 +256,14 @@ def test_check_builds_no_instance_larger_than_its_line():
     assert time.perf_counter() - start < 0.1
     assert v.line == 1 and v.reason == "formula is not lemma 1 under its binding"
     assert len(formula_module._NEGS) == negations
+    # an Ax5 line at (1,0) stops at the negation over its binding, which
+    # would already be larger than the line
+    big = parse("a -> b -> c -> d -> e -> a")
+    pf = Proof(P10, (), (ProofLine(Imp(p, p), Axiom("Ax5", {"phi": big})),))
+    negations = len(formula_module._NEGS)
+    v = check(pf)
+    assert v.line == 1 and v.reason == "formula is not the declared Ax5 instance"
+    assert len(formula_module._NEGS) == negations
 
 
 def test_check_rejects_unknown_schema():
@@ -484,6 +493,60 @@ def test_substitute_proof():
     assert out.conclusion is Imp(target, target)
     assert len(out) == len(pf)
     assert check(out)
+
+
+def test_substitute_proof_rejects_a_proof_that_does_not_check():
+    bad = Proof(P00, (), (ProofLine(p, Axiom("Ax1", {"phi": p, "psi": q})),))
+    with pytest.raises(ValueError, match="does not check"):
+        substitute_proof(bad, {"p": q})
+
+
+def test_substitute_proof_merges_the_lines_it_makes_identical():
+    b = ProofBuilder(P00, (p, q))
+    hp, hq = b.hyp(0), b.hyp(1)
+    b.mp(b.mp(b.axiom("Ax1", {"phi": p, "psi": q}), hp), hq)
+    pf = b.build()
+    out = substitute_proof(pf, {"q": p})
+    assert len(pf) == 5 and len(out) == 4 and check(out)
+    assert out.hypotheses == (p, p) and out.conclusion is p
+
+
+def _mirrored_pair(seed, params):
+    """A random proof and its image under p <-> q, side by side: Ax1 at
+    their conclusions and two modus ponens."""
+
+    def one(names):
+        rng = random.Random(seed)
+        hyps = [random_formula(rng, names, rng.randint(0, 2)) for _ in range(2)]
+        return random_proof(rng, params, hyps, rng.randint(1, 14), names)
+
+    left, right = one(["p", "q"]), one(["q", "p"])
+    b = ProofBuilder(params, dict.fromkeys(left.hypotheses + right.hypotheses))
+    a, c = b.splice(left), b.splice(right)
+    ax1 = b.axiom("Ax1", {"phi": b.formula_at(a), "psi": b.formula_at(c)})
+    b.mp(b.mp(ax1, a), c)
+    return b.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    params=st.sampled_from([P00, P10, P11]),
+    subst=st.dictionaries(
+        st.sampled_from(["p", "q", "r"]),
+        st.sampled_from([p, q, r, Imp(q, p), Neg(p), Imp(Neg(r), q)]),
+        min_size=1,
+    ),
+)
+def test_substitute_proof_concludes_the_substituted_conclusion(seed, params, subst):
+    # a substitution that sends p and q to one formula makes the two
+    # mirrored halves one
+    pf = _mirrored_pair(seed, params)
+    out = substitute_proof(pf, subst)
+    assert check(out)
+    assert out.conclusion is substitute(pf.conclusion, subst)
+    assert out.hypotheses == tuple(substitute(h, subst) for h in pf.hypotheses)
+    assert len(out) <= len(pf)
 
 
 # --- secondary rules ---

@@ -10,7 +10,7 @@ from inpk.formula import (
     iter_neg, atoms,
 )
 from inpk.semantics import (
-    F, T, LogicParams, OrderVerdict, parse_value, parse_valuation,
+    F, T, LogicParams, OrderVerdict, TruthValue, parse_value, parse_valuation,
     render_valuation, neg_value, imp_value, eval_formula, eval_subformulas,
     is_designated,
     enumerate_valuations, is_tautology, entails, compare_logics,
@@ -54,6 +54,24 @@ def test_params_carrier():
 def test_params_must_be_integers(n, k):
     with pytest.raises(ValueError, match="integers"):
         LogicParams(n, k)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        TruthValue("X", 0),
+        TruthValue("t", 1),
+        TruthValue("F", True),
+        TruthValue("T", 1.0),
+    ],
+    ids=repr,
+)
+def test_check_value_rejects_a_value_of_no_logic(value):
+    lp = LogicParams(1, 1)
+    with pytest.raises(ValueError, match="is not a truth value"):
+        lp.check_value(value)
+    with pytest.raises(ValueError):
+        eval_formula(lp, Atom("p"), {"p": value})
 
 
 def test_valuation_serialization():
