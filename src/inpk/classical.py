@@ -81,16 +81,11 @@ def _image_children(g: Formula) -> tuple[Formula, ...]:
     """children(g), with a strong negation's body read through to x."""
     if type(g) is not Neg:
         return children(g)
-    body = g.body
-    # strong negation of x is !(((x -> x) -> x))
-    if not (
-        isinstance(body, Imp)
-        and isinstance(body.ant, Imp)
-        and body.ant.ant is body.ant.cons
-        and body.ant.ant is body.cons
-    ):
+    # g is the strong negation !((x -> x) -> x) of x iff rebuilding it
+    # gives g back; a g that is not one builds at most three formulas
+    if type(g.body) is not Imp or strong_neg(g.body.cons) is not g:
         raise NotClassicalImage(f"negation at {g!r} is not a strong negation")
-    return (body.cons,)
+    return (g.body.cons,)
 
 
 def _translate(g: Formula) -> dict[Formula, Formula]:

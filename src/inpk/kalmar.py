@@ -4,12 +4,12 @@ The synthesis has three layers.  For a fixed valuation, every atom gets
 a small set of designated "context" formulas that pin down its value
 axiomatically; a structural recursion then proves, from those contexts,
 either the formula itself or a negated form of it (``lemma1_derive``).
-A case-elimination step (``lemma2_combine``) discharges all contexts of
-one atom at once, merging the proofs obtained for its different values;
-a merge where one arm does not rest on its case hypothesis is elided, and
-that arm is the result. ``complete_prove`` folds the atoms away one by
-one, ending with a hypothesis-free proof, and runs the recursion only
-for the valuations whose proofs a merge needs.
+A case-elimination step (``lemma2_combine``, ``_combine`` on nodes)
+discharges all contexts of one atom at once by Ax7 case splits; a split
+where one arm does not rest on its case hypothesis is elided, and that
+arm is the result. ``complete_prove`` folds the atoms away one by one,
+ending with a hypothesis-free proof, and runs the recursion only for
+the valuations whose proofs a merge needs.
 
 A proper subformula of the goal that is itself a tautology is a
 subgoal: it is proved once, hypothesis-free, innermost first, and the
@@ -299,12 +299,7 @@ class _Lemma1:
             # the witness of the body already carries the extra negation
             return self.nodes[body]
         if w.index > 0:
-            q, core = _strip_negs(f)
-            if not isinstance(core, Atom):
-                raise AssertionError(
-                    "only negation chains over atoms can sit strictly "
-                    "inside the designated values"
-                )
+            q, core = _atom_chain(f)
             # f = !^q a with v(a) = T_{w.index + q - 1}; the context block
             # holds the conjunction !^q a && !^{q-1} a
             tpl = self.use(
@@ -329,22 +324,12 @@ class _Lemma1:
             s = mp_node(tpl, self.circ_node(ant))
             return mp_node(s, self.nodes[ant])  # witness of ant is !ant
         if wa.kind == "F":
-            s_ant, core = _strip_negs(ant)
-            if not isinstance(core, Atom):
-                raise AssertionError(
-                    "only negation chains over atoms can sit strictly "
-                    "inside the non-designated values"
-                )
+            s_ant, core = _atom_chain(ant)
             # context holds !(ant^*) at position s_ant of the atom's block
             tpl = self.use("negstar_explosion", phi=ant, psi=cons)
             return mp_node(tpl, self.q_hyp(core.name, s_ant))
         if wc.index > 0:
-            s_cons, core = _strip_negs(cons)
-            if not isinstance(core, Atom):
-                raise AssertionError(
-                    "only negation chains over atoms can sit strictly "
-                    "inside the non-designated values"
-                )
+            s_cons, core = _atom_chain(cons)
             # from ant, f itself yields cons, hence cons^*; but !(cons^*)
             # is in the context, so refute f by contraposition
             pm = perm_node(params, refl_node(params, f))  # ant -> (f -> cons)
@@ -361,6 +346,15 @@ class _Lemma1:
         s = mp_node(tpl, self.circ_node(cons))
         s = mp_node(s, self.nodes[ant])
         return mp_node(s, self.nodes[cons])  # witness of cons is !cons
+
+
+def _atom_chain(f: Formula) -> tuple[int, Atom]:
+    """(q, a) for f = !^q a: the only shape whose value can be F_r or T_i
+    with r, i > 0, the values a context block pins down."""
+    q, core = _strip_negs(f)
+    if type(core) is not Atom:
+        raise AssertionError("only negation chains over atoms take F_r or T_i, r, i > 0")
+    return q, core
 
 
 def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
@@ -381,36 +375,6 @@ def lemma1_derive(params: LogicParams, f: Formula, v: Valuation) -> Proof:
 # ---------------------------------------------------------------------------
 
 
-def _merge_complement(
-    params: LogicParams,
-    x: Formula,
-    neg: Node,
-    pos: Node,
-    x_star: Node,
-    theta: Formula,
-    theta_star: Node,
-    theta_circ: Node,
-) -> Node:
-    """From proofs of !x -> theta and x -> theta conclude theta:
-    contrapose the positive arm into !theta -> !x, chain through the
-    negative arm, and close with the case axiom at theta."""
-    cp = template_node("contraposition", {"phi": x, "psi": theta}, params)
-    s = mp_node(mp_node(cp, x_star), theta_circ)
-    s = mp_node(s, pos)  # !theta -> !x
-    loop = chain_node(params, s, neg)  # !theta -> theta
-    ax7 = axiom_node(params, "Ax7", {"phi": theta, "psi": theta})
-    s = mp_node(mp_node(ax7, theta_star), theta_circ)
-    s = mp_node(s, refl_node(params, Neg(theta)))
-    return mp_node(s, loop)
-
-
-def _value_order(params: LogicParams) -> list[TruthValue]:
-    """F_1..F_n, T_1..T_k, F_0, T_0: the order of lemma2's branches."""
-    order = [F(r) for r in range(1, params.n + 1)]
-    order += [T(i) for i in range(1, params.k + 1)]
-    return order + [F(0), T(0)]
-
-
 def _combine(
     params: LogicParams,
     psi: Formula,
@@ -423,8 +387,9 @@ def _combine(
     the value w (and on any context shared by all), the result on the
     shared part.
 
-    The blocks are eliminated one case split at a time, each split
-    resting on one branch and on the arm built from the splits above it.
+    The blocks are eliminated one case split at a time (split), each
+    resting on one branch and on the arm built from the splits above it;
+    Ax5 and Ax6 prove the top rungs, (!^n psi)^* and (!^k psi)^o.
     The branch is built first; when it does not rest on its case
     hypothesis it is the split's result and the arm above is never
     built. Otherwise, when the arm does not rest on its hypothesis, the
@@ -439,20 +404,20 @@ def _combine(
         x: Formula, own: Node, own_on_x: bool, other: Node, x_star: Callable[[], Node]
     ) -> Node:
         """The case split on x, where own rests on its case hypothesis
-        (x when own_on_x, !x otherwise) and other on the opposite one."""
+        (x when own_on_x, !x otherwise) and other on the opposite one:
+        the x arm, contraposed, chains through the !x arm into the loop
+        !theta -> theta, which the case axiom Ax7 at theta closes."""
         if (Neg(x) if own_on_x else x) not in other.hyps:
             return other
         pos, neg = (own, other) if own_on_x else (other, own)
-        return _merge_complement(
-            params,
-            x,
-            discharge(neg, Neg(x), params),
-            discharge(pos, x, params),
-            x_star(),
-            theta,
-            theta_star,
-            theta_circ,
-        )
+        cp = template_node("contraposition", {"phi": x, "psi": theta}, params)
+        s = mp_node(mp_node(cp, x_star()), theta_circ)
+        s = mp_node(s, discharge(pos, x, params))  # !theta -> !x
+        loop = chain_node(params, s, discharge(neg, Neg(x), params))  # !theta -> theta
+        ax7 = axiom_node(params, "Ax7", {"phi": theta, "psi": theta})
+        s = mp_node(mp_node(ax7, theta_star), theta_circ)
+        s = mp_node(s, refl_node(params, Neg(theta)))
+        return mp_node(s, loop)
 
     def ladder(rungs, top: Callable[[], Node]) -> Node:
         """Eliminate rungs, bottom first: (w, x, on_x, x_star) splits on x
@@ -556,8 +521,10 @@ def lemma2_combine(
                 raise ValueError(f"{name} must prove the bare goal with no hypotheses")
             sides.append(checked(name, pf))
 
+        order = [F(r) for r in range(1, params.n + 1)]
+        order += [T(i) for i in range(1, params.k + 1)] + [F(0), T(0)]
         branches: dict[TruthValue, Node] = {}
-        for j, (w, pf) in enumerate(zip(_value_order(params), branch_proofs)):
+        for j, (w, pf) in enumerate(zip(order, branch_proofs)):
             if pf.params != params:
                 raise ValueError(f"branch {j} built for a different logic")
             if pf.conclusion is not theta:

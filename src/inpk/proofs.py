@@ -210,15 +210,14 @@ def _substitute(
     return cache[f]
 
 
-def match_pattern(pattern: Formula, f: Formula) -> Optional[dict[str, Formula]]:
-    """One-way match of a concrete formula against a pattern.
-
-    Every atom occurring in the pattern is a metavariable slot; repeated
-    slots must map to the identical subformula. Returns the binding or
-    None.
-    """
+def match_axiom(
+    f: Formula, schema: str, params: LogicParams
+) -> Optional[dict[str, Formula]]:
+    """The unique substitution s with pattern[s] = f, if one exists: a
+    one-way match, every atom of the pattern a metavariable slot, and
+    repeated slots mapped to the identical subformula."""
     binding: dict[str, Formula] = {}
-    stack = [(pattern, f)]
+    stack = [(axiom_pattern(schema, params), f)]
     while stack:
         p, g = stack.pop()
         if isinstance(p, Atom):
@@ -238,13 +237,6 @@ def match_pattern(pattern: Formula, f: Formula) -> Optional[dict[str, Formula]]:
             stack.append((p.ant, g.ant))
             stack.append((p.cons, g.cons))
     return binding
-
-
-def match_axiom(
-    f: Formula, schema: str, params: LogicParams
-) -> Optional[dict[str, Formula]]:
-    """The unique substitution s with pattern[s] = f, if one exists."""
-    return match_pattern(axiom_pattern(schema, params), f)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +379,13 @@ def check(proof: Proof) -> CheckVerdict:
     every binding mapping names to formulas. Each lemma is checked once,
     in table order, before the lines: it must have lines, cite no
     hypothesis and cite only earlier lemmas. Rejection reports the first
-    offending line (1-based); a fault in the lemma table has line None
-    and a reason naming the lemma and its line.
+    offending line (1-based); a hypothesis that is not a formula, or a
+    fault in the lemma table, has line None and a reason naming the
+    hypothesis, or the lemma and its line.
 
     check adds nothing to the node table. It looks axiom instances up
     there and builds the ones it misses, none larger than its line (see
-    _given); proof_from_json leaves in the table every instance it
+    _given); proof_from_json enters into the table every instance it
     predicts, so a document just read is checked without building any.
     """
     if not proof.lines:
@@ -400,6 +393,9 @@ def check(proof: Proof) -> CheckVerdict:
     params = proof.params
     if not isinstance(params, LogicParams):
         return CheckVerdict(False, None, "params is not a LogicParams")
+    for i, h in enumerate(proof.hypotheses):
+        if not isinstance(h, Formula):
+            return CheckVerdict(False, None, _not_a_formula(i, h))
     conclusions: list[Formula] = []
     for e, entry in enumerate(proof.lemmas, start=1):
         if not entry:
@@ -414,6 +410,10 @@ def check(proof: Proof) -> CheckVerdict:
         i, reason = fault
         return CheckVerdict(False, i + 1, reason)
     return _ACCEPTED
+
+
+def _not_a_formula(i: int, h: object) -> str:
+    return f"hypothesis {i} is a {type(h).__name__}, not a formula"
 
 
 def _fault(
@@ -450,14 +450,12 @@ def _given(
     params: LogicParams,
     conclusions: Sequence[Formula],
     size: int,
-    keep: bool = False,
 ) -> Union[Formula, str]:
     """The formula just gives line i of lines, or the reason (a str) it
     gives none; hyps and conclusions are as in _fault, and a field of
     the wrong type is a reason. It builds no formula whose comp is size
     or more, and gives none at size 0: the reason is then the one a
-    line of another formula has. With keep, an axiom node it builds is
-    entered into the node table."""
+    line of another formula has. It adds nothing to the node table."""
     try:
         if isinstance(just, Axiom):
             schema, subst = just.schema, just.subst
@@ -490,8 +488,6 @@ def _given(
                 f = _substitute(axiom_pattern(schema, params), subst, {}, size)
             if f is None:
                 return f"formula is not the declared {schema} instance"
-            if keep:
-                _axiom(params, schema, subst, f)
             return f
         if isinstance(just, Hyp):
             at = just.index
@@ -587,9 +583,9 @@ def _axiom(
 ) -> Node:
     """The axiom node of a binding; the one maker of axiom nodes.
 
-    formula may pass the instance when it is already known: _given
-    passes the one it has built and checked; instantiate passes s(f)
-    for an instance f of the same schema under the binding b, where
+    formula is passed when the instance is known: proof_from_json
+    passes the one _given has built and checked; instantiate passes
+    s(f) for an instance f of the same schema under the binding b, where
     subst is s applied to b, and pattern[b][s] is pattern[s(b)] because
     every atom of a pattern is one of its metavariables.
     """
@@ -777,6 +773,8 @@ def linearize(
     hypotheses = tuple(hypotheses)
     position: dict[Formula, int] = {}
     for i, h in enumerate(hypotheses):
+        if not isinstance(h, Formula):
+            raise ValueError(_not_a_formula(i, h))
         position.setdefault(h, i)
     lines, cited = _number(root, position)
     numbered: dict[Node, tuple] = {}
@@ -1207,10 +1205,6 @@ def substitute_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
 # Secondary rules (Ax1/Ax2/MP glue)
 
 
-def _merge_hypotheses(*proofs: Proof) -> tuple[Formula, ...]:
-    return tuple(dict.fromkeys(h for p in proofs for h in p.hypotheses))
-
-
 def rule_trans(p1: Proof, p2: Proof) -> Proof:
     """From a->b and b->c conclude a->c."""
     c1, c2 = p1.conclusion, p2.conclusion
@@ -1224,7 +1218,7 @@ def rule_trans(p1: Proof, p2: Proof) -> Proof:
         raise ValueError("mismatched logic params")
     with scope():
         root = chain_node(p1.params, node_of(p1), node_of(p2))
-        return linearize(root, p1.params, _merge_hypotheses(p1, p2))
+        return linearize(root, p1.params, dict.fromkeys(p1.hypotheses + p2.hypotheses))
 
 
 def rule_perm(p: Proof) -> Proof:
@@ -1434,7 +1428,9 @@ def proof_from_json(data: Union[str, bytes, dict]) -> Proof:
             f = cache.formulas.get(text)
             # a known text needs no prediction, but an axiom's node is kept
             if f is None or type(just) is Axiom:
-                g = _given(just, lines, len(lines), hyps, params, conclusions, len(text), True)
+                g = _given(just, lines, len(lines), hyps, params, conclusions, len(text))
+                if type(just) is Axiom and type(g) is not str:
+                    _axiom(params, just.schema, Binding.of(just.subst), g)
                 # a text spells at least one character per connective and atom
                 if f is None and type(g) is not str and g.comp < len(text):
                     f = g if cache.spell(g, len(text)) == text else None

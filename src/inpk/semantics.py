@@ -269,8 +269,8 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
     When everywhere is a set, the subformulas designated at every
     valuation visited are added to it. A valid verdict visits them all,
     so these are then the subformulas that are tautologies, read off the
-    same pass. For that, no subformula's bits are freed before the end
-    of its block, where they are compared with a full block.
+    same pass. A subformula's bits are compared with a full block when
+    they are freed, and a root's at the end of each block.
     """
     roots = list(dict.fromkeys(hyps + [goal]))
     order, chains, grades = _collapse(params, roots, names)
@@ -320,7 +320,7 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
         elif type(g) is Imp:
             last_use[g.ant] = pos
             last_use[g.cons] = pos
-    keep = set(order) if everywhere is not None else set(roots)
+    keep = set(roots)
     expiry: dict[int, list[Formula]] = {}
     for g, pos in last_use.items():
         if g not in keep:
@@ -341,10 +341,11 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
             else:
                 value[g] = (full ^ value[g.ant]) | value[g.cons]
             for dead in expiry.get(pos, ()):
+                if everywhere is not None and value[dead] != full:
+                    everywhere.discard(dead)
                 del value[dead]
         if everywhere is not None:
-            everywhere.difference_update(
-                [g for g, bits in value.items() if bits != full])
+            everywhere.difference_update([g for g in roots if value[g] != full])
         bad = full ^ value[goal]
         for h in hyps:
             bad &= value[h]

@@ -219,12 +219,6 @@ def _g_circ_refute_imp(params: LogicParams) -> Node:
     return _derived(params, (h,), chain_node(params, pm, s))
 
 
-def _g_circ_of_negstar(params: LogicParams) -> Node:
-    return template_node(
-        "circ_of_neg_imp", {"phi": strong_neg(Neg(_A)), "psi": _A}, params
-    )
-
-
 def _g_negstar_explosion(params: LogicParams) -> Node:
     hyps = (Neg(star(_A)), _A)
     si = _ax(params, "Ax1", phi=_A, psi=strong_neg(Neg(_A)))
@@ -313,7 +307,7 @@ _REGISTRY: tuple[tuple[str, Formula, Callable[[LogicParams], Node]], ...] = (
     ),
     _mark("star_of_neg_imp", star, Neg(Imp(_A, _B))),
     _mark("circ_of_neg_imp", circ, Neg(Imp(_A, _B))),
-    ("circ_of_negstar", circ(Neg(star(_A))), _g_circ_of_negstar),
+    _mark("circ_of_negstar", circ, Neg(star(_A))),
     (
         "negstar_explosion",
         Imp(Neg(star(_A)), Imp(_A, _B)),

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import inpk.formula as formula_module
 
@@ -464,6 +464,7 @@ def test_text_cache_fails_as_parse(text):
         assert _outcome(cache.parse, whole) == _outcome(parse, whole)
 
 
+@settings(deadline=None)
 @given(sugared, sugared, st.booleans())
 def test_text_cache_parses_as_parse(a, b, spelled):
     (ta, fa), (tb, fb) = a, b

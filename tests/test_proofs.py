@@ -234,6 +234,30 @@ def test_check_rejects_params_that_are_not_a_logic():
         assert v.reason == "params is not a LogicParams"
 
 
+def test_check_rejects_a_hypothesis_that_is_not_a_formula():
+    # the whole proof is rejected, whether a line cites the hypothesis or not
+    v = check(Proof(P00, ("p",), (ProofLine("p", Hyp(0)),)))
+    assert not v and v.line is None
+    assert v.reason == "hypothesis 0 is a str, not a formula"
+    v = check(Proof(P00, (p, 3), (ProofLine(p, Hyp(0)),)))
+    assert not v and v.line is None
+    assert v.reason == "hypothesis 1 is a int, not a formula"
+
+
+def test_no_proof_is_made_over_a_hypothesis_that_is_not_a_formula():
+    b = ProofBuilder(P00, (p,))
+    b.hyp(0)
+    pf = b.build()
+    with pytest.raises(ValueError, match="hypothesis 1 is a str, not a formula"):
+        weaken(pf, [p, "junk"])
+    b = ProofBuilder(P00, [p, 3])
+    b.hyp(0)
+    with pytest.raises(ValueError, match="hypothesis 1 is a int, not a formula"):
+        b.build()
+    with pytest.raises(ValueError, match="hypothesis 0 is a NoneType, not a formula"):
+        linearize(hyp_node(p), P00, [None, p])
+
+
 def test_check_reads_a_bool_index_as_an_int():
     hyps = (Imp(p, q), p)
     lines = (ProofLine(Imp(p, q), Hyp(False)), ProofLine(p, Hyp(True)))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from inpk.semantics import (
     enumerate_valuations, is_tautology, entails, compare_logics,
     separating_witness, truth_table, decision_size, _decide,
 )
+
+from helpers import random_formula
 
 p = Atom("p")
 q = Atom("q")
@@ -499,6 +502,29 @@ def test_reported_tautological_subformulas_span_blocks(chunk, monkeypatch):
         valuations, _ = decision_size(lp, [f])
         assert valuations > chunk  # more than one block
         assert _reported_tautologies(lp, f) == _brute_tautologies(lp, f), f
+
+
+def test_reporting_the_tautological_subformulas_frees_their_bits():
+    # the bits of a subformula are freed after its last use whether or not
+    # the decision also reports the tautologies: g -> g under the chains
+    # !^16 x of its four atoms, 34^4 valuations of about 800 subformulas
+    lp = LogicParams(16, 16)
+    g = random_formula(random.Random(7), list("abcd"), 1200)
+    f = Imp(g, g)
+    for x in "abcd":
+        f = Imp(iter_neg(16, Atom(x)), f)
+
+    def peak(everywhere):
+        tracemalloc.start()
+        try:
+            assert _decide(lp, [], f, atoms(f), everywhere)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    valid: set = set()
+    assert peak(valid) <= 2 * peak(None)
+    assert Imp(g, g) in valid and g not in valid
 
 
 def _chain_depths(f):
