@@ -52,16 +52,11 @@ from .semantics import (
 )
 
 MAX_PARAM = 16
-# The budget counts all (n+k+2)^m valuations of m atoms.  taut and entails
-# enumerate only the grades each atom's negation chains can tell apart, at
-# most that many.
-MAX_VALUATIONS = 10**8
-# Within that budget the time still grows with the formula: the decision
-# evaluates each distinct subformula but the negation chains over atoms
-# once per collapsed valuation, at 1 to 11 * 10^-11 s a step (one core,
-# Python 3.11).  So taut, entails and the check before prove also refuse
-# more than this many steps, and a query within both budgets decides in
-# about half a second at most.
+# taut, entails and the check before prove refuse a query whose decision
+# takes more than this many steps: the valuations left after the collapse
+# times the subformulas evaluated at each (semantics.decision_size).  Near
+# the budget a step took at most 1.6 * 10^-10 s (random queries at (16,16),
+# one core, Python 3.11), so a query within it decides in under a second.
 MAX_DECISION_STEPS = 5 * 10**9
 # prove splits on the (n+k+2)^m valuations and derives only the cases a
 # merge needs (the 34^3 = 39 304 cases of "a -> b -> c -> a" at (16,16)
@@ -85,24 +80,8 @@ def _params(n: int, k: int) -> LogicParams:
         raise _CliError(str(exc)) from None
 
 
-def _within_budget(
-    params: LogicParams,
-    formulas: list[Formula],
-    budget: int = MAX_VALUATIONS,
-    what: str = "valuations",
-) -> None:
-    names = {name for f in formulas for name in atoms(f)}
-    count = params.size ** len(names)
-    if count > budget:
-        raise _CliError(
-            f"{len(names)} atoms at (n,k) = ({params.n},{params.k}) make "
-            f"{count} {what}, over the budget of {budget}"
-        )
-
-
 def _decidable(params: LogicParams, formulas: list[Formula]) -> None:
-    """Refuse a query over the valuation or the decision-step budget."""
-    _within_budget(params, formulas)
+    """The one capacity rule of a decision: refuse a query over the budget."""
     valuations, nodes = decision_size(params, formulas)
     if valuations * nodes > MAX_DECISION_STEPS:
         raise _CliError(
@@ -326,7 +305,12 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     params = _params(args.n, args.k)
     f = _formula(args.expr)
     _decidable(params, [f])
-    _within_budget(params, [f], MAX_PROVE_CASES, "cases to synthesize")
+    cases = params.size ** len(atoms(f))
+    if cases > MAX_PROVE_CASES:
+        raise _CliError(
+            f"{len(atoms(f))} atoms at (n,k) = ({params.n},{params.k}) make "
+            f"{cases} cases to synthesize, over the budget of {MAX_PROVE_CASES}"
+        )
     try:
         pf = complete_prove(params, f)
     except NotATautology as exc:

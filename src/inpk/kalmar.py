@@ -683,7 +683,7 @@ def complete_prove(
     """
     with scope():
         valid: set[Formula] = set()
-        verdict = _decide(params, [], f, atoms(f), valid)
+        verdict = _decide(params, [], f, valid)
         if not verdict:
             raise NotATautology(params, f, verdict.counterexample)
         theorems = _theorems(params, f, valid)

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .formula import (
-    CONNECTIVES, Atom, Neg, Imp, Formula, atoms, children, expand, iter_neg,
+    CONNECTIVES, Atom, Neg, Imp, Formula, children, expand, iter_neg,
     or_, and_, postorder,
 )
 
@@ -223,20 +223,25 @@ def _designation(grades: list[TruthValue], j: int) -> list[bool]:
     ]
 
 
-def _collapse(params: LogicParams, roots: list[Formula], names: list[str]):
-    """The distinct subformulas of roots in postorder, the chain !^j p
-    each negation chain over an atom is (as (position of p, j)), and
-    the grades each atom ranges over after the collapse."""
-    position = {name: i for i, name in enumerate(names)}
+def _collapse(params: LogicParams, roots: list[Formula]):
+    """The subformulas of roots the decision evaluates, in postorder; the
+    atom names as that walk meets them (first occurrence, roots in turn);
+    (position of p, j) for each of those that is a chain !^j p over an
+    atom; and each atom's grades after the collapse."""
+    names: list[str] = []
     # chains[!^j p] = (position of p, j); every other node is a bit.
     chains: dict[Formula, tuple[int, int]] = {}
     order: dict[Formula, None] = {}
+    read = set(roots)  # the roots, and what an implication reads
     for root in roots:
         for g in postorder(root, children, order):
             order[g] = None
             if type(g) is Atom:
-                chains[g] = (position[g.name], 0)
-            elif type(g) is Neg and g.body in chains:
+                chains[g] = (len(names), 0)
+                names.append(g.name)
+            elif type(g) is Imp:
+                read.update((g.ant, g.cons))
+            elif g.body in chains:
                 i, j = chains[g.body]
                 chains[g] = (i, j + 1)
 
@@ -249,31 +254,36 @@ def _collapse(params: LogicParams, roots: list[Formula], names: list[str]):
         + [T(r) for r in range(min(params.k, d) + 1)]
         for d in depth
     ]
-    return order, chains, grades
+    # A chain that only the next chain over its atom reads is not evaluated.
+    for g in chains.keys() - read:
+        del order[g], chains[g]
+    return order, names, chains, grades
 
 
 def decision_size(params: LogicParams, formulas: list[Formula]) -> tuple[int, int]:
     """The valuations (after the collapse) that is_tautology or entails
     goes through to decide these formulas, and the distinct subformulas
-    it evaluates as bits at each (all but the negation chains over an
-    atom, which are looked up); the work is about their product."""
-    names = list(dict.fromkeys(a for f in formulas for a in atoms(f)))
-    order, chains, grades = _collapse(params, list(dict.fromkeys(formulas)), names)
-    return math.prod(len(g) for g in grades), len(order) - len(chains)
+    it evaluates at each (the formulas and all but the negation chains
+    over an atom, which are looked up); the work is about their product."""
+    order, _, chains, grades = _collapse(params, formulas)
+    looked_up = len(chains.keys() - set(formulas))
+    return math.prod(len(g) for g in grades), len(order) - looked_up
 
 
 def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
-            names: list[str], everywhere: Optional[set] = None) -> Verdict:
-    """First valuation (canonical order) designating hyps but not goal.
+            everywhere: Optional[set] = None) -> Verdict:
+    """First valuation (canonical order) designating hyps but not goal;
+    its atoms go in first-occurrence order, hyps first (see _collapse).
 
-    When everywhere is a set, the subformulas designated at every
-    valuation visited are added to it. A valid verdict visits them all,
-    so these are then the subformulas that are tautologies, read off the
-    same pass. A subformula's bits are compared with a full block when
-    they are freed, and a root's at the end of each block.
+    When everywhere is a set, the evaluated subformulas designated at
+    every valuation visited are added to it. A valid verdict visits them
+    all, so these are then the tautological subformulas (no chain over an
+    atom is one), read off the same pass. A subformula's bits are compared
+    with a full block when freed, and a root's at the end of each block.
     """
-    roots = list(dict.fromkeys(hyps + [goal]))
-    order, chains, grades = _collapse(params, roots, names)
+    hyps = list(dict.fromkeys(hyps))
+    roots = dict.fromkeys(hyps + [goal])
+    order, names, chains, grades = _collapse(params, roots)
     radix = [len(g) for g in grades]
 
     # The trailing atoms names[split:] vary inside a block of `size`
@@ -288,15 +298,18 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
         if i + 1 != split:
             inner[i] = inner[i + 1] * radix[i + 1]
 
-    # Designation bits, bit v for valuation v of the block: built once
-    # for the trailing chains, all set or all clear for the leading ones.
+    # Designation bits, bit v for valuation v of the block: built once per
+    # trailing atom and designation, all set or all clear for leading ones.
     full = (1 << size) - 1
     patterns: dict[Formula, int] = {}
+    shared: dict[tuple[int, tuple[bool, ...]], int] = {}
     leading: dict[Formula, tuple[int, list[bool]]] = {}
     for g, (i, j) in chains.items():
         bits = _designation(grades[i], j)
         if i < split:
             leading[g] = (i, bits)
+        elif (i, tuple(bits)) in shared:
+            patterns[g] = shared[i, tuple(bits)]
         else:
             # One period, then doubled: a multiple of the period's
             # repunit would take a long division, which is quadratic.
@@ -309,21 +322,20 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
             while period < size:
                 x |= x << period
                 period *= 2
-            patterns[g] = x & full
+            patterns[g] = shared[i, tuple(bits)] = x & full
 
     # Free each intermediate after its last use.
     last_use: dict[Formula, int] = {}
     for pos, g in enumerate(order):
         last_use[g] = pos
-        if type(g) is Neg:
-            last_use[g.body] = pos
-        elif type(g) is Imp:
+        if type(g) is Imp:
             last_use[g.ant] = pos
             last_use[g.cons] = pos
-    keep = set(roots)
+        elif g not in chains:
+            last_use[g.body] = pos
     expiry: dict[int, list[Formula]] = {}
     for g, pos in last_use.items():
-        if g not in keep:
+        if g not in roots:
             expiry.setdefault(pos, []).append(g)
 
     if everywhere is not None:
@@ -362,18 +374,12 @@ def _decide(params: LogicParams, hyps: list[Formula], goal: Formula,
 
 def is_tautology(params: LogicParams, f: Formula) -> Verdict:
     """Valid iff f is designated under every valuation of its atoms."""
-    return _decide(params, [], f, atoms(f))
+    return _decide(params, [], f)
 
 
 def entails(params: LogicParams, hyps: list[Formula], f: Formula) -> Verdict:
     """Consequence over the union of atoms (hypotheses first)."""
-    names: dict[str, None] = {}
-    for h in hyps:
-        for a in atoms(h):
-            names[a] = None
-    for a in atoms(f):
-        names[a] = None
-    return _decide(params, list(hyps), f, list(names))
+    return _decide(params, hyps, f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface.
 
 Everything goes through ``main(argv)`` so exit codes are the returned
-ints and output is captured with capsys.
+ints and output is captured with capsys, but for a run under a memory
+cap, which starts ``inpk.cli`` as a process.
 """
 
 import json
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -165,14 +170,26 @@ def test_negative_param_is_usage_error(capsys):
 
 
 def test_taut_over_valuation_budget_is_capacity_error(capsys):
+    # 34^8 valuations at (16,16), but no atom is under a negation, so
+    # each takes two grades: the one budget counts the steps, 2^8 * 8
     start = time.perf_counter()
-    rc, _, err = run(
+    rc, out, err = run(
         capsys, "taut", "--n", "16", "--k", "16",
         "a -> b -> c -> d -> e -> f -> g -> h -> a",
     )
     assert time.perf_counter() - start < 1
-    assert rc == 2
-    assert "valuations" in err
+    assert (rc, out.strip(), err) == (0, "valid", "")
+
+
+def test_taut_over_decision_step_budget_is_capacity_error(capsys):
+    # every grade of six atoms under !^16 counts: 34^6 valuations times
+    # 6 implications, 9.3 * 10^9 steps
+    text = " -> ".join("!" * 16 + x for x in "abcdefa")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "taut", "--n", "16", "--k", "16", text)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert "9268826496 decision steps, over the budget" in err
 
 
 def _deep_tautology(leaves: int) -> Imp:
@@ -193,7 +210,7 @@ def _deep_tautology(leaves: int) -> Imp:
 
 
 def test_decision_step_budget_refuses_long_deep_queries(capsys):
-    # 34^5 valuations, under the valuation budget, but 30 KB of text
+    # 34^5 valuations, but 30 KB of text
     f = _deep_tautology(600)
     text = render(f)
     assert 30_000 < len(text) < 32_000
@@ -215,6 +232,25 @@ def test_decision_step_budget_refuses_long_deep_queries(capsys):
     assert (rc, out.strip(), err) == (0, "valid", "")
 
 
+def test_long_negation_chains_decide_under_a_memory_cap(tmp_path):
+    # 64 KB: 19 plain atoms, then t under 32 000 negations twice.  t varies
+    # inside a block, and a pattern of its bits per chain over it once
+    # died with a MemoryError (exit 1, as for a refuted query)
+    chain = "!" * 32000 + "t"
+    text = " -> ".join([*"abcdefghijklmnopqrs", chain, chain])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "inpk.cli", "taut", "--n", "0", "--k", "0", text],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap, timeout=120,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "valid"), done.stderr
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli._parser() is cli._parser()
     rc, out, _ = run(capsys, "entails", "--n", "0", "--k", "0", "--hyp", "q", "q")
@@ -225,13 +261,29 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert out.startswith("counterexample: ")
 
 
+def test_entails_budget_counts_hypotheses_that_are_negation_chains(capsys):
+    # no implication to evaluate, but 34^8 valuations of nine roots (the
+    # first valuation the hypotheses designate refutes the goal)
+    hyps = []
+    for i in range(1, 9):
+        hyps += ["--hyp", "!" * 16 + f"x{i}"]
+    start = time.perf_counter()
+    rc, out, err = run(
+        capsys, "entails", "--n", "16", "--k", "16", *hyps, "!" * 15 + "x1"
+    )
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert "1785793904896 valuations times 9 subformulas" in err
+
+
 def test_entails_budget_counts_atoms_of_hypotheses_and_goal(capsys):
-    rc, _, err = run(
+    # 34^7 valuations, but 2^7 after the collapse
+    rc, out, err = run(
         capsys, "entails", "--n", "16", "--k", "16",
         "--hyp", "a -> b -> c", "--hyp", "d -> e", "f -> g -> a",
     )
-    assert rc == 2
-    assert "7 atoms" in err
+    assert (rc, err) == (1, "")
+    assert out.strip() == "counterexample: a=F0,b=F0,c=F0,d=F0,e=F0,f=T0,g=T0"
 
     # shared atoms count once: 34^2 valuations
     rc, out, _ = run(
@@ -313,6 +365,7 @@ def test_prove_non_tautology_counterexample(capsys):
 
 
 def test_prove_over_valuation_budget_is_capacity_error(capsys):
+    # decided within the step budget, but synthesis splits on 34^8 cases
     start = time.perf_counter()
     rc, _, err = run(
         capsys, "prove", "--n", "16", "--k", "16",
@@ -320,7 +373,7 @@ def test_prove_over_valuation_budget_is_capacity_error(capsys):
     )
     assert time.perf_counter() - start < 1
     assert rc == 2
-    assert "valuations" in err
+    assert "cases to synthesize" in err
 
 
 def test_prove_text_listing_without_output_file(capsys):
@@ -502,7 +555,7 @@ def test_prove_two_atoms_at_the_top_of_the_hierarchy(tmp_path, capsys):
 
 
 def test_prove_over_synthesis_budget_is_capacity_error(capsys):
-    # 34^4 cases to synthesize, though far under the valuation budget
+    # 34^4 cases to synthesize, though the decision has 2^4 valuations
     start = time.perf_counter()
     rc, out, err = run(
         capsys, "prove", "--n", "16", "--k", "16", "a -> b -> c -> d -> a"

@@ -15,7 +15,7 @@ from inpk.semantics import (
     render_valuation, neg_value, imp_value, eval_formula, eval_subformulas,
     is_designated,
     enumerate_valuations, is_tautology, entails, compare_logics,
-    separating_witness, truth_table, decision_size, _decide,
+    separating_witness, truth_table, decision_size, _decide, Verdict,
 )
 
 from helpers import random_formula
@@ -201,6 +201,28 @@ def test_entails_counterexample_atom_order():
     assert not got.valid
     assert list(got.counterexample) == ["q", "p"]
     assert got.counterexample == {"q": T(0), "p": F(0)}
+
+    # the atoms go in first-occurrence order, hypotheses first, however
+    # the roots share, repeat or nest their subformulas
+    r, s = Atom("r"), Atom("s")
+    shared = Imp(r, p)
+    deep = Imp(q, Neg(Neg(Imp(r, Imp(Neg(s), p)))))
+    for got, want in [
+        (entails(CL, [Imp(q, shared)], Imp(shared, s)),
+         [("q", F(0)), ("r", F(0)), ("p", F(0)), ("s", F(0))]),
+        (entails(CL, [Imp(r, q), Imp(r, q)], p),
+         [("r", F(0)), ("q", F(0)), ("p", F(0))]),
+        (entails(CL, [Imp(r, q), Imp(p, r)], p),
+         [("r", F(0)), ("q", F(0)), ("p", F(0))]),
+        (entails(LogicParams(1, 1), [deep], Neg(Neg(Imp(r, q)))),
+         [("q", F(0)), ("r", T(0)), ("s", F(0)), ("p", F(0))]),
+        (is_tautology(LogicParams(1, 0), Imp(Imp(q, q), Imp(r, Neg(Neg(p))))),
+         [("q", F(0)), ("r", T(0)), ("p", F(0))]),
+    ]:
+        assert not got.valid
+        assert list(got.counterexample.items()) == want
+    # a goal that is also a hypothesis is entailed, with no counterexample
+    assert entails(CL, [q, shared], shared) == Verdict(True)
 
 
 def test_compare_logics():
@@ -459,7 +481,7 @@ def _brute_tautologies(lp, f):
 
 def _reported_tautologies(lp, f):
     valid: set = set()
-    assert _decide(lp, [], f, atoms(f), valid)
+    assert _decide(lp, [], f, valid)
     return valid
 
 
@@ -517,7 +539,7 @@ def test_reporting_the_tautological_subformulas_frees_their_bits():
     def peak(everywhere):
         tracemalloc.start()
         try:
-            assert _decide(lp, [], f, atoms(f), everywhere)
+            assert _decide(lp, [], f, everywhere)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -525,6 +547,59 @@ def test_reporting_the_tautological_subformulas_frees_their_bits():
     valid: set = set()
     assert peak(valid) <= 2 * peak(None)
     assert Imp(g, g) in valid and g not in valid
+
+
+def test_chains_over_one_atom_share_their_designation_bits():
+    # 19 plain atoms, then chains over t: t varies inside a block of 2^18
+    # valuations, and each chain over it once held a pattern of 2^18 bits
+    t = Atom("t")
+
+    def peak(f):
+        for x in reversed("abcdefghijklmnopqrs"):
+            f = Imp(Atom(x), f)
+        tracemalloc.start()
+        try:
+            assert is_tautology(CL, f)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # t under 8000 negations twice, 16 KB of text (270 MiB in all)
+    assert peak(Imp(iter_neg(8000, t), iter_neg(8000, t))) < 16 << 20
+    # !t -> !!t -> ... -> !^150 t -> !^150 t: 150 chains are read, but at
+    # (0,0) they take only two designations, so two patterns
+    f = Imp(iter_neg(150, t), iter_neg(150, t))
+    for j in range(149, 0, -1):
+        f = Imp(iter_neg(j, t), f)
+    assert peak(f) < 3 << 20
+
+
+def test_decision_size_counts_the_roots_and_no_chain_only_a_chain_reads():
+    lp = LogicParams(16, 16)
+    a, b = iter_neg(16, Atom("a")), iter_neg(16, Atom("b"))
+    # no implication: each root is a step, not a free lookup
+    assert decision_size(lp, [a, b]) == (34 * 34, 2)
+    assert decision_size(lp, [a, b, a]) == (34 * 34, 2)
+    assert decision_size(lp, [Imp(a, b)]) == (34 * 34, 1)
+
+    # five atoms under 2000 negations: the 10 000 chains below the
+    # deepest are never evaluated, so the 34^5 valuations go by fast
+    chains = [iter_neg(2000, Atom(x)) for x in "abcde"]
+    f = chains[0]
+    for g in reversed(chains):
+        f = Imp(g, f)
+    start = time.perf_counter()
+    assert is_tautology(lp, f)
+    assert time.perf_counter() - start < 1
+
+    # a repeated hypothesis is one root: read once in each of 34^3 blocks
+    h = chains[1]
+    for g in reversed(chains[2:]):
+        h = Imp(g, h)
+    h = Imp(chains[0], h)
+    start = time.perf_counter()
+    assert entails(lp, [h] * 50_000, h)
+    assert time.perf_counter() - start < 1
 
 
 def _chain_depths(f):
